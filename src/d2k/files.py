@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import EdgeListFormatError, TargetStructureError
 from .graph import DirectedGraph, from_edge_list
-from .metrics import (CensusReport, MetricsConfig, TRIAD_NAMES)
+from .metrics import METRICS, CensusReport, MetricsConfig
 from .targets import (CellKey, D2KTargets, DdsTargets, SizeTargets,
                       UmanTargets, MODE_DEGREE, MODE_PAIR)
 
@@ -175,22 +174,10 @@ def load_targets(path):
 # ---------------------------------------------------------------------------
 # metrics files
 
-def _int_key_hist_to_json(hist: dict[int, int] | None):
-    if hist is None:
-        return None
-    return {str(k): hist[k] for k in sorted(hist)}
-
-def _int_key_hist_from_json(obj):
-    if obj is None:
-        return None
-    return {int(k): int(v) for k, v in obj.items()}
-
-
 def report_to_json_dict(r: CensusReport) -> dict:
-    nd = None
-    if r.neighbor_degree is not None:
-        nd = {combo: {str(k): v for k, v in sorted(mapping.items())}
-              for combo, mapping in r.neighbor_degree.items()}
+    entries: dict = {}
+    for row in METRICS:
+        entries.update(row.to_json(r.values.get(row.name), r.meta.get(row.name)))
     return {
         "v": SCHEMA_VERSION,
         "kind": "metrics",
@@ -198,66 +185,23 @@ def report_to_json_dict(r: CensusReport) -> dict:
         "m": r.m,
         "config": r.config.to_json_dict(),
         "notes": r.notes,
-        "metrics": {
-            "degree_hist_in": _int_key_hist_to_json(r.degree_hist_in),
-            "degree_hist_out": _int_key_hist_to_json(r.degree_hist_out),
-            "neighbor_degree": nd,
-            "degree_correlation": r.degree_correlation,
-            "dyads": r.dyads,
-            "triads": r.triads,
-            "path_hist": _int_key_hist_to_json(r.path_hist),
-            "path_meta": r.path_meta,
-            "scc_hist": _int_key_hist_to_json(r.scc_hist),
-            "kcore_hist": _int_key_hist_to_json(r.kcore_hist),
-            "betweenness": r.betweenness,
-            "betweenness_meta": r.betweenness_meta,
-            "eigenvalues": r.eigenvalues,
-            "eigen_meta": r.eigen_meta,
-            "dsp": {k: _int_key_hist_to_json(v) for k, v in r.dsp.items()}
-                   if r.dsp is not None else None,
-            "expansion": r.expansion,
-        },
+        "metrics": entries,
     }
 
 
 def report_from_json_dict(obj: dict) -> CensusReport:
     if obj.get("v") != SCHEMA_VERSION or obj.get("kind") != "metrics":
         raise ValueError("not a metrics file")
-    cfg_d = obj["config"]
-    config = MetricsConfig(
-        metrics=tuple(cfg_d["metrics"]),
-        seed=cfg_d["seed"],
-        sample_sources=cfg_d["sample_sources"],
-        path_exact_nodes=cfg_d["path_exact_nodes"],
-        betweenness_exact_nodes=cfg_d["betweenness_exact_nodes"],
-        eigen_k=cfg_d["eigen_k"],
-        eigen_dense_nodes=cfg_d["eigen_dense_nodes"],
-        eigen_operator=cfg_d["eigen_operator"])
-    met = obj["metrics"]
-    nd = None
-    if met.get("neighbor_degree") is not None:
-        nd = {combo: {int(k): float(v) for k, v in mapping.items()}
-              for combo, mapping in met["neighbor_degree"].items()}
-    report = CensusReport(
-        n=obj["n"], m=obj["m"], config=config,
-        degree_hist_in=_int_key_hist_from_json(met.get("degree_hist_in")),
-        degree_hist_out=_int_key_hist_from_json(met.get("degree_hist_out")),
-        neighbor_degree=nd,
-        degree_correlation=met.get("degree_correlation"),
-        dyads=met.get("dyads"),
-        triads=met.get("triads"),
-        path_hist=_int_key_hist_from_json(met.get("path_hist")),
-        path_meta=met.get("path_meta"),
-        scc_hist=_int_key_hist_from_json(met.get("scc_hist")),
-        kcore_hist=_int_key_hist_from_json(met.get("kcore_hist")),
-        betweenness=met.get("betweenness"),
-        betweenness_meta=met.get("betweenness_meta"),
-        eigenvalues=met.get("eigenvalues"),
-        eigen_meta=met.get("eigen_meta"),
-        dsp={k: _int_key_hist_from_json(v) for k, v in met["dsp"].items()}
-            if met.get("dsp") is not None else None,
-        expansion=met.get("expansion"),
-        notes=obj.get("notes", {}))
+    config = MetricsConfig(**{**obj["config"],
+                              "metrics": tuple(obj["config"]["metrics"])})
+    report = CensusReport(n=obj["n"], m=obj["m"], config=config,
+                          notes=obj.get("notes", {}))
+    for row in METRICS:
+        value, meta = row.from_json(obj["metrics"])
+        if value is not None:
+            report.values[row.name] = value
+        if meta is not None:
+            report.meta[row.name] = meta
     return report
 
 
@@ -275,188 +219,6 @@ def load_metrics_report(path) -> CensusReport:
 # ---------------------------------------------------------------------------
 # compare reports
 
-def _normalized(hist: dict) -> dict:
-    """Histogram as an exact probability map (Fraction values).
-
-    Exact arithmetic keeps the definitional guarantees honest: identical
-    distributions compare to a distance of exactly zero, never 1e-16.
-    """
-    total = sum(hist.values())
-    if total == 0:
-        return {}
-    return {k: Fraction(v) / total for k, v in hist.items()}
-
-
-def _cdf_sup_distance(h1: dict, h2: dict, key_order=None) -> float:
-    p1 = _normalized(h1) if not _is_distribution(h1) else h1
-    p2 = _normalized(h2) if not _is_distribution(h2) else h2
-    keys = key_order if key_order is not None else sorted(set(p1) | set(p2))
-    acc1 = acc2 = Fraction(0)
-    worst = Fraction(0)
-    for k in keys:
-        acc1 += p1.get(k, 0)
-        acc2 += p2.get(k, 0)
-        worst = max(worst, abs(acc1 - acc2))
-    return float(worst)
-
-
-def _is_distribution(h: dict) -> bool:
-    return any(isinstance(v, Fraction) for v in h.values())
-
-
-def _ks_distance(a: list[float], b: list[float]) -> float:
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return 1.0
-    sa, sb = sorted(a), sorted(b)
-    worst = Fraction(0)
-    i = j = 0
-    for x in sorted(set(sa) | set(sb)):
-        while i < len(sa) and sa[i] <= x:
-            i += 1
-        while j < len(sb) and sb[j] <= x:
-            j += 1
-        worst = max(worst, abs(Fraction(i, len(sa)) - Fraction(j, len(sb))))
-    return float(worst)
-
-
-def _relative_error(x: float, y: float) -> float:
-    if x == y:
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
-
-
-def _mean_hist(hists: list[dict]) -> dict:
-    """Average of the normalized histograms (the mean CDF's pmf), exact."""
-    acc: dict = {}
-    for h in hists:
-        for k, p in _normalized(h).items():
-            acc[k] = acc.get(k, Fraction(0)) + p
-    return {k: v / len(hists) for k, v in acc.items()}
-
-
-def _map_sup_distance(m1: dict, m2: dict) -> float:
-    keys = set(m1) | set(m2)
-    return float(max((abs(m1.get(k, 0) - m2.get(k, 0)) for k in keys),
-                     default=0))
-
-
-def _jdam_distribution(r: CensusReport) -> dict:
-    if not r.degree_correlation:
-        return {}
-    total = 2 * r.m
-    return {k: Fraction(v, total) for k, v in r.degree_correlation.items()}
-
-
-DYAD_ORDER = ("mutual", "asymmetric", "null")
-
-
-def _metric_distance(name: str, a: CensusReport, b: CensusReport) -> float:
-    """Distance between one metric of two reports (0 = identical)."""
-    if name == "degrees":
-        return max(_cdf_sup_distance(a.degree_hist_in, b.degree_hist_in),
-                   _cdf_sup_distance(a.degree_hist_out, b.degree_hist_out))
-    if name == "degree_correlation":
-        return _map_sup_distance(_jdam_distribution(a), _jdam_distribution(b))
-    if name == "neighbor_degrees":
-        return max(_map_sup_distance(a.neighbor_degree[c], b.neighbor_degree[c])
-                   for c in a.neighbor_degree)
-    if name == "dyad_census":
-        return _cdf_sup_distance(a.dyads, b.dyads, DYAD_ORDER)
-    if name == "triad_census":
-        return _cdf_sup_distance(a.triads, b.triads, TRIAD_NAMES)
-    if name == "paths":
-        return _cdf_sup_distance(a.path_hist, b.path_hist)
-    if name == "scc":
-        return _cdf_sup_distance(a.scc_hist, b.scc_hist)
-    if name == "kcore":
-        return _cdf_sup_distance(a.kcore_hist, b.kcore_hist)
-    if name == "betweenness":
-        return _ks_distance(a.betweenness, b.betweenness)
-    if name == "eigenvalues":
-        xs, ys = a.eigenvalues, b.eigenvalues
-        size = max(len(xs), len(ys))
-        xs = xs + [0.0] * (size - len(xs))
-        ys = ys + [0.0] * (size - len(ys))
-        return max((_relative_error(x, y) for x, y in zip(xs, ys)),
-                   default=0.0)
-    if name == "dsp":
-        return max(_cdf_sup_distance(a.dsp[v], b.dsp[v]) for v in a.dsp)
-    if name == "expansion":
-        return max(_ks_distance(a.expansion[d], b.expansion[d])
-                   for d in ("out", "in"))
-    raise ValueError(f"unknown metric {name!r}")
-
-
-def _ensemble_distance(name: str, orig: CensusReport,
-                       instances: list[CensusReport]) -> float:
-    """Distance between the original and the instance-averaged metric."""
-    if name == "degrees":
-        return max(
-            _cdf_sup_distance(_normalized(orig.degree_hist_in),
-                              _mean_hist([r.degree_hist_in for r in instances])),
-            _cdf_sup_distance(_normalized(orig.degree_hist_out),
-                              _mean_hist([r.degree_hist_out for r in instances])))
-    if name == "degree_correlation":
-        mean: dict = {}
-        for r in instances:
-            for k, p in _jdam_distribution(r).items():
-                mean[k] = mean.get(k, Fraction(0)) + p
-        mean = {k: v / len(instances) for k, v in mean.items()}
-        return _map_sup_distance(_jdam_distribution(orig), mean)
-    if name in ("dyad_census", "triad_census", "paths", "scc", "kcore", "dsp"):
-        key_order = {"dyad_census": DYAD_ORDER,
-                     "triad_census": TRIAD_NAMES}.get(name)
-        def hists_of(r):
-            return {"dyad_census": r.dyads, "triad_census": r.triads,
-                    "paths": r.path_hist, "scc": r.scc_hist,
-                    "kcore": r.kcore_hist}[name] if name != "dsp" else None
-        if name == "dsp":
-            return max(
-                _cdf_sup_distance(_normalized(orig.dsp[v]),
-                                  _mean_hist([r.dsp[v] for r in instances]))
-                for v in orig.dsp)
-        return _cdf_sup_distance(_normalized(hists_of(orig)),
-                                 _mean_hist([hists_of(r) for r in instances]),
-                                 key_order)
-    if name in ("betweenness", "expansion"):
-        if name == "betweenness":
-            pooled = [x for r in instances for x in r.betweenness]
-            return _ks_distance(orig.betweenness, pooled)
-        return max(_ks_distance(orig.expansion[d],
-                                [x for r in instances for x in r.expansion[d]])
-                   for d in ("out", "in"))
-    if name == "eigenvalues":
-        size = max(len(r.eigenvalues) for r in instances)
-        mean = [Fraction(0)] * size
-        for r in instances:
-            for i, x in enumerate(r.eigenvalues):
-                mean[i] += Fraction(x)
-        mean = [x / len(instances) for x in mean]
-        xs = [Fraction(x) for x in orig.eigenvalues]
-        width = max(size, len(xs))
-        xs += [Fraction(0)] * (width - len(xs))
-        mean += [Fraction(0)] * (width - len(mean))
-        return float(max((_relative_error(x, y) for x, y in zip(xs, mean)),
-                         default=0))
-    if name == "neighbor_degrees":
-        worst = 0.0
-        for combo in orig.neighbor_degree:
-            acc: dict[int, Fraction] = {}
-            cnt: dict[int, int] = {}
-            for r in instances:
-                for k, v in r.neighbor_degree[combo].items():
-                    acc[k] = acc.get(k, Fraction(0)) + Fraction(v)
-                    cnt[k] = cnt.get(k, 0) + 1
-            mean = {k: acc[k] / cnt[k] for k in acc}
-            worst = max(worst, _map_sup_distance(
-                {k: Fraction(v) for k, v in orig.neighbor_degree[combo].items()},
-                mean))
-        return worst
-    raise ValueError(f"unknown metric {name!r}")
-
-
 def build_compare_report(original: CensusReport,
                          instances: list[CensusReport]) -> dict:
     """Per-metric distances between an original and an ensemble.
@@ -467,15 +229,19 @@ def build_compare_report(original: CensusReport,
     """
     if not instances:
         raise ValueError("need at least one generated instance")
-    names = [n for n in original.config.selected()
-             if all(n in r.config.selected() for r in instances)]
+    shared = set(original.config.selected()).intersection(
+        *(r.config.selected() for r in instances))
     results = {}
-    for name in names:
-        per = [_metric_distance(name, original, r) for r in instances]
+    for row in METRICS:
+        if row.name not in shared:
+            continue
+        orig = original.values[row.name]
+        values = [r.values[row.name] for r in instances]
+        per = [row.kind.distance(orig, v) for v in values]
         mean = sum(per) / len(per)
         var = sum((x - mean) ** 2 for x in per) / len(per)
-        results[name] = {
-            "ensemble_distance": _ensemble_distance(name, original, instances),
+        results[row.name] = {
+            "ensemble_distance": row.kind.ensemble(orig, values),
             "instance_distance_mean": mean,
             "instance_distance_std": math.sqrt(var),
         }
@@ -500,51 +266,12 @@ def write_metric_csvs(r: CensusReport, directory) -> list[str]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-
-    def hist_csv(name: str, hist: dict):
-        path = directory / f"{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("key,count\n")
-            for k in sorted(hist):
-                fh.write(f"{k},{hist[k]}\n")
-        written.append(str(path))
-
-    def values_csv(name: str, values: list[float]):
-        path = directory / f"{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("value\n")
-            for v in sorted(values):
-                fh.write(f"{v}\n")
-        written.append(str(path))
-
-    if r.degree_hist_in is not None:
-        hist_csv("degree_in", r.degree_hist_in)
-        hist_csv("degree_out", r.degree_hist_out)
-    if r.dyads is not None:
-        hist_csv("dyad_census", r.dyads)
-    if r.triads is not None:
-        hist_csv("triad_census", r.triads)
-    if r.path_hist is not None:
-        hist_csv("shortest_paths", r.path_hist)
-    if r.scc_hist is not None:
-        hist_csv("scc_sizes", r.scc_hist)
-    if r.kcore_hist is not None:
-        hist_csv("kcore", r.kcore_hist)
-    if r.betweenness is not None:
-        values_csv("betweenness", r.betweenness)
-    if r.eigenvalues is not None:
-        values_csv("eigenvalues", r.eigenvalues)
-    if r.dsp is not None:
-        # the zero-shared-partner convention is unstated upstream, so both
-        # presentations are written
-        for variant, hist in r.dsp.items():
-            hist_csv(f"dsp_{variant}", hist)
-            hist_csv(f"dsp_{variant}_nonzero",
-                     {k: v for k, v in hist.items() if k != 0})
-    if r.expansion is not None:
-        for direction, values in r.expansion.items():
-            values_csv(f"expansion_{direction}", values)
-    if r.neighbor_degree is not None:
-        for combo, mapping in r.neighbor_degree.items():
-            hist_csv(f"neighbor_degree_{combo}", mapping)
+    for row in METRICS:
+        if row.name not in r.values or row.csv is None:
+            continue
+        for stem, text in row.kind.csv_files(row.csv, r.values[row.name]):
+            path = directory / f"{stem}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            written.append(str(path))
     return written

@@ -8,9 +8,12 @@ report metadata.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Any, Callable
 
 import numpy as np
 
@@ -30,6 +33,9 @@ _TRICODES = (1, 2, 2, 3, 2, 4, 6, 8, 2, 6, 5, 7, 3, 8, 7, 11, 2, 6, 4, 8, 5,
              4, 9, 9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7, 12, 14, 15, 8, 14,
              13, 15, 11, 15, 15, 16)
 _CODE_TO_NAME = {i: TRIAD_NAMES[code - 1] for i, code in enumerate(_TRICODES)}
+
+
+DYAD_ORDER = ("mutual", "asymmetric", "null")
 
 
 def dyad_census(g: DirectedGraph) -> dict[str, int]:
@@ -154,10 +160,6 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
         sums[key] = sums.get(key, 0) + val
         cnts[key] = cnts.get(key, 0) + 1
     return {k: Fraction(sums[k], cnts[k]) for k in sums}
-
-
-NEIGHBOR_DEGREE_COMBOS = (("out", "in"), ("out", "out"), ("in", "in"),
-                          ("in", "out"))
 
 
 def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
@@ -412,12 +414,279 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
 
 
 # ---------------------------------------------------------------------------
+# metric kinds: how each kind of value is stored, exported and compared.
+# ensemble(orig, instances) compares the original with the instance average
+# and distance(a, b) two values (by default the ensemble of one); 0 means
+# identical.
+
+def _relative_error(x, y):
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+class _Keyed:
+    """{key: number}, exported as key,count rows in key order."""
+
+    key_type = value_type = int
+
+    def encode(self, value: dict) -> dict:
+        return {str(k): v for k, v in value.items()}
+
+    def decode(self, obj: dict) -> dict:
+        return {self.key_type(k): self.value_type(v) for k, v in obj.items()}
+
+    def csv_files(self, stem: str, value: dict) -> list[tuple[str, str]]:
+        return [(stem, "key,count\n" + "".join(f"{k},{value[k]}\n"
+                                               for k in sorted(value)))]
+
+    def distance(self, a, b) -> float:
+        return self.ensemble(a, [b])
+
+
+class _Listed:
+    """A list of numbers, exported as one sorted value per row."""
+
+    def encode(self, values: list) -> list:
+        return values
+
+    decode = encode
+
+    def csv_files(self, stem: str, values: list) -> list[tuple[str, str]]:
+        return [(stem, "value\n" + "".join(f"{v}\n" for v in sorted(values)))]
+
+    distance = _Keyed.distance
+
+
+@dataclass(frozen=True)
+class Counts(_Keyed):
+    """A count histogram, compared as a probability distribution by the sup
+    distance of the cumulative distributions, in numeric key order or in
+    `order`.  A `joint` matrix, stored as one entry per unordered cell pair,
+    is compared pointwise instead, each entry standing for both halves of
+    the symmetric matrix.  The ensemble side is the mean of the instances'
+    distributions.  All terms are integers over one denominator, divided
+    once, so identical inputs give exactly 0.0.  With `nonzero_csv` the CSV
+    export is also written without the 0 bin."""
+
+    key_type: type = int
+    order: tuple[str, ...] | None = None
+    joint: bool = False
+    nonzero_csv: bool = False
+
+    def _total(self, hist: dict) -> int:
+        return (2 if self.joint else 1) * (sum(hist.values()) or 1)
+
+    def ensemble(self, orig: dict, instances: list[dict]) -> float:
+        totals = [self._total(h) for h in instances]
+        common = math.lcm(*totals)
+        mean: dict = {}                 # numerators over len(instances) * common
+        for h, total in zip(instances, totals):
+            for k, c in h.items():
+                mean[k] = mean.get(k, 0) + c * (common // total)
+        t0, scale = self._total(orig), len(instances) * common
+        worst = acc = 0
+        for k in self.order or sorted(set(orig) | set(mean)):
+            d = orig.get(k, 0) * scale - mean.get(k, 0) * t0
+            acc = d if self.joint else acc + d
+            worst = max(worst, abs(acc))
+        return worst / (t0 * scale)
+
+    def csv_files(self, stem: str, value: dict) -> list[tuple[str, str]]:
+        files = super().csv_files(stem, value)
+        if self.nonzero_csv:
+            files += super().csv_files(f"{stem}_nonzero",
+                                       {k: c for k, c in value.items() if k != 0})
+        return files
+
+
+class Means(_Keyed):
+    """Mean values per key.  The ensemble averages each key, exactly, over
+    the instances that have it; the distance is the sup over the keys of
+    the absolute difference, a key missing on one side counting as 0."""
+
+    value_type = float
+
+    def ensemble(self, orig: dict, instances: list[dict]) -> float:
+        acc: dict = {}
+        cnt: dict = {}
+        for value in instances:
+            for k, v in value.items():
+                acc[k] = acc.get(k, 0) + Fraction(v)
+                cnt[k] = cnt.get(k, 0) + 1
+        mean = {k: acc[k] / cnt[k] for k in acc}
+        return float(max((abs(Fraction(orig.get(k, 0)) - mean.get(k, 0))
+                          for k in orig.keys() | mean.keys()), default=0))
+
+
+class Values(_Listed):
+    """A sample of values, compared with the instances' pooled values by the
+    Kolmogorov-Smirnov distance, exactly: i/len(a) - j/len(b) is
+    cross-multiplied and the result divided once."""
+
+    def ensemble(self, orig: list, instances: list[list]) -> float:
+        pooled = sorted(x for values in instances for x in values)
+        if not orig and not pooled:
+            return 0.0
+        if not orig or not pooled:
+            return 1.0
+        own = sorted(orig)
+        worst = max(abs(bisect_right(own, x) * len(pooled)
+                        - bisect_right(pooled, x) * len(own))
+                    for x in {*own, *pooled})
+        return worst / (len(own) * len(pooled))
+
+
+class Vector(_Listed):
+    """Values by rank: the largest relative error over the ranks, the
+    shorter vector padded with zeros.  One instance is compared in floating
+    point, the ensemble against the exact mean per rank."""
+
+    def distance(self, a: list, b: list) -> float:
+        size = max(len(a), len(b))
+        a, b = a + [0.0] * (size - len(a)), b + [0.0] * (size - len(b))
+        return max((_relative_error(x, y) for x, y in zip(a, b)), default=0.0)
+
+    def ensemble(self, orig: list, instances: list[list]) -> float:
+        width = max(len(orig), *(len(values) for values in instances))
+        mean = [Fraction(0)] * width
+        for values in instances:
+            for i, x in enumerate(values):
+                mean[i] += Fraction(x)
+        xs = [Fraction(x) for x in orig] + [Fraction(0)] * (width - len(orig))
+        return float(max((_relative_error(x, y / len(instances))
+                          for x, y in zip(xs, mean)), default=0))
+
+
+class Family:
+    """{member: part}, each part stored, exported and compared as `kind`;
+    the family's distance is the largest of its members'."""
+
+    def __init__(self, kind, members: tuple[str, ...]):
+        self.kind, self.members = kind, members
+
+    def encode(self, value: dict) -> dict:
+        return {m: self.kind.encode(p) for m, p in value.items()}
+
+    def decode(self, obj: dict) -> dict:
+        return {m: self.kind.decode(p) for m, p in obj.items()}
+
+    def csv_files(self, stem: str, value: dict) -> list[tuple[str, str]]:
+        return [f for m in self.members
+                for f in self.kind.csv_files(f"{stem}_{m}", value[m])]
+
+    def distance(self, a: dict, b: dict) -> float:
+        return max(self.kind.distance(p, b[m]) for m, p in a.items())
+
+    def ensemble(self, orig: dict, instances: list[dict]) -> float:
+        return max(self.kind.ensemble(p, [value[m] for value in instances])
+                   for m, p in orig.items())
+
+
+# ---------------------------------------------------------------------------
+# the metric table
+
+@dataclass(frozen=True)
+class Metric:
+    """One metric: its compute call, its kind, and its place in the files.
+
+    compute(g, config) gives the value, or (value, meta) when meta_key is
+    set; a Family is computed one member at a time, compute(g, config, m).
+    """
+
+    name: str
+    kind: _Keyed | _Listed | Family
+    key: str                        # key in the "metrics" object of a file
+    csv: str | None                 # CSV file stem; None: no CSV
+    compute: Callable
+    split_key: bool = False         # Family members stored at key_member
+    meta_key: str | None = None
+    note: str | None = None         # modelling assumption, kept in the report
+
+    def measure(self, g: DirectedGraph, config: MetricsConfig):
+        """(value, meta or None) of this metric on g."""
+        if isinstance(self.kind, Family):
+            return {m: self.compute(g, config, m)
+                    for m in self.kind.members}, None
+        result = self.compute(g, config)
+        return result if self.meta_key else (result, None)
+
+    def to_json(self, value, meta) -> dict:
+        """This metric's entries in a metrics file; null when not computed."""
+        enc = None if value is None else self.kind.encode(value)
+        if self.split_key:
+            out = {f"{self.key}_{m}": None if enc is None else enc[m]
+                   for m in self.kind.members}
+        else:
+            out = {self.key: enc}
+        return {**out, self.meta_key: meta} if self.meta_key else out
+
+    def from_json(self, entries: dict):
+        """(value, meta), None where absent, from a file's "metrics" object."""
+        if self.split_key:
+            raw = {m: entries.get(f"{self.key}_{m}") for m in self.kind.members}
+            raw = None if None in raw.values() else raw
+        else:
+            raw = entries.get(self.key)
+        return (None if raw is None else self.kind.decode(raw),
+                entries.get(self.meta_key) if self.meta_key else None)
+
+
+HISTOGRAM = Counts()
+
+# Adding a metric is one row here plus its compute function.  The rows look
+# their function up in this module when called, not when defined.
+METRICS = (
+    Metric("degrees", Family(HISTOGRAM, ("in", "out")), "degree_hist",
+           "degree", lambda g, c, side: degree_histogram(g, side),
+           split_key=True),
+    Metric("neighbor_degrees",
+           Family(Means(), ("out_in", "out_out", "in_in", "in_out")),
+           "neighbor_degree", "neighbor_degree",
+           lambda g, c, combo: {k: float(v) for k, v in avg_neighbor_degree(
+               g, *combo.split("_")).items()}),
+    Metric("degree_correlation", Counts(str, joint=True),
+           "degree_correlation", None,
+           lambda g, c: {_cell_pair_label(a, b): count
+                         for a, b, count in extract_d2k(g).jdam_entries()}),
+    Metric("dyad_census", Counts(str, DYAD_ORDER), "dyads", "dyad_census",
+           lambda g, c: dyad_census(g)),
+    Metric("triad_census", Counts(str, TRIAD_NAMES), "triads", "triad_census",
+           lambda g, c: triad_census(g)),
+    Metric("paths", HISTOGRAM, "path_hist", "shortest_paths",
+           lambda g, c: shortest_path_histogram(
+               g, c.sample_sources, c.path_exact_nodes, c.seed),
+           meta_key="path_meta"),
+    Metric("scc", HISTOGRAM, "scc_hist", "scc_sizes",
+           lambda g, c: scc_size_histogram(g)),
+    Metric("kcore", HISTOGRAM, "kcore_hist", "kcore",
+           lambda g, c: core_number_histogram(g),
+           note="computed on the symmetrized simple graph"),
+    Metric("betweenness", Values(), "betweenness", "betweenness",
+           lambda g, c: betweenness_values(
+               g, c.betweenness_exact_nodes, c.sample_sources, c.seed),
+           meta_key="betweenness_meta"),
+    Metric("eigenvalues", Vector(), "eigenvalues", "eigenvalues",
+           lambda g, c: top_eigenvalues(
+               g, c.eigen_k, c.eigen_operator, c.eigen_dense_nodes, c.seed),
+           meta_key="eigen_meta"),
+    Metric("dsp", Family(Counts(nonzero_csv=True), DSP_VARIANTS), "dsp", "dsp",
+           lambda g, c, variant: dsp(g, variant)),
+    Metric("expansion", Family(Values(), ("out", "in")), "expansion",
+           "expansion", lambda g, c, direction: expansion(g, direction),
+           note="second hop excludes the origin and all first-hop nodes"),
+)
+METRIC_NAMES = tuple(row.name for row in METRICS)
+
+
+def _cell_pair_label(a, b) -> str:
+    def one(c):
+        label = c.label if not isinstance(c.label, tuple) \
+            else ",".join(map(str, c.label))
+        return f"{c.side}:{label}"
+    return f"{one(a)}|{one(b)}"
+
+
+# ---------------------------------------------------------------------------
 # the assembled report
-
-METRIC_NAMES = ("degrees", "neighbor_degrees", "degree_correlation",
-                "dyad_census", "triad_census", "paths", "scc", "kcore",
-                "betweenness", "eigenvalues", "dsp", "expansion")
-
 
 @dataclass
 class MetricsConfig:
@@ -430,56 +699,36 @@ class MetricsConfig:
     eigen_dense_nodes: int = 2000
     eigen_operator: str = "directed"
 
+    def __post_init__(self):
+        unknown = [m for m in self.metrics
+                   if m != "all" and m not in METRIC_NAMES]
+        if unknown:
+            raise ValueError(f"unknown metric name(s): {', '.join(unknown)}")
+        if self.sample_sources < 1:
+            raise ValueError(
+                f"sample_sources must be at least 1, got {self.sample_sources}")
+        if self.eigen_k < 0:
+            raise ValueError(f"eigen_k must not be negative, got {self.eigen_k}")
+
     def selected(self) -> tuple[str, ...]:
         if "all" in self.metrics:
             return METRIC_NAMES
-        unknown = [m for m in self.metrics if m not in METRIC_NAMES]
-        if unknown:
-            raise ValueError(f"unknown metric name(s): {', '.join(unknown)}")
         return tuple(m for m in METRIC_NAMES if m in self.metrics)
 
     def to_json_dict(self) -> dict:
-        return {
-            "metrics": list(self.selected()),
-            "seed": self.seed,
-            "sample_sources": self.sample_sources,
-            "path_exact_nodes": self.path_exact_nodes,
-            "betweenness_exact_nodes": self.betweenness_exact_nodes,
-            "eigen_k": self.eigen_k,
-            "eigen_dense_nodes": self.eigen_dense_nodes,
-            "eigen_operator": self.eigen_operator,
-        }
-
-
-_ASSUMPTIONS = {
-    "kcore": "computed on the symmetrized simple graph",
-    "expansion": "second hop excludes the origin and all first-hop nodes",
-}
+        return {**asdict(self), "metrics": list(self.selected())}
 
 
 @dataclass
 class CensusReport:
-    """All measurements of one graph; fields are None when not requested."""
+    """All measurements of one graph: values[name] of each selected metric,
+    and meta[name] of those that record how they were computed."""
 
     n: int
     m: int
     config: MetricsConfig
-    degree_hist_in: dict[int, int] | None = None
-    degree_hist_out: dict[int, int] | None = None
-    neighbor_degree: dict[str, dict[int, float]] | None = None
-    degree_correlation: dict[str, int] | None = None
-    dyads: dict[str, int] | None = None
-    triads: dict[str, int] | None = None
-    path_hist: dict[int, int] | None = None
-    path_meta: dict | None = None
-    scc_hist: dict[int, int] | None = None
-    kcore_hist: dict[int, int] | None = None
-    betweenness: list[float] | None = None
-    betweenness_meta: dict | None = None
-    eigenvalues: list[float] | None = None
-    eigen_meta: dict | None = None
-    dsp: dict[str, dict[int, int]] | None = None
-    expansion: dict[str, list[float]] | None = None
+    values: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, dict] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
 
 
@@ -487,52 +736,13 @@ def structural_suite(g: DirectedGraph, config: MetricsConfig | None = None) \
         -> CensusReport:
     """Compute the selected metrics of g into one report."""
     config = config or MetricsConfig()
-    wanted = set(config.selected())
+    wanted = config.selected()
     report = CensusReport(n=g.n, m=g.m, config=config)
-    if "degrees" in wanted:
-        report.degree_hist_in = degree_histogram(g, "in")
-        report.degree_hist_out = degree_histogram(g, "out")
-    if "neighbor_degrees" in wanted:
-        report.neighbor_degree = {
-            f"{a}_{b}": {k: float(v) for k, v in
-                         avg_neighbor_degree(g, a, b).items()}
-            for a, b in NEIGHBOR_DEGREE_COMBOS}
-    if "degree_correlation" in wanted:
-        t = extract_d2k(g)
-        report.degree_correlation = {
-            _cell_pair_label(a, b): count for a, b, count in t.jdam_entries()}
-    if "dyad_census" in wanted:
-        report.dyads = dyad_census(g)
-    if "triad_census" in wanted:
-        report.triads = triad_census(g)
-    if "paths" in wanted:
-        report.path_hist, report.path_meta = shortest_path_histogram(
-            g, config.sample_sources, config.path_exact_nodes, config.seed)
-    if "scc" in wanted:
-        report.scc_hist = scc_size_histogram(g)
-    if "kcore" in wanted:
-        report.kcore_hist = core_number_histogram(g)
-        report.notes["kcore"] = _ASSUMPTIONS["kcore"]
-    if "betweenness" in wanted:
-        report.betweenness, report.betweenness_meta = betweenness_values(
-            g, config.betweenness_exact_nodes, config.sample_sources,
-            config.seed)
-    if "eigenvalues" in wanted:
-        report.eigenvalues, report.eigen_meta = top_eigenvalues(
-            g, config.eigen_k, config.eigen_operator,
-            config.eigen_dense_nodes, config.seed)
-    if "dsp" in wanted:
-        report.dsp = {variant: dsp(g, variant) for variant in DSP_VARIANTS}
-    if "expansion" in wanted:
-        report.expansion = {"out": expansion(g, "out"),
-                            "in": expansion(g, "in")}
-        report.notes["expansion"] = _ASSUMPTIONS["expansion"]
+    for row in METRICS:
+        if row.name in wanted:
+            report.values[row.name], meta = row.measure(g, config)
+            if meta is not None:
+                report.meta[row.name] = meta
+            if row.note:
+                report.notes[row.name] = row.note
     return report
-
-
-def _cell_pair_label(a, b) -> str:
-    def one(c):
-        label = c.label if not isinstance(c.label, tuple) \
-            else ",".join(map(str, c.label))
-        return f"{c.side}:{label}"
-    return f"{one(a)}|{one(b)}"

@@ -46,11 +46,6 @@ class CellKey(NamedTuple):
         return self.label
 
 
-def cell_pair_key(a: CellKey, b: CellKey) -> tuple[CellKey, CellKey]:
-    """Canonical (sorted) orientation of an unordered cell pair."""
-    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
-
-
 def node_cells(dds: list[tuple[int, int]], mode: str) \
         -> tuple[list[CellKey | None], list[CellKey | None]]:
     """Per-node (in-side cell, out-side cell); None on a zero-degree side."""

@@ -134,6 +134,20 @@ def test_unknown_metric_name_exit_1(tmp_path):
                  "-o", str(tmp_path / "m.json")]) == 1
 
 
+def test_zero_sample_sources_exit_1_without_traceback(tmp_path, capsys):
+    # a 501-node ring: above the 500-node exact betweenness threshold, where
+    # the pivot count divides the scale
+    graph_path = tmp_path / "ring.txt"
+    graph_path.write_text("".join(f"{v} {(v + 1) % 501}\n" for v in range(501)),
+                          encoding="utf-8")
+    assert main(["measure", str(graph_path), "--metrics", "betweenness",
+                 "--sample-sources", "0", "-o", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_parallel_generation_via_env(tmp_path, monkeypatch):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "t.json"

@@ -1,0 +1,48 @@
+"""Byte-identity of the v:1 metrics, compare and CSV formats.
+
+The files under golden/ were written by golden/make_golden.py; the test
+reads the metrics files back instead of measuring again, so it holds on
+any LAPACK/ARPACK build.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from d2k.files import (build_compare_report, load_metrics_report,
+                       save_compare_report, save_metrics_report,
+                       write_metric_csvs)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_metrics_file_load_save_is_byte_identical(tmp_path, name):
+    report = load_metrics_report(GOLDEN / f"{name}.json")
+    save_metrics_report(report, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == \
+        (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_compare_file_is_byte_identical(tmp_path):
+    original, *instances = (load_metrics_report(GOLDEN / f"{name}.json")
+                            for name in REPORTS[:3])
+    save_compare_report(build_compare_report(original, instances),
+                        tmp_path / "compare.json")
+    assert (tmp_path / "compare.json").read_bytes() == \
+        (GOLDEN / "compare.json").read_bytes()
+
+
+def test_csv_files_are_byte_identical(tmp_path):
+    written = write_metric_csvs(load_metrics_report(GOLDEN / "original.json"),
+                                tmp_path / "csv")
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in written}
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == \
+        sorted(digests)
+    assert digests == json.loads(
+        (GOLDEN / "original_csv_sha256.json").read_text(encoding="utf-8"))

@@ -12,7 +12,8 @@ from conftest import (betweenness_bruteforce, core_numbers_bruteforce,
 from d2k import (DirectedGraph, MetricsConfig, avg_neighbor_degree, dsp,
                  dyad_census, expansion, from_edge_list, structural_suite,
                  triad_census)
-from d2k.metrics import (betweenness_values, core_number_histogram,
+from d2k.metrics import (HISTOGRAM, TRIAD_NAMES, Counts, Means, Values,
+                         betweenness_values, core_number_histogram,
                          scc_size_histogram, shortest_path_histogram,
                          top_eigenvalues)
 
@@ -248,21 +249,148 @@ def test_structural_suite_selection_and_determinism():
     config = MetricsConfig(metrics=("degrees", "triad_census", "scc"), seed=3)
     r1 = structural_suite(g, config)
     r2 = structural_suite(g, config)
-    assert r1.triads == r2.triads
-    assert r1.degree_hist_in == r2.degree_hist_in
-    assert r1.betweenness is None          # not selected
-    assert r1.scc_hist == r2.scc_hist
+    assert r1.values["triad_census"] == r2.values["triad_census"]
+    assert r1.values["degrees"]["in"] == r2.values["degrees"]["in"]
+    assert r1.values.get("betweenness") is None          # not selected
+    assert r1.values["scc"] == r2.values["scc"]
 
 
 def test_structural_suite_full_run_records_assumptions():
     g = three_cycle()
     r = structural_suite(g, MetricsConfig())
-    assert r.kcore_hist == {2: 3}
+    assert r.values["kcore"] == {2: 3}
     assert "kcore" in r.notes and "expansion" in r.notes
-    assert r.dyads == {"mutual": 0, "asymmetric": 3, "null": 0}
-    assert r.eigenvalues[0] == pytest.approx(1.0)
+    assert r.values["dyad_census"] == {"mutual": 0, "asymmetric": 3, "null": 0}
+    assert r.values["eigenvalues"][0] == pytest.approx(1.0)
 
 
 def test_unknown_metric_name_rejected():
-    with pytest.raises(ValueError):
-        MetricsConfig(metrics=("degrees", "nope")).selected()
+    # rejected when the config is made, not when it is first used
+    for kwargs in ({"metrics": ("degrees", "nope")},
+                   {"metrics": ("all", "bogus")},
+                   {"sample_sources": 0},
+                   {"eigen_k": -2}):
+        with pytest.raises(ValueError):
+            MetricsConfig(**kwargs)
+
+
+# -- exact distances, against the Fraction-per-step reference ---------------
+
+def _ref_normalized(hist: dict) -> dict:
+    total = sum(hist.values())
+    if total == 0:
+        return {}
+    return {k: Fraction(v) / total for k, v in hist.items()}
+
+
+def _ref_mean_hist(hists: list[dict]) -> dict:
+    acc: dict = {}
+    for h in hists:
+        for k, p in _ref_normalized(h).items():
+            acc[k] = acc.get(k, Fraction(0)) + p
+    return {k: v / len(hists) for k, v in acc.items()}
+
+
+def _ref_cdf_sup_distance(p1: dict, p2: dict, key_order=None) -> float:
+    keys = key_order if key_order is not None else sorted(set(p1) | set(p2))
+    acc1 = acc2 = worst = Fraction(0)
+    for k in keys:
+        acc1 += p1.get(k, 0)
+        acc2 += p2.get(k, 0)
+        worst = max(worst, abs(acc1 - acc2))
+    return float(worst)
+
+
+def _ref_map_sup_distance(m1: dict, m2: dict) -> float:
+    keys = set(m1) | set(m2)
+    return float(max((abs(m1.get(k, 0) - m2.get(k, 0)) for k in keys),
+                     default=0))
+
+
+def _ref_joint_distribution(counts: dict) -> dict:
+    # the joint matrix stores each cell pair once; its entries sum to m
+    if not counts:
+        return {}
+    return {k: Fraction(v, 2 * sum(counts.values())) for k, v in counts.items()}
+
+
+def _ref_ks_distance(a: list, b: list) -> float:
+    if not a and not b:
+        return 0.0
+    if not a or not b:
+        return 1.0
+    sa, sb = sorted(a), sorted(b)
+    worst = Fraction(0)
+    i = j = 0
+    for x in sorted(set(sa) | set(sb)):
+        while i < len(sa) and sa[i] <= x:
+            i += 1
+        while j < len(sb) and sb[j] <= x:
+            j += 1
+        worst = max(worst, abs(Fraction(i, len(sa)) - Fraction(j, len(sb))))
+    return float(worst)
+
+
+def _random_hist(rng, keys) -> dict:
+    return {k: rng.choice((0, 1, 2, 5, 7, 40))
+            for k in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+def test_count_distances_match_fraction_reference():
+    rng = random.Random(28)
+    named = Counts(str, TRIAD_NAMES)
+    joint = Counts(str, joint=True)
+    for _ in range(400):
+        keys = list(range(rng.randint(1, 16)))
+        orig = _random_hist(rng, keys)
+        insts = [_random_hist(rng, keys) for _ in range(rng.randint(1, 5))]
+        assert HISTOGRAM.ensemble(orig, insts) == _ref_cdf_sup_distance(
+            _ref_normalized(orig), _ref_mean_hist(insts))
+        assert HISTOGRAM.distance(orig, insts[0]) == _ref_cdf_sup_distance(
+            _ref_normalized(orig), _ref_normalized(insts[0]))
+
+        def named_of(h):
+            return {TRIAD_NAMES[k]: c for k, c in h.items()}
+        assert named.ensemble(named_of(orig), [named_of(h) for h in insts]) \
+            == _ref_cdf_sup_distance(_ref_normalized(named_of(orig)),
+                                     _ref_mean_hist([named_of(h) for h in insts]),
+                                     TRIAD_NAMES)
+
+        def joint_of(h):
+            return {f"in:{k}|out:{k}": c for k, c in h.items() if c}
+        mean: dict = {}
+        for h in insts:
+            for k, p in _ref_joint_distribution(joint_of(h)).items():
+                mean[k] = mean.get(k, Fraction(0)) + p
+        mean = {k: v / len(insts) for k, v in mean.items()}
+        assert joint.ensemble(joint_of(orig), [joint_of(h) for h in insts]) \
+            == _ref_map_sup_distance(_ref_joint_distribution(joint_of(orig)),
+                                     mean)
+
+        assert HISTOGRAM.ensemble(orig, [orig] * len(insts)) == 0.0
+    assert HISTOGRAM.distance({}, {}) == 0.0
+    assert HISTOGRAM.distance({}, {3: 2}) == 1.0
+
+
+def test_value_distances_match_fraction_reference():
+    rng = random.Random(29)
+    pool = (0.0, 0.25, 1 / 3, 0.5, 2.0, 7.5)
+    for _ in range(400):
+        orig = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        insts = [[rng.choice(pool) for _ in range(rng.randint(0, 12))]
+                 for _ in range(rng.randint(1, 4))]
+        pooled = [x for values in insts for x in values]
+        assert Values().ensemble(orig, insts) == _ref_ks_distance(orig, pooled)
+        assert Values().distance(orig, insts[0]) == \
+            _ref_ks_distance(orig, insts[0])
+        assert Values().ensemble(orig, [orig[::-1]] * 3) == 0.0
+    assert Values().distance([], []) == 0.0
+    assert Values().distance([], [1.0]) == Values().distance([1.0], []) == 1.0
+
+
+def test_mean_map_distance_of_one_instance_is_float_difference():
+    rng = random.Random(30)
+    for _ in range(200):
+        a = {k: rng.uniform(0, 50) for k in rng.sample(range(10), 5)}
+        b = {k: rng.uniform(0, 50) for k in rng.sample(range(10), 5)}
+        assert Means().distance(a, b) == _ref_map_sup_distance(a, b)
