@@ -91,63 +91,105 @@ def gen_d1k(t: DdsTargets, seed: int = 1,
     """Simple digraph with exactly the per-node (in, out) degrees of t.
 
     A greedy pass certifies graphicality by constructing one realization;
-    a randomization pass then applies degree-preserving double edge swaps
-    (and, with probability 0.1 per attempt, a directed-3-cycle reversal,
-    which double swaps alone cannot reach).  Swaps are accepted only when
-    the result stays simple, so degrees are never disturbed.
+    a randomization pass then makes randomize_swaps attempts (default
+    10*m, negative raises ValueError).  Each attempt draws rng.random();
+    below 0.1 it tries to reverse a directed 3-cycle, which double swaps
+    alone cannot reach: up to 5 probes each draw an edge (a, b) and a
+    closing node w uniformly among the w with b->w->a.  Otherwise it draws
+    two edges (a, b), (c, d) uniformly and swaps them into (a, d), (c, b).
+    A move is applied only when the result stays simple (no self-loop,
+    parallel edge or existing reversed arc), so degrees are never
+    disturbed.  Indices are drawn by getrandbits rejection, the algorithm
+    behind Random.randrange and Random.choice, inlined: the draw stream and
+    so the graph of each seed are those of randrange(m) and choice(closers).
     """
+    if randomize_swaps is not None and randomize_swaps < 0:
+        raise ValueError(
+            f"swap attempts must be >= 0, got {randomize_swaps}")
     edges = _greedy_directed_realization(t, seed)
-    g_edges = {e: i for i, e in enumerate(edges)}
     rng = random.Random(seed ^ 0x5EED)
     m = len(edges)
     attempts = 10 * m if randomize_swaps is None else randomize_swaps
     if m >= 2:
-        out_sets: list[set[int]] = [set() for _ in range(t.n)]
-        in_sets: list[set[int]] = [set() for _ in range(t.n)]
+        n = t.n
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        pos = {u * n + v: i for i, (u, v) in enumerate(edges)}
+        out: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            out_sets[u].add(v)
-            in_sets[v].add(u)
-
-        def replace(old: tuple[int, int], new: tuple[int, int]) -> None:
-            i = g_edges.pop(old)
-            edges[i] = new
-            g_edges[new] = i
-            out_sets[old[0]].discard(old[1])
-            in_sets[old[1]].discard(old[0])
-            out_sets[new[0]].add(new[1])
-            in_sets[new[1]].add(new[0])
-
+            out[u].add(v)
+        rand = rng.random
+        getrandbits = rng.getrandbits
+        k = m.bit_length()
         for _ in range(attempts):
-            if rng.random() < 0.1:
-                _try_c6_reverse(edges, g_edges, out_sets, in_sets, rng, replace)
+            if rand() < 0.1:
+                _try_c6_reverse(src, dst, pos, out, n, rng)
                 continue
-            a, b = edges[rng.randrange(m)]
-            c, d = edges[rng.randrange(m)]
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            a, b, c, d = src[i], dst[i], src[j], dst[j]
             if a == d or c == b or a == c or b == d:
                 continue
-            if d in out_sets[a] or b in out_sets[c]:
+            out_a, out_c = out[a], out[c]
+            if d in out_a or b in out_c:
                 continue
-            replace((a, b), (a, d))
-            replace((c, d), (c, b))
+            dst[i], dst[j] = d, b
+            del pos[a * n + b], pos[c * n + d]
+            pos[a * n + d], pos[c * n + b] = i, j
+            out_a.discard(b)
+            out_a.add(d)
+            out_c.discard(d)
+            out_c.add(b)
+        edges = list(zip(src, dst))
     return DirectedGraph.from_edges(t.n, sorted(edges))
 
 
-def _try_c6_reverse(edges, g_edges, out_sets, in_sets, rng, replace,
+def _try_c6_reverse(src: list[int], dst: list[int], pos: dict[int, int],
+                    out: list[set[int]], n: int, rng: random.Random,
                     probes: int = 5) -> None:
-    """Reverse one random directed 3-cycle, if one is found quickly."""
-    m = len(edges)
+    """Reverse one random directed 3-cycle, if one is found quickly.
+
+    The add/discard order on each out-set is part of the output: set
+    iteration order feeds the closers list that the draw picks from.
+    """
+    m = len(src)
+    k = m.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(probes):
-        a, b = edges[rng.randrange(m)]
-        closers = [w for w in out_sets[b] if w != a and a in out_sets[w]]
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        a, b = src[i], dst[i]
+        out_b = out[b]
+        closers = [w for w in out_b if w != a and a in out[w]]
         if not closers:
             continue
-        w = rng.choice(closers)
+        count = len(closers)
+        kc = count.bit_length()
+        r = getrandbits(kc)
+        while r >= count:
+            r = getrandbits(kc)
+        w = closers[r]
+        out_a, out_w = out[a], out[w]
         # Reversal must stay simple: none of the reversed arcs may exist.
-        if a in out_sets[b] or b in out_sets[w] or w in out_sets[a]:
+        if a in out_b or b in out_w or w in out_a:
             continue
-        replace((a, b), (b, a))
-        replace((b, w), (w, b))
-        replace((w, a), (a, w))
+        j, h = pos.pop(b * n + w), pos.pop(w * n + a)
+        del pos[a * n + b]
+        pos[b * n + a], pos[w * n + b], pos[a * n + w] = i, j, h
+        src[i], dst[i] = b, a
+        src[j], dst[j] = w, b
+        src[h], dst[h] = a, w
+        out_a.discard(b)
+        out_b.add(a)
+        out_b.discard(w)
+        out_w.add(b)
+        out_w.discard(a)
+        out_a.add(w)
         return
 
 

@@ -81,6 +81,8 @@ def _generate_one(target_path: str, model: str, seed: int, out_path: str,
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     t = files.load_targets(args.target)
     if isinstance(t, targets.D2KTargets):
         model = t.mode
@@ -185,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target JSON path")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=1,
-                   help="instances, seeded seed..seed+count-1")
+                   help="instances (>= 1), seeded seed..seed+count-1")
     p.add_argument("--swap-rounds", type=int, default=None,
-                   help="dds randomization swap attempts (default 10*m)")
+                   help="dds randomization swap attempts, >= 0 "
+                        "(default 10*m)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

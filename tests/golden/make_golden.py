@@ -9,6 +9,11 @@ d0k graph) give the compare file nonzero distances on most metrics, and a
 second report of the original with only two metrics selected pins the
 `null` encoding of unselected metrics.
 
+d1k_sha256.json holds the sha256 of the `write_edge_list` output of
+`gen_d1k` for each case of `d1k_cases()`: a hub-heavy target on which
+3-cycle reversals are accepted, the forced 3-cycle, `randomize_swaps=0`
+and a small odd number of attempts.
+
 test_golden.py loads the checked-in metrics files rather than measuring
 again, so it does not depend on the machine's LAPACK or ARPACK.  Rerun
 this script only when the file formats are meant to change.
@@ -18,13 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 from pathlib import Path
 
-from d2k import (MetricsConfig, extract_d2k, extract_size, from_edge_list,
-                 gen_d0k, generate, structural_suite)
+from d2k import (DdsTargets, MetricsConfig, extract_d2k, extract_dds,
+                 extract_size, from_edge_list, gen_d0k, gen_d1k, generate,
+                 structural_suite)
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
-                       write_metric_csvs)
+                       write_edge_list, write_metric_csvs)
 
 HERE = Path(__file__).resolve().parent
 SMALL = dict(seed=3, sample_sources=12, path_exact_nodes=20,
@@ -38,6 +45,36 @@ def original_graph():
     edges |= {((v + 1) % 36, v) for v in range(0, 36, 4)}     # mutual pairs
     edges |= {(rng.randrange(40), rng.randrange(40)) for _ in range(70)}
     return from_edge_list(sorted((u, v) for u, v in edges if u != v))
+
+
+def hub_targets() -> DdsTargets:
+    """Degree sequence of a 299-node digraph with power-law out-hubs at
+    the low ids and in-hubs at the high ids (1,204 edges)."""
+    rng = random.Random(5)
+    n, m = 300, 1500
+    w = [(v + 1) ** -0.9 for v in range(n)]
+    outs = rng.choices(range(n), weights=w, k=m)
+    ins = rng.choices(range(n), weights=w[::-1], k=m)
+    rng.shuffle(ins)
+    return extract_dds(from_edge_list(
+        sorted({(u, v) for u, v in zip(outs, ins) if u != v})))
+
+
+def d1k_cases() -> dict[str, tuple[DdsTargets, int, int | None]]:
+    """Case name -> (target, seed, randomize_swaps) for d1k_sha256.json."""
+    hub = hub_targets()
+    cycle = DdsTargets(3, [(1, 1)] * 3)
+    cases = {"hub_s2": (hub, 2, None), "hub_s2_swaps0": (hub, 2, 0),
+             "hub_s4_swaps37": (hub, 4, 37)}
+    cases.update({f"cycle3_s{seed}": (cycle, seed, None) for seed in range(4)})
+    return cases
+
+
+def d1k_sha256(t: DdsTargets, seed: int, randomize_swaps: int | None) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d1k.txt"
+        write_edge_list(gen_d1k(t, seed, randomize_swaps), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> None:
@@ -63,6 +100,9 @@ def main() -> None:
     csv_dir.rmdir()
     (HERE / "original_csv_sha256.json").write_text(
         json.dumps(digests, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    d1k = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
+    (HERE / "d1k_sha256.json").write_text(
+        json.dumps(d1k, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

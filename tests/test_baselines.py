@@ -93,9 +93,17 @@ def test_uman_determinism():
 # -- fixed degree sequence ---------------------------------------------------
 
 def test_d1k_three_cycle_is_forced_up_to_orientation():
-    g = gen_d1k(DdsTargets(3, [(1, 1)] * 3), seed=1)
-    assert g.degree_pairs() == [(1, 1)] * 3
-    assert extract_uman(g).mutual == 0      # a 3-cycle has no mutual dyads
+    t = DdsTargets(3, [(1, 1)] * 3)
+    flipped = set()
+    for seed in range(20):
+        g = gen_d1k(t, seed=seed)
+        assert g.degree_pairs() == [(1, 1)] * 3
+        assert extract_uman(g).mutual == 0  # a 3-cycle has no mutual dyads
+        flipped.add(g != gen_d1k(t, seed=seed, randomize_swaps=0))
+    # Double swaps cannot change a 3-cycle, so only the reversal move turns
+    # a seed's greedy realization into the other orientation.  (The greedy
+    # tie-break alone already gives both orientations across seeds.)
+    assert flipped == {False, True}
 
 
 def test_d1k_star_is_forced():
@@ -111,6 +119,11 @@ def test_d1k_rejects_self_loop_only_sequence():
 def test_d1k_rejects_unbalanced_sums():
     with pytest.raises(NotGraphicalError):
         gen_d1k(DdsTargets(2, [(1, 0), (0, 0)]), seed=1)
+
+
+def test_d1k_rejects_negative_swap_attempts():
+    with pytest.raises(ValueError):
+        gen_d1k(DdsTargets(3, [(1, 1)] * 3), seed=1, randomize_swaps=-5)
 
 
 def test_d1k_tie_break_regression():

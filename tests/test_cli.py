@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
+
 from conftest import random_digraph
 from d2k import extract_d2k, load_targets, read_edge_list, write_edge_list
 from d2k.cli import main
@@ -90,6 +92,37 @@ def test_baseline_models_via_cli(tmp_path):
         gen = read_edge_list(out_dir / f"{model}_s2.txt")
         assert gen.n == g.n
         assert gen.m == g.m                # all three models fix n and m
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_swap_rounds_exit_1(tmp_path, capsys):
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "d1k.json"
+    main(["extract", str(graph_path), "--model", "d1k", "-o", str(target_path)])
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "--swap-rounds", "-5",
+                 "-o", str(out_dir)]) == 1
+    assert_one_error_line(capsys)
+    assert not list(out_dir.glob("*.txt"))
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_count_below_one_exit_1(tmp_path, capsys, count):
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "t.json"
+    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "--count", count,
+                 "-o", str(out_dir)]) == 1
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()
 
 
 def test_check_rejects_non_d2k_target(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Byte-identity of the v:1 metrics, compare and CSV formats.
+"""Byte-identity of the v:1 metrics, compare and CSV formats, and of the
+`gen_d1k` edge lists per target, seed and swap budget.
 
 The files under golden/ were written by golden/make_golden.py; the test
 reads the metrics files back instead of measuring again, so it holds on
@@ -15,6 +16,7 @@ import pytest
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
                        write_metric_csvs)
+from golden.make_golden import d1k_cases, d1k_sha256
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -46,3 +48,9 @@ def test_csv_files_are_byte_identical(tmp_path):
         sorted(digests)
     assert digests == json.loads(
         (GOLDEN / "original_csv_sha256.json").read_text(encoding="utf-8"))
+
+
+def test_d1k_edge_lists_are_byte_identical():
+    digests = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
+    assert digests == json.loads(
+        (GOLDEN / "d1k_sha256.json").read_text(encoding="utf-8"))
