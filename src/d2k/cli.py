@@ -86,16 +86,20 @@ def cmd_generate(args) -> int:
     t = files.load_targets(args.target)
     if isinstance(t, targets.D2KTargets):
         model = t.mode
-        report = check(t)
-        if not report.realizable:
-            print(report.to_text(), file=sys.stderr)
-            return EXIT_UNREALIZABLE
     elif isinstance(t, targets.DdsTargets):
         model = "d1k"
     elif isinstance(t, targets.UmanTargets):
         model = "uman"
     else:
         model = "d0k"
+    if args.swap_rounds is not None and model != "d1k":
+        raise ValueError(f"--swap-rounds applies to d1k targets only, "
+                         f"not to a {model} target")
+    if isinstance(t, targets.D2KTargets):
+        report = check(t)
+        if not report.realizable:
+            print(report.to_text(), file=sys.stderr)
+            return EXIT_UNREALIZABLE
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(args.target), model, args.seed + i,
@@ -189,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1,
                    help="instances (>= 1), seeded seed..seed+count-1")
     p.add_argument("--swap-rounds", type=int, default=None,
-                   help="dds randomization swap attempts, >= 0 "
-                        "(default 10*m)")
+                   help="d1k targets only: dds randomization swap "
+                        "attempts, >= 0 (default 10*m)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

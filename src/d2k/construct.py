@@ -12,6 +12,11 @@ the case analysis guarantees a valid edge every iteration, and the one
 impossible configuration (both substitutes forming a non-chord) is guarded
 by a runtime check that stays enabled in optimized runs.
 
+Each cell pair is filled by one flat loop (`_fill`) over int lists indexed
+by node id and by pair id; the random draws inline the `getrandbits`
+rejection behind `random.Random.randrange`, so a seed gives the same graph
+as a plain `randrange` would.
+
 Cost per edge: O(1) pool and stub bookkeeping plus at most two neighbor
 switches, each scanning one adjacency list, so the whole run is
 O(m * d_max).
@@ -21,52 +26,21 @@ from __future__ import annotations
 import random
 
 from .errors import ConstructionInvariantError, NotRealizableError, TargetStructureError
-from .graph import BipartiteGraph, DirectedGraph
+from .graph import DirectedGraph
 from .realizability import check
 from .targets import D2KTargets, node_cells
-
-
-class PairPool:
-    """Set of candidate pairs with O(1) add, discard and random pick.
-
-    Pairs are stored as single integers (out-id * span + in-id) to keep
-    hashing cheap on large runs.
-    """
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self):
-        self.items: list[int] = []
-        self.pos: dict[int, int] = {}
-
-    def add(self, code: int) -> None:
-        if code not in self.pos:
-            self.pos[code] = len(self.items)
-            self.items.append(code)
-
-    def discard(self, code: int) -> None:
-        i = self.pos.pop(code, None)
-        if i is None:
-            return
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
-            self.pos[last] = i
-
-    def pick(self, rng: random.Random) -> int:
-        return self.items[rng.randrange(len(self.items))]
-
-    def __contains__(self, code: int) -> bool:
-        return code in self.pos
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 class ConstructionState:
     """Mutable state of one construction run.
 
     Out-side stub holder of node v is bipartite id v, in-side is n + v.
+    The cell pairs with a joint-matrix entry are numbered 0..P-1 in (out
+    cell, in cell) order; `pair_id` maps ko * C + ki (C cells) to that
+    number, and `target`, `current` and the candidate pools are lists
+    indexed by it, so memory grows with P and not with C * C.  A pool is a
+    list of pair codes (out-id * span + in-id) and a dict from code to list
+    position, for O(1) add, discard and random pick.
     Confined to a single thread; independent runs are independent objects.
     """
 
@@ -88,7 +62,6 @@ class ConstructionState:
         cell_index = {c: i for i, c in enumerate(cell_list)}
 
         self.cell_of = [-1] * (2 * n)       # bipartite id -> cell index
-        self.deg = [0] * (2 * n)            # target bipartite degree
         self.free = [0] * (2 * n)           # unconnected stubs
         self.ncp = [-1] * (2 * n)           # non-chord partner or -1
         self.members: list[list[int]] = [[] for _ in cell_list]
@@ -97,13 +70,11 @@ class ConstructionState:
             if d_out > 0:
                 ci = cell_index[out_cells[v]]
                 self.cell_of[v] = ci
-                self.deg[v] = d_out
                 self.free[v] = d_out
                 self.members[ci].append(v)
             if d_in > 0:
                 ci = cell_index[in_cells[v]]
                 self.cell_of[n + v] = ci
-                self.deg[n + v] = d_in
                 self.free[n + v] = d_in
                 self.members[ci].append(n + v)
             if d_in > 0 and d_out > 0:
@@ -123,36 +94,38 @@ class ConstructionState:
             for x in roster:
                 self.in_roster[x] = True
 
-        # Targets keyed by (out-cell index, in-cell index).
-        self.target: dict[tuple[int, int], int] = {}
+        target: dict[int, int] = {}         # ko * C + ki -> count
         for a, b, count in t.jdam_entries():
             if a.side == b.side:
                 raise TargetStructureError(
                     f"same-side jdam entry ({a},{b}) cannot be constructed")
             out_cell, in_cell = (a, b) if a.side == "out" else (b, a)
-            self.target[(cell_index[out_cell], cell_index[in_cell])] = count
-        self.current = {pair: 0 for pair in self.target}
-
-        self.pools: dict[tuple[int, int], PairPool] = {}
-        for pair, count in self.target.items():
-            self.pools[pair] = self._init_pool(pair, count)
+            target[cell_index[out_cell] * len(cell_list)
+                   + cell_index[in_cell]] = count
+        self.pair_keys = sorted(target)
+        self.pair_id = {key: pid for pid, key in enumerate(self.pair_keys)}
+        self.target = [target[key] for key in self.pair_keys]
+        self.current = [0] * len(self.pair_keys)
+        self.pool_items: list[list[int]] = []
+        self.pool_pos: list[dict[int, int]] = []
+        for pid in range(len(self.pair_keys)):
+            self._init_pool(pid)
 
         self.edges_added = 0
         self.switch_count = 0
 
-    # -- pool and stub bookkeeping ------------------------------------------
-
-    def _init_pool(self, pair: tuple[int, int], count: int) -> PairPool:
-        """Collect the first `count` addable pairs of the cell product.
+    def _init_pool(self, pid: int) -> None:
+        """Seed the pool of pair pid with its first target[pid] addable
+        pairs of the cell product.
 
         Only non-chords can be skipped, so at most count + f pairs are
         scanned; condition II guarantees the product is large enough.
         """
-        ko, ki = pair
+        ko, ki = divmod(self.pair_keys[pid], len(self.cells))
         span = self.span
         ncp = self.ncp
-        pool = PairPool()
-        need = count
+        items: list[int] = []
+        need = self.target[pid]
         mem_in = self.members[ki]
         for u in self.members[ko]:
             if need == 0:
@@ -162,19 +135,15 @@ class ConstructionState:
             for w in mem_in:
                 if w == blocked:
                     continue
-                pool.add(base + w)
+                items.append(base + w)
                 need -= 1
                 if need == 0:
                     break
         if need > 0:
             raise ConstructionInvariantError(
-                f"cell product exhausted while seeding pool for pair {pair}")
-        return pool
-
-    def _push_free(self, x: int) -> None:
-        if not self.in_roster[x]:
-            self.in_roster[x] = True
-            self.rosters[self.cell_of[x]].append(x)
+                f"cell product exhausted while seeding pool for pair {(ko, ki)}")
+        self.pool_items.append(items)
+        self.pool_pos.append({code: i for i, code in enumerate(items)})
 
     def _peek_free(self, ci: int) -> int:
         """Head of the free-stub roster of cell ci (lazy cleanup)."""
@@ -189,41 +158,6 @@ class ConstructionState:
         raise ConstructionInvariantError(
             f"no free stubs left in cell {self.cells[ci]}")
 
-    def _add_edge(self, uo: int, vi: int) -> None:
-        adj = self.adj
-        if vi in adj[uo]:
-            raise ConstructionInvariantError(f"edge ({uo},{vi}) already present")
-        if self.ncp[uo] == vi:
-            raise ConstructionInvariantError(f"pair ({uo},{vi}) is a non-chord")
-        adj[uo][vi] = None
-        adj[vi][uo] = None
-        free = self.free
-        free[uo] -= 1
-        free[vi] -= 1
-        if free[uo] < 0 or free[vi] < 0:
-            raise ConstructionInvariantError("stub count went negative")
-        cell_of = self.cell_of
-        key = (cell_of[uo], cell_of[vi])
-        self.current[key] += 1
-        pool = self.pools.get(key)
-        if pool is not None:
-            pool.discard(uo * self.span + vi)
-
-    def _remove_edge(self, uo: int, vi: int) -> None:
-        del self.adj[uo][vi]
-        del self.adj[vi][uo]
-        free = self.free
-        free[uo] += 1
-        free[vi] += 1
-        cell_of = self.cell_of
-        key = (cell_of[uo], cell_of[vi])
-        self.current[key] -= 1
-        pool = self.pools.get(key)
-        if pool is not None:
-            pool.add(uo * self.span + vi)   # no longer an edge, never a non-chord
-        self._push_free(uo)
-        self._push_free(vi)
-
     # -- the two moves of the algorithm -------------------------------------
 
     def neighbor_switch(self, x: int, x_sub: int) -> int | None:
@@ -235,24 +169,59 @@ class ConstructionState:
         qualifies (then x_sub mirrors x's neighborhood except for its
         non-chord partner, which is the case-4 substitute situation).
         """
-        if self.cell_of[x] != self.cell_of[x_sub]:
+        cell_of, free, adj = self.cell_of, self.free, self.adj
+        if cell_of[x] != cell_of[x_sub]:
             raise ValueError("switch endpoints must share a cell")
-        if self.free[x] != 0:
+        if free[x] != 0:
             raise ValueError("switch source must have no free stubs")
-        if self.free[x_sub] < 1:
+        if free[x_sub] < 1:
             raise ValueError("switch substitute must have a free stub")
-        sub_adj = self.adj[x_sub]
+        x_adj, sub_adj = adj[x], adj[x_sub]
         blocked = self.ncp[x_sub]
-        feasible = [t for t in self.adj[x] if t not in sub_adj and t != blocked]
-        if not feasible:
+        feasible = [t for t in x_adj if t not in sub_adj and t != blocked]
+        k = len(feasible)
+        if not k:
             return None
-        t = feasible[self.rng.randrange(len(feasible))]
+        getrandbits = self.rng.getrandbits
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        t = feasible[r]
+        # Remove (x,t), add (x_sub,t).  Both lie in one cell pair, so its
+        # count is unchanged; t gives a stub back and takes it again.
+        t_adj = adj[t]
+        del x_adj[t]
+        del t_adj[x]
+        sub_adj[t] = None
+        t_adj[x_sub] = None
+        free[x] += 1
+        free[x_sub] -= 1
+        span = self.span
         if x < self.n:
-            self._remove_edge(x, t)
-            self._add_edge(x_sub, t)
+            key = cell_of[x] * len(self.cells) + cell_of[t]
+            gone, taken = x * span + t, x_sub * span + t
         else:
-            self._remove_edge(t, x)
-            self._add_edge(t, x_sub)
+            key = cell_of[t] * len(self.cells) + cell_of[x]
+            gone, taken = t * span + x, t * span + x_sub
+        pid = self.pair_id[key]
+        items, pos = self.pool_items[pid], self.pool_pos[pid]
+        if gone not in pos:             # no longer an edge, never a non-chord
+            pos[gone] = len(items)
+            items.append(gone)
+        i = pos.pop(taken, None)
+        if i is not None:
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+                pos[last] = i
+        in_roster = self.in_roster
+        if not in_roster[x]:
+            in_roster[x] = True
+            self.rosters[cell_of[x]].append(x)
+        if not in_roster[t]:
+            in_roster[t] = True
+            self.rosters[cell_of[t]].append(t)
         self.switch_count += 1
         return t
 
@@ -267,72 +236,99 @@ class ConstructionState:
         specific case shapes).
         """
         ko, ki = pair
-        if self.current[pair] >= self.target[pair]:
+        pid = self.pair_id.get(ko * len(self.cells) + ki)
+        if pid is None or self.current[pid] >= self.target[pid]:
             raise ValueError("cell pair already at its target count")
-        if pick is None:
-            code = self.pools[pair].pick(self.rng)
-            uo, vi = divmod(code, self.span)
-        else:
-            uo, vi = pick
-        cell_of = self.cell_of
-        if cell_of[uo] != ko or cell_of[vi] != ki:
+        if pick is not None and (self.cell_of[pick[0]] != ko
+                                 or self.cell_of[pick[1]] != ki):
             raise ValueError("pick does not belong to the cell pair")
-        adj = self.adj
-        if vi in adj[uo] or self.ncp[uo] == vi:
-            raise ConstructionInvariantError(
-                f"candidate pool returned an invalid pair ({uo},{vi})")
+        return self._fill(pid, 1, pick)
 
-        free = self.free
-        if free[uo] == 0:
-            u_sub = self._peek_free(ko)
-            if self.neighbor_switch(uo, u_sub) is None:
-                uo = u_sub
-        if free[vi] == 0:
-            v_sub = self._peek_free(ki)
-            if self.neighbor_switch(vi, v_sub) is None:
-                vi = v_sub
+    def _fill(self, pid: int, count: int,
+              pick: tuple[int, int] | None = None) -> tuple[int, int]:
+        """Add `count` edges to cell pair pid; return the last one added.
 
-        # The impossible configuration of the constructive proof (both
-        # substitutes forming a non-chord, "case 5b"); kept as a hard check.
-        if self.ncp[uo] == vi:
-            raise ConstructionInvariantError(
-                "substituted endpoints form a non-chord (case 5b)")
-        if vi in adj[uo]:
-            raise ConstructionInvariantError(
-                "substituted endpoints are already adjacent")
+        Each edge starts from a random pool pair (or from `pick`).  A
+        saturated endpoint first hands one neighbor to a same-cell node
+        with a free stub (a neighbor switch); when no neighbor can move,
+        that node takes its place (case 4).
+        """
+        ko, ki = divmod(self.pair_keys[pid], len(self.cells))
+        items, pos = self.pool_items[pid], self.pool_pos[pid]
+        adj, free, ncp, span = self.adj, self.free, self.ncp, self.span
+        getrandbits = self.rng.getrandbits
+        switch, peek_free = self.neighbor_switch, self._peek_free
+        for _ in range(count):
+            if pick is None:
+                k = len(items)
+                if not k:
+                    raise ConstructionInvariantError(
+                        f"candidate pool of pair {(ko, ki)} is empty")
+                bits = k.bit_length()
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                uo, vi = divmod(items[r], span)
+            else:
+                uo, vi = pick
+            u_adj = adj[uo]
+            if vi in u_adj or ncp[uo] == vi:
+                raise ConstructionInvariantError(
+                    f"candidate pool returned an invalid pair ({uo},{vi})")
+            if free[uo] == 0:
+                u_sub = peek_free(ko)
+                if switch(uo, u_sub) is None:
+                    uo = u_sub
+                    u_adj = adj[uo]
+            if free[vi] == 0:
+                v_sub = peek_free(ki)
+                if switch(vi, v_sub) is None:
+                    vi = v_sub
 
-        self._add_edge(uo, vi)
-        self.edges_added += 1
-        return (uo, vi)
+            # The impossible configuration of the constructive proof (both
+            # substitutes forming a non-chord, "case 5b"); kept as a hard check.
+            if ncp[uo] == vi:
+                raise ConstructionInvariantError(
+                    "substituted endpoints form a non-chord (case 5b)")
+            if vi in u_adj:
+                raise ConstructionInvariantError(
+                    "substituted endpoints are already adjacent")
+            u_adj[vi] = None
+            adj[vi][uo] = None
+            free[uo] -= 1
+            free[vi] -= 1
+            if free[uo] < 0 or free[vi] < 0:
+                raise ConstructionInvariantError("stub count went negative")
+            i = pos.pop(uo * span + vi, None)
+            if i is not None:
+                last = items.pop()
+                if i < len(items):
+                    items[i] = last
+                    pos[last] = i
+        self.current[pid] += count
+        self.edges_added += count
+        return uo, vi
 
     # -- full run ------------------------------------------------------------
 
-    def run(self) -> BipartiteGraph:
-        """Drive every cell pair to its target count and freeze the result."""
-        pairs = sorted(self.target)
+    def run(self) -> list[list[int]]:
+        """Drive every cell pair to its target count; return the digraph's
+        out-adjacency lists (node ids 0..n-1)."""
+        pairs = list(range(len(self.target)))
         self.rng.shuffle(pairs)
-        add = self.add_next_edge
-        current = self.current
-        for pair in pairs:
-            goal = self.target[pair]
-            while current[pair] < goal:
-                add(pair)
-        built = sum(len(self.adj[v]) for v in range(self.n))
+        for pid in pairs:
+            count = self.target[pid] - self.current[pid]
+            if count > 0:
+                self._fill(pid, count)
+        n = self.n
+        out_adj = [[w - n for w in self.adj[v]] for v in range(n)]
+        built = sum(map(len, out_adj))
         if built != self.t.m:
             raise ConstructionInvariantError(
                 f"built {built} edges, target has {self.t.m}")
         if any(self.free):
             raise ConstructionInvariantError("free stubs remain after the run")
-        return self._freeze()
-
-    def _freeze(self) -> BipartiteGraph:
-        n = self.n
-        out_nbrs = [[w - n for w in self.adj[v]] for v in range(n)]
-        in_nbrs = [list(self.adj[n + v]) for v in range(n)]
-        non_chords = frozenset(
-            v for v, (d_in, d_out) in enumerate(self.t.dds)
-            if d_in > 0 and d_out > 0)
-        return BipartiteGraph(n, out_nbrs, in_nbrs, non_chords)
+        return out_adj
 
 
 def generate(t: D2KTargets, seed: int = 1) -> DirectedGraph:
@@ -344,8 +340,6 @@ def generate(t: D2KTargets, seed: int = 1) -> DirectedGraph:
     report = check(t)
     if not report.realizable:
         raise NotRealizableError(report)
-    state = ConstructionState(t, seed)
-    bip = state.run()
     # The DirectedGraph constructor re-audits simplicity edge by edge: a
     # violated non-chord surfaces as a self-loop there.
-    return DirectedGraph(bip.n_orig, [list(nbrs) for nbrs in bip.out_nbrs])
+    return DirectedGraph(t.n, ConstructionState(t, seed).run())

@@ -14,6 +14,14 @@ d1k_sha256.json holds the sha256 of the `write_edge_list` output of
 3-cycle reversals are accepted, the forced 3-cycle, `randomize_swaps=0`
 and a small odd number of attempts.
 
+construct_sha256.json holds, for each case of `construct_cases()`, the
+sha256 of the `write_edge_list` output of `generate`, with the run's
+`switch_count`, `edges_added` and the number of case-4 substitutions
+(neighbor switches that found no feasible neighbor): a small regular d2k
+target, a heavy-tailed d2km target with 288 cells, a dense n = 200,
+p = 0.9 target, and small random targets at seeds where substitutions
+fire.
+
 test_golden.py loads the checked-in metrics files rather than measuring
 again, so it does not depend on the machine's LAPACK or ARPACK.  Rerun
 this script only when the file formats are meant to change.
@@ -26,9 +34,9 @@ import random
 import tempfile
 from pathlib import Path
 
-from d2k import (DdsTargets, MetricsConfig, extract_d2k, extract_dds,
-                 extract_size, from_edge_list, gen_d0k, gen_d1k, generate,
-                 structural_suite)
+from d2k import (ConstructionState, D2KTargets, DdsTargets, DirectedGraph,
+                 MetricsConfig, extract_d2k, extract_dds, extract_size,
+                 from_edge_list, gen_d0k, gen_d1k, generate, structural_suite)
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
                        write_edge_list, write_metric_csvs)
@@ -47,17 +55,20 @@ def original_graph():
     return from_edge_list(sorted((u, v) for u, v in edges if u != v))
 
 
-def hub_targets() -> DdsTargets:
-    """Degree sequence of a 299-node digraph with power-law out-hubs at
-    the low ids and in-hubs at the high ids (1,204 edges)."""
+def hub_graph(n: int, m: int) -> DirectedGraph:
+    """At most m edges drawn with power-law out-hubs at the low ids and
+    in-hubs at the high ids; nodes left without an edge are dropped."""
     rng = random.Random(5)
-    n, m = 300, 1500
     w = [(v + 1) ** -0.9 for v in range(n)]
     outs = rng.choices(range(n), weights=w, k=m)
     ins = rng.choices(range(n), weights=w[::-1], k=m)
     rng.shuffle(ins)
-    return extract_dds(from_edge_list(
-        sorted({(u, v) for u, v in zip(outs, ins) if u != v})))
+    return from_edge_list(sorted({(u, v) for u, v in zip(outs, ins) if u != v}))
+
+
+def hub_targets() -> DdsTargets:
+    """Degree sequence of a 299-node hub digraph (1,204 edges)."""
+    return extract_dds(hub_graph(300, 1500))
 
 
 def d1k_cases() -> dict[str, tuple[DdsTargets, int, int | None]]:
@@ -75,6 +86,63 @@ def d1k_sha256(t: DdsTargets, seed: int, randomize_swaps: int | None) -> str:
         path = Path(tmp) / "d1k.txt"
         write_edge_list(gen_d1k(t, seed, randomize_swaps), path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def random_digraph(seed: int, n: int, p: float) -> DirectedGraph:
+    rng = random.Random(seed)
+    return DirectedGraph.from_edges(n, [
+        (u, v) for u in range(n) for v in range(n)
+        if u != v and rng.random() < p])
+
+
+def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
+    """Case name -> (target, construction seed) for construct_sha256.json.
+
+    The `random*` digraphs (n <= 27) and seeds were picked by a search over
+    small random digraphs: every one but `random10_s0` makes at least one
+    case-4 substitution.
+    """
+    rng = random.Random(11)
+    perms = [list(range(60)) for _ in range(3)]
+    for perm in perms:
+        rng.shuffle(perm)
+    regular = from_edge_list(sorted(
+        {(v, perm[v]) for perm in perms for v in range(60) if perm[v] != v}))
+    cases = {"regular_s1": (extract_d2k(regular), 1),
+             "hub_d2km_s1": (extract_d2k(hub_graph(1000, 5000), "d2km"), 1),
+             "dense_s1": (extract_d2k(random_digraph(1, 200, 0.9)), 1)}
+    for name, (seed, n, p, mode, build_seed) in {
+            "random27_s1": (101, 27, 0.17, "d2k", 1),
+            "random10_s0": (103, 10, 0.2, "d2k", 0),
+            "random10_s2": (103, 10, 0.2, "d2k", 2),
+            "random10_d2km_s3": (103, 10, 0.2, "d2km", 3),
+            "random25_s3": (116, 25, 0.1, "d2k", 3),
+            "random13_s2": (125, 13, 0.48, "d2k", 2),
+            "random9_s0": (153, 9, 0.23, "d2k", 0)}.items():
+        cases[name] = (extract_d2k(random_digraph(seed, n, p), mode),
+                       build_seed)
+    return cases
+
+
+def construct_digest(t: D2KTargets, seed: int) -> dict:
+    """sha256 of the generated edge list and the counts of the same run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d2k.txt"
+        write_edge_list(generate(t, seed), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    state = ConstructionState(t, seed)
+    switch = state.neighbor_switch
+    substitutions = 0
+
+    def counting_switch(x: int, x_sub: int):
+        nonlocal substitutions
+        moved = switch(x, x_sub)
+        substitutions += moved is None
+        return moved
+    state.neighbor_switch = counting_switch
+    state.run()
+    return {"sha256": digest, "switch_count": state.switch_count,
+            "edges_added": state.edges_added, "substitutions": substitutions}
 
 
 def main() -> None:
@@ -103,6 +171,10 @@ def main() -> None:
     d1k = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
     (HERE / "d1k_sha256.json").write_text(
         json.dumps(d1k, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    built = {name: construct_digest(*case)
+             for name, case in construct_cases().items()}
+    (HERE / "construct_sha256.json").write_text(
+        json.dumps(built, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -112,6 +112,20 @@ def test_negative_swap_rounds_exit_1(tmp_path, capsys):
     assert not list(out_dir.glob("*.txt"))
 
 
+@pytest.mark.parametrize("model", ["d2k", "d0k"])
+def test_swap_rounds_rejected_for_non_d1k(tmp_path, capsys, model):
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / f"{model}.json"
+    main(["extract", str(graph_path), "--model", model, "-o", str(target_path)])
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    for rounds in ("-5", "3"):
+        assert main(["generate", str(target_path), "--swap-rounds", rounds,
+                     "-o", str(out_dir)]) == 1
+        assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_generate_count_below_one_exit_1(tmp_path, capsys, count):
     graph_path, _ = write_graph(tmp_path)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conftest import all_digraphs, random_digraph
-from d2k import (CellKey, ConstructionState, D2KTargets, NotRealizableError,
-                 check, extract_d2k, from_edge_list, generate)
+from d2k import (CellKey, ConstructionInvariantError, ConstructionState,
+                 D2KTargets, NotRealizableError, check, extract_d2k,
+                 from_edge_list, generate)
 
 
 def three_cycle_targets():
@@ -107,10 +108,29 @@ def test_isolated_nodes_survive():
 # scripted micro-states for the two moves
 #
 # Bipartite ids inside ConstructionState: out-side of node v is v, in-side
-# is n + v.
+# is n + v.  Gadget edges go in through add_next_edge with a scripted pick,
+# the same add path the main loop takes.
 
 def _cell_idx(state: ConstructionState, side: str, label) -> int:
     return state.cells.index(CellKey(side, label))
+
+
+def _pair(state: ConstructionState, out_label, in_label) -> tuple[int, int]:
+    return _cell_idx(state, "out", out_label), _cell_idx(state, "in", in_label)
+
+
+def _pid(state: ConstructionState, pair: tuple[int, int]) -> int:
+    ko, ki = pair
+    return state.pair_id[ko * len(state.cells) + ki]
+
+
+def _count(state: ConstructionState, pair: tuple[int, int]) -> int:
+    """Edges the state holds in a cell pair (its joint-matrix count)."""
+    return state.current[_pid(state, pair)]
+
+
+def _add(state: ConstructionState, pair: tuple[int, int], uo: int, vi: int):
+    assert state.add_next_edge(pair, pick=(uo, vi)) == (uo, vi)
 
 
 def switch_gadget():
@@ -126,9 +146,11 @@ def test_neighbor_switch_moves_the_only_feasible_neighbor():
     state = switch_gadget()
     n = state.n
     v, v_sub, a, b = n + 0, n + 1, 2, 3
-    state._add_edge(a, v)
-    state._add_edge(b, v)
-    state._add_edge(a, v_sub)
+    pair = _pair(state, 2, 2)
+    _add(state, pair, a, v)
+    _add(state, pair, b, v)
+    _add(state, pair, a, v_sub)
+    assert state.switch_count == 0
     moved = state.neighbor_switch(v, v_sub)
     assert moved == b                      # a is shared, b is forced
     assert b not in state.adj[v]
@@ -136,8 +158,7 @@ def test_neighbor_switch_moves_the_only_feasible_neighbor():
     assert state.free[v] == 1
     assert state.free[v_sub] == 0
     # jdam bookkeeping unchanged by the switch
-    pair = (_cell_idx(state, "out", 2), _cell_idx(state, "in", 2))
-    assert state.current[pair] == 3
+    assert _count(state, pair) == 3
 
 
 def test_neighbor_switch_precondition_errors():
@@ -147,10 +168,9 @@ def test_neighbor_switch_precondition_errors():
         state.neighbor_switch(n + 0, 2)        # different cells
     with pytest.raises(ValueError):
         state.neighbor_switch(n + 0, n + 1)    # source still has free stubs
-    state._add_edge(2, n + 0)
-    state._add_edge(3, n + 0)
-    state._add_edge(2, n + 1)
-    state._add_edge(3, n + 1)
+    pair = _pair(state, 2, 2)
+    for uo, vi in ((2, n + 0), (3, n + 0), (2, n + 1), (3, n + 1)):
+        _add(state, pair, uo, vi)
     with pytest.raises(ValueError):
         state.neighbor_switch(n + 0, n + 1)    # substitute has no free stub
 
@@ -172,9 +192,10 @@ def case4_gadget():
     state = ConstructionState(t, seed=0)
     n = state.n
     p_in, q_in, q_out, a_out, b_out = n + 0, n + 1, 1, 4, 5
-    state._add_edge(a_out, p_in)
-    state._add_edge(q_out, p_in)
-    state._add_edge(a_out, q_in)
+    pair = _pair(state, 2, 2)
+    _add(state, pair, a_out, p_in)
+    _add(state, pair, q_out, p_in)
+    _add(state, pair, a_out, q_in)
     return state, p_in, q_in, q_out, a_out, b_out
 
 
@@ -190,18 +211,18 @@ def test_neighbor_switch_infeasible_when_non_chord_blocks():
 
 def test_add_next_edge_case4_lands_on_substitute():
     state, p_in, q_in, q_out, a_out, b_out = case4_gadget()
-    pair = (_cell_idx(state, "out", 2), _cell_idx(state, "in", 2))
+    pair = _pair(state, 2, 2)
     added = state.add_next_edge(pair, pick=(b_out, p_in))
     assert added == (b_out, q_in)
     assert q_in in state.adj[b_out]
     assert p_in not in state.adj[b_out]
     assert state.switch_count == 0
-    assert state.current[pair] == 4
+    assert _count(state, pair) == 4
 
 
 def test_add_next_edge_case1_direct():
     state = switch_gadget()
-    pair = (_cell_idx(state, "out", 2), _cell_idx(state, "in", 2))
+    pair = _pair(state, 2, 2)
     added = state.add_next_edge(pair)
     assert state.switch_count == 0
     assert state.edges_added == 1
@@ -221,10 +242,11 @@ def test_add_next_edge_case2_switch_then_add():
     state = ConstructionState(t, seed=0)
     n = state.n
     v, v_sub, a, x, b = n + 0, n + 1, 2, 3, 4
-    state._add_edge(a, v)
-    state._add_edge(x, v)
-    state._add_edge(a, v_sub)
-    pair = (_cell_idx(state, "out", 1), _cell_idx(state, "in", 2))
+    _add(state, _pair(state, 2, 2), a, v)
+    _add(state, _pair(state, 1, 2), x, v)
+    _add(state, _pair(state, 2, 2), a, v_sub)
+    assert state.switch_count == 0
+    pair = _pair(state, 1, 2)
     added = state.add_next_edge(pair, pick=(b, v))
     assert added == (b, v)
     assert state.switch_count == 1
@@ -233,3 +255,56 @@ def test_add_next_edge_case2_switch_then_add():
     assert b in state.adj[v]
     state.run()                  # the rest completes to the target (audited)
     assert extract_d2k(generate(t, 1)) == t
+
+
+def test_add_next_edge_rejects_bad_pair_and_pick():
+    state = switch_gadget()
+    n = state.n
+    pair = _pair(state, 2, 2)
+    with pytest.raises(ValueError):
+        state.add_next_edge(pair, pick=(n + 0, 2))     # sides swapped
+    for uo, vi in ((2, n + 0), (3, n + 0), (2, n + 1), (3, n + 1)):
+        _add(state, pair, uo, vi)
+    with pytest.raises(ValueError):
+        state.add_next_edge(pair)                      # already at target
+
+
+# ---------------------------------------------------------------------------
+# the invariant checks stay live in the flat loop
+
+
+def test_planted_edge_in_pool_raises_invariant_error():
+    state = switch_gadget()
+    n = state.n
+    pair = _pair(state, 2, 2)
+    _add(state, pair, 2, n + 0)
+    # The pool of the pair now offers nothing but the edge just added.
+    pid = _pid(state, pair)
+    code = 2 * state.span + n + 0
+    state.pool_items[pid][:] = [code]
+    state.pool_pos[pid].clear()
+    state.pool_pos[pid][code] = 0
+    with pytest.raises(ConstructionInvariantError, match="invalid pair"):
+        state.run()
+
+
+def test_empty_pool_raises_invariant_error():
+    state = switch_gadget()
+    pair = _pair(state, 2, 2)
+    state.pool_items[_pid(state, pair)].clear()
+    with pytest.raises(ConstructionInvariantError, match="empty"):
+        state.run()
+
+
+@pytest.mark.parametrize("delta", [1, -1, -3])
+def test_stub_count_corruption_raises_invariant_error(delta):
+    rng = random.Random(8)
+    t = extract_d2k(random_digraph(rng, 30, 0.2))
+    for seed in range(5):
+        state = ConstructionState(t, seed)
+        x = seed % (2 * state.n)
+        while state.free[x] == 0:       # a node with stubs on this side
+            x += 1
+        state.free[x] += delta
+        with pytest.raises(ConstructionInvariantError):
+            state.run()

@@ -1,5 +1,6 @@
-"""Byte-identity of the v:1 metrics, compare and CSV formats, and of the
-`gen_d1k` edge lists per target, seed and swap budget.
+"""Byte-identity of the v:1 metrics, compare and CSV formats, of the
+`gen_d1k` edge lists per target, seed and swap budget, and of the d2k/d2km
+constructor's edge lists and counts per target and seed.
 
 The files under golden/ were written by golden/make_golden.py; the test
 reads the metrics files back instead of measuring again, so it holds on
@@ -16,7 +17,8 @@ import pytest
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
                        write_metric_csvs)
-from golden.make_golden import d1k_cases, d1k_sha256
+from golden.make_golden import (construct_cases, construct_digest,
+                                d1k_cases, d1k_sha256)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -54,3 +56,10 @@ def test_d1k_edge_lists_are_byte_identical():
     digests = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
     assert digests == json.loads(
         (GOLDEN / "d1k_sha256.json").read_text(encoding="utf-8"))
+
+
+def test_construct_edge_lists_are_byte_identical():
+    digests = {name: construct_digest(*case)
+               for name, case in construct_cases().items()}
+    assert digests == json.loads(
+        (GOLDEN / "construct_sha256.json").read_text(encoding="utf-8"))
