@@ -12,9 +12,8 @@ from .errors import (ConstructionInvariantError, D2KError,
                      NotRealizableError, SwapError, TargetStructureError)
 from .files import (load_metrics_report, load_targets, read_edge_list,
                     save_metrics_report, save_targets, write_edge_list)
-from .graph import (ASYMMETRIC, BipartiteGraph, DirectedGraph, MUTUAL, NULL,
-                    collapse_bipartite, dyad_state, from_edge_list,
-                    to_bipartite)
+from .graph import (ASYMMETRIC, DirectedGraph, MUTUAL, NULL, dyad_state,
+                    from_edge_list)
 from .metrics import (CensusReport, MetricsConfig, avg_neighbor_degree,
                       dsp, dyad_census, expansion, structural_suite,
                       triad_census)
@@ -28,18 +27,18 @@ from .targets import (CellKey, D2KTargets, DdsTargets, MODE_DEGREE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASYMMETRIC", "BipartiteGraph", "CellKey", "CensusReport",
+    "ASYMMETRIC", "CellKey", "CensusReport",
     "ConstructionInvariantError", "ConstructionState", "D2KError",
     "D2KTargets", "DdsTargets", "DirectedGraph", "EdgeListFormatError",
     "MODE_DEGREE", "MODE_PAIR", "MUTUAL", "MetricsConfig", "NULL",
     "NotGraphicalError", "NotRealizableError", "RealizabilityReport",
     "SizeTargets", "SwapError", "SwapProposal", "TargetStructureError",
     "UmanTargets", "apply_swap", "avg_neighbor_degree",
-    "c6_reverse_proposal", "check", "collapse_bipartite", "dsp",
+    "c6_reverse_proposal", "check", "dsp",
     "double_swap_proposal", "dyad_census", "dyad_state",
     "enumerate_jdam_swaps", "expansion", "extract_d2k", "extract_dds",
     "extract_size", "extract_uman", "from_edge_list", "gen_d0k", "gen_d1k",
     "gen_uman", "generate", "load_metrics_report", "load_targets",
     "read_edge_list", "save_metrics_report", "save_targets",
-    "structural_suite", "to_bipartite", "triad_census", "write_edge_list",
+    "structural_suite", "triad_census", "write_edge_list",
 ]

@@ -54,8 +54,7 @@ def cmd_extract(args) -> int:
 def cmd_check(args) -> int:
     t = files.load_targets(args.target)
     if not isinstance(t, targets.D2KTargets):
-        print("check applies to d2k/d2km targets", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("check applies to d2k/d2km targets")
     report = check(t)
     print(report.to_text())
     if args.json:

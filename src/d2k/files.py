@@ -15,7 +15,8 @@ from .errors import EdgeListFormatError, TargetStructureError
 from .graph import DirectedGraph, from_edge_list
 from .metrics import METRICS, CensusReport, MetricsConfig
 from .targets import (CellKey, D2KTargets, DdsTargets, SizeTargets,
-                      UmanTargets, MODE_DEGREE, MODE_PAIR)
+                      UmanTargets, MODE_DEGREE, MODE_PAIR, cell_from_json,
+                      cell_to_json, json_int)
 
 SCHEMA_VERSION = 1
 
@@ -68,28 +69,6 @@ def write_edge_list(g: DirectedGraph, path, original_ids: bool = True) -> None:
 # ---------------------------------------------------------------------------
 # target files
 
-def _cell_to_json(c: CellKey) -> dict:
-    label = list(c.label) if isinstance(c.label, tuple) else c.label
-    return {"side": c.side, "label": label}
-
-
-def _cell_from_json(obj: dict) -> CellKey:
-    try:
-        side = obj["side"]
-        label = obj["label"]
-    except (TypeError, KeyError):
-        raise TargetStructureError(f"malformed cell {obj!r}") from None
-    if side not in ("in", "out"):
-        raise TargetStructureError(f"bad cell side {side!r}")
-    if isinstance(label, list):
-        if len(label) != 2:
-            raise TargetStructureError(f"bad cell label {label!r}")
-        label = (int(label[0]), int(label[1]))
-    else:
-        label = int(label)
-    return CellKey(side, label)
-
-
 def targets_to_json_dict(t) -> dict:
     if isinstance(t, D2KTargets):
         return {
@@ -97,7 +76,7 @@ def targets_to_json_dict(t) -> dict:
             "model": t.mode,
             "n": t.n,
             "dds": [list(p) for p in t.dds],
-            "jdam": [{"a": _cell_to_json(a), "b": _cell_to_json(b),
+            "jdam": [{"a": cell_to_json(a), "b": cell_to_json(b),
                       "count": count} for a, b, count in t.jdam_entries()],
         }
     if isinstance(t, DdsTargets):
@@ -112,19 +91,27 @@ def targets_to_json_dict(t) -> dict:
     raise TypeError(f"not a target object: {t!r}")
 
 
+def _dds_from_json(rows) -> list[tuple[int, int]]:
+    return [(json_int(a, "dds entry"), json_int(b, "dds entry"))
+            for a, b in rows]
+
+
 def targets_from_json_dict(obj: dict):
-    if not isinstance(obj, dict) or obj.get("v") != SCHEMA_VERSION:
+    if not isinstance(obj, dict) or type(obj.get("v")) is not int \
+            or obj["v"] != SCHEMA_VERSION:
         raise TargetStructureError("missing or unsupported schema version")
     model = obj.get("model")
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
+        if n < 0:
+            raise TargetStructureError(f"n must be non-negative, got {n}")
         if model in (MODE_DEGREE, MODE_PAIR):
-            dds = [(int(a), int(b)) for a, b in obj["dds"]]
+            dds = _dds_from_json(obj["dds"])
             jdam: dict[tuple[CellKey, CellKey], int] = {}
             for row in obj["jdam"]:
-                a = _cell_from_json(row["a"])
-                b = _cell_from_json(row["b"])
-                count = int(row["count"])
+                a = cell_from_json(row["a"])
+                b = cell_from_json(row["b"])
+                count = json_int(row["count"], "jdam count")
                 known = jdam.get((a, b))
                 if known is not None and known != count:
                     raise TargetStructureError(
@@ -136,17 +123,18 @@ def targets_from_json_dict(obj: dict):
                 raise TargetStructureError("n does not match dds length")
             return t
         if model == "d1k":
-            return DdsTargets(n, [(int(a), int(b)) for a, b in obj["dds"]])
+            return DdsTargets(n, _dds_from_json(obj["dds"]))
         if model == "uman":
             d = obj["dyads"]
-            t = UmanTargets(n, int(d["mutual"]), int(d["asymmetric"]),
-                            int(d["null"]))
+            t = UmanTargets(n, json_int(d["mutual"], "mutual dyad count"),
+                            json_int(d["asymmetric"], "asymmetric dyad count"),
+                            json_int(d["null"], "null dyad count"))
             if t.total() != n * (n - 1) // 2 or min(
                     t.mutual, t.asymmetric, t.null) < 0:
                 raise TargetStructureError("dyad counts do not sum to C(n,2)")
             return t
         if model == "d0k":
-            m = int(obj["m"])
+            m = json_int(obj["m"], "m")
             if not 0 <= m <= n * (n - 1):
                 raise TargetStructureError("edge count out of range")
             return SizeTargets(n, m)

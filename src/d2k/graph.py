@@ -1,18 +1,13 @@
-"""Simple directed graphs and their bipartite split representation.
+"""Simple directed graphs.
 
 A directed graph over dense integer ids 0..n-1 is stored with both out- and
-in-adjacency plus a constant-time edge-membership set.  The bipartite view
-splits every node v into an out-side copy and an in-side copy; a directed
-edge u->v becomes the undirected bipartite edge (u_out, v_in).  The pair
-(v_in, v_out) of one and the same node is a *non-chord*: an edge there would
-collapse to a self-loop, so it is forbidden whenever both degrees of v are
-positive.
+in-adjacency plus a constant-time edge-membership set.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import D2KError, EdgeListFormatError
+from .errors import EdgeListFormatError
 
 MUTUAL = "mutual"
 ASYMMETRIC = "asymmetric"
@@ -158,97 +153,3 @@ def dyad_state(g: DirectedGraph, u: int, v: int) -> str:
     if uv or vu:
         return ASYMMETRIC
     return NULL
-
-
-class BipartiteGraph:
-    """Undirected bipartite split of a digraph.
-
-    Original node v appears as an out-side copy and an in-side copy; every
-    edge joins an out-side node to an in-side node.  ``non_chords`` holds
-    the original ids whose (v_in, v_out) pair is forbidden.  Adjacency is
-    indexed by original node id per side.
-    """
-
-    __slots__ = ("n_orig", "out_nbrs", "in_nbrs", "non_chords")
-
-    def __init__(self, n_orig: int, out_nbrs: list[list[int]],
-                 in_nbrs: list[list[int]], non_chords: frozenset[int]):
-        self.n_orig = n_orig
-        self.out_nbrs = out_nbrs      # out-side node v -> in-side partners
-        self.in_nbrs = in_nbrs        # in-side node v -> out-side partners
-        self.non_chords = non_chords
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Bipartite edges as (out-side id, in-side id) pairs."""
-        for u, nbrs in enumerate(self.out_nbrs):
-            for v in nbrs:
-                yield u, v
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
-
-    @property
-    def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.out_nbrs)
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_nbrs[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_nbrs[v])
-
-    def validate(self, strict_non_chords: bool = True) -> None:
-        """Check the bipartite invariants, raising D2KError on violation."""
-        seen: set[tuple[int, int]] = set()
-        for u, v in self.edges():
-            if not (0 <= u < self.n_orig and 0 <= v < self.n_orig):
-                raise D2KError(f"bipartite edge ({u},{v}) out of range")
-            if (u, v) in seen:
-                raise D2KError(f"parallel bipartite edge ({u},{v})")
-            seen.add((u, v))
-            if strict_non_chords and u == v:
-                raise D2KError(f"edge on the non-chord of node {u}")
-        for v in range(self.n_orig):
-            for u in self.in_nbrs[v]:
-                if (u, v) not in seen:
-                    raise D2KError("out/in adjacency out of sync")
-        if sum(len(x) for x in self.in_nbrs) != len(seen):
-            raise D2KError("out/in adjacency out of sync")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return (self.n_orig == other.n_orig
-                and self.edge_set() == other.edge_set()
-                and self.non_chords == other.non_chords)
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.n_orig, self.edge_set(), self.non_chords))
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph(n_orig={self.n_orig}, m={self.m})"
-
-
-def to_bipartite(g: DirectedGraph) -> BipartiteGraph:
-    """Split g into its bipartite representation.
-
-    Non-chords exist only for nodes with both degrees positive; on a
-    zero-degree side the constraint is vacuous and omitted.
-    """
-    out_nbrs = [list(nbrs) for nbrs in g.out_adj]
-    in_nbrs = [list(nbrs) for nbrs in g.in_adj]
-    non_chords = frozenset(
-        v for v in range(g.n)
-        if g.in_degree(v) > 0 and g.out_degree(v) > 0)
-    return BipartiteGraph(g.n, out_nbrs, in_nbrs, non_chords)
-
-
-def collapse_bipartite(b: BipartiteGraph) -> DirectedGraph:
-    """Collapse a bipartite split back into a simple digraph.
-
-    Rejects inputs violating the bipartite invariants; in particular an
-    edge sitting on a non-chord (or on any same-node pair) would produce a
-    self-loop and is an error.
-    """
-    b.validate(strict_non_chords=True)
-    return DirectedGraph(b.n_orig, [list(nbrs) for nbrs in b.out_nbrs])

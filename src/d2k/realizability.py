@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import TargetStructureError
-from .targets import CellKey, D2KTargets
+from .targets import CellKey, D2KTargets, cell_to_json
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,7 @@ class Violation:
     def to_json_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "cells": [{"side": c.side,
-                       "label": list(c.label) if isinstance(c.label, tuple)
-                       else c.label} for c in self.cells],
+            "cells": [cell_to_json(c) for c in self.cells],
             "message": self.message,
         }
 

@@ -9,17 +9,17 @@ Three move kinds:
 * c6_reverse: reversal of a directed 3-cycle, the extra move needed on top
   of double swaps for degree-preserving connectivity.
 
-A swap is accepted only when the result stays simple; on the bipartite
-form, non-chords block moves exactly like self-loops do, unless the
-experimental self-loop-permitting flag is set.
+A swap is accepted only when the result stays simple.  On the bipartite
+split, where every node has an out-side and an in-side copy, a self-loop is
+an edge on the non-chord joining the two copies of one node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import SwapError
-from .graph import BipartiteGraph, DirectedGraph
-from .targets import CellKey, MODE_DEGREE, MODE_PAIR
+from .graph import DirectedGraph
+from .targets import MODE_DEGREE, node_cells
 
 Edge = tuple[int, int]
 
@@ -51,31 +51,16 @@ def c6_reverse_proposal(a: int, b: int, c: int) -> SwapProposal:
                         ((b, a), (c, b), (a, c)))
 
 
-def _bip_cell(b_out_deg, b_in_deg, node: int, side: str, mode: str) -> CellKey:
-    if mode == MODE_DEGREE:
-        return CellKey(side, b_out_deg(node) if side == "out" else b_in_deg(node))
-    if mode == MODE_PAIR:
-        return CellKey(side, (b_in_deg(node), b_out_deg(node)))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def apply_swap(g: DirectedGraph | BipartiteGraph, p: SwapProposal,
-               mode: str = MODE_DEGREE,
-               allow_self_loops: bool = False):
+def apply_swap(g: DirectedGraph, p: SwapProposal,
+               mode: str = MODE_DEGREE) -> DirectedGraph | None:
     """Apply p to g, returning the updated graph or None when rejected.
 
     Rejection means the result would not be simple: an added edge already
-    exists, or collapses to a self-loop / violated non-chord (unless
-    allow_self_loops is set, which only the bipartite form supports).
-    Nonexistent removed edges or a proposal that does not preserve its
-    kind's invariant raise SwapError.
+    exists or is a self-loop.  For a swap of existing edges, a self-loop is
+    exactly an edge on a non-chord.  Nonexistent removed edges or a
+    proposal that does not preserve its kind's invariant raise SwapError.
     """
-    bipartite = isinstance(g, BipartiteGraph)
-    if allow_self_loops and not bipartite:
-        raise SwapError("self-loop-permitting swaps require the bipartite form")
-    edge_set = set(g.edge_set()) if bipartite else set(g.edges())
-    n = g.n_orig if bipartite else g.n
-
+    edge_set = set(g.edges())
     if len(set(p.removed)) != len(p.removed):
         raise SwapError("removed edges are not distinct")
     for e in p.removed:
@@ -85,23 +70,13 @@ def apply_swap(g: DirectedGraph | BipartiteGraph, p: SwapProposal,
 
     result = edge_set - set(p.removed)
     for u, v in p.added:
-        if (u, v) in result:
-            return None               # parallel edge
-        if u == v and not allow_self_loops:
-            return None               # self-loop / non-chord violation
+        if u == v or (u, v) in result:
+            return None               # self-loop or parallel edge
         result.add((u, v))
-
-    if bipartite:
-        out_nbrs: list[list[int]] = [[] for _ in range(n)]
-        in_nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(result):
-            out_nbrs[u].append(v)
-            in_nbrs[v].append(u)
-        return BipartiteGraph(n, out_nbrs, in_nbrs, g.non_chords)
-    return DirectedGraph.from_edges(n, sorted(result))
+    return DirectedGraph.from_edges(g.n, sorted(result))
 
 
-def _validate_kind(g, p: SwapProposal, mode: str) -> None:
+def _validate_kind(g: DirectedGraph, p: SwapProposal, mode: str) -> None:
     if p.kind == "degree_double" or p.kind == "jdam_double":
         if len(p.removed) != 2 or len(p.added) != 2:
             raise SwapError("double swap must move exactly two edges")
@@ -109,13 +84,8 @@ def _validate_kind(g, p: SwapProposal, mode: str) -> None:
         if p.added not in (((a, d), (c, b)), ((c, b), (a, d))):
             raise SwapError("double swap must cross the removed endpoints")
         if p.kind == "jdam_double":
-            odeg = g.out_degree
-            ideg = g.in_degree
-            same_out = _bip_cell(odeg, ideg, a, "out", mode) == \
-                _bip_cell(odeg, ideg, c, "out", mode)
-            same_in = _bip_cell(odeg, ideg, b, "in", mode) == \
-                _bip_cell(odeg, ideg, d, "in", mode)
-            if not (same_out or same_in):
+            in_cell, out_cell = node_cells(g.degree_pairs(), mode)
+            if out_cell[a] != out_cell[c] and in_cell[b] != in_cell[d]:
                 raise SwapError(
                     "jdam double swap requires a shared cell on one side")
     elif p.kind == "c6_reverse":
@@ -130,30 +100,27 @@ def _validate_kind(g, p: SwapProposal, mode: str) -> None:
         raise SwapError(f"unknown swap kind {p.kind!r}")
 
 
-def enumerate_jdam_swaps(b: BipartiteGraph,
-                         mode: str = MODE_DEGREE) -> list[BipartiteGraph]:
-    """All states reachable from b by one accepted jdam-preserving double swap.
+def enumerate_jdam_swaps(g: DirectedGraph,
+                         mode: str = MODE_DEGREE) -> list[DirectedGraph]:
+    """All graphs one accepted jdam-preserving double swap away from g.
 
-    Deduplicated by edge set; the input state itself never appears (a
-    non-degenerate accepted swap always changes the edge set).
+    Deduplicated by edge set; g itself never appears (a non-degenerate
+    accepted swap always changes the edge set).
     """
-    edges = sorted(b.edge_set())
-    out_cell = {u: _bip_cell(b.out_degree, b.in_degree, u, "out", mode)
-                for u, _ in edges}
-    in_cell = {v: _bip_cell(b.out_degree, b.in_degree, v, "in", mode)
-               for _, v in edges}
-    neighbors: list[BipartiteGraph] = []
+    edges = sorted(g.edges())
+    in_cell, out_cell = node_cells(g.degree_pairs(), mode)
+    neighbors: list[DirectedGraph] = []
     seen: set[frozenset[Edge]] = set()
     for i in range(len(edges)):
-        a, bb = edges[i]
+        a, b = edges[i]
         for j in range(i + 1, len(edges)):
             c, d = edges[j]
-            if a == c or bb == d:
+            if a == c or b == d:
                 continue
-            if out_cell[a] != out_cell[c] and in_cell[bb] != in_cell[d]:
+            if out_cell[a] != out_cell[c] and in_cell[b] != in_cell[d]:
                 continue
-            p = double_swap_proposal((a, bb), (c, d), kind="jdam_double")
-            res = apply_swap(b, p, mode=mode)
+            p = double_swap_proposal((a, b), (c, d), kind="jdam_double")
+            res = apply_swap(g, p, mode=mode)
             if res is None:
                 continue
             key = res.edge_set()

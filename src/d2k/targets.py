@@ -46,6 +46,36 @@ class CellKey(NamedTuple):
         return self.label
 
 
+def json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer; a bool, float or string raises."""
+    if type(x) is not int:
+        raise TargetStructureError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def cell_to_json(c: CellKey) -> dict:
+    """The JSON form of a cell: its side and its label, a pair as a list."""
+    label = list(c.label) if isinstance(c.label, tuple) else c.label
+    return {"side": c.side, "label": label}
+
+
+def cell_from_json(obj: dict) -> CellKey:
+    """The cell a JSON object encodes; malformed input raises."""
+    try:
+        side = obj["side"]
+        label = obj["label"]
+    except (TypeError, KeyError):
+        raise TargetStructureError(f"malformed cell {obj!r}") from None
+    if side not in ("in", "out"):
+        raise TargetStructureError(f"bad cell side {side!r}")
+    if isinstance(label, list):
+        if len(label) != 2:
+            raise TargetStructureError(f"bad cell label {label!r}")
+        return CellKey(side, (json_int(label[0], "cell label"),
+                              json_int(label[1], "cell label")))
+    return CellKey(side, json_int(label, "cell label"))
+
+
 def node_cells(dds: list[tuple[int, int]], mode: str) \
         -> tuple[list[CellKey | None], list[CellKey | None]]:
     """Per-node (in-side cell, out-side cell); None on a zero-degree side."""

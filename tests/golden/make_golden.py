@@ -22,6 +22,12 @@ target, a heavy-tailed d2km target with 288 cells, a dense n = 200,
 p = 0.9 target, and small random targets at seeds where substitutions
 fire.
 
+swaps_sha256.json holds, for each case of `swap_cases()` and each of the
+`d2k` and `d2km` modes, the number of states one accepted jdam-preserving
+double swap away (`enumerate_jdam_swaps`) and the sha256 of their ordered
+list of sorted edge lists: the directed 3-cycle (no such state), the
+directed 4-cycle and 40 small random digraphs.
+
 test_golden.py loads the checked-in metrics files rather than measuring
 again, so it does not depend on the machine's LAPACK or ARPACK.  Rerun
 this script only when the file formats are meant to change.
@@ -35,8 +41,9 @@ import tempfile
 from pathlib import Path
 
 from d2k import (ConstructionState, D2KTargets, DdsTargets, DirectedGraph,
-                 MetricsConfig, extract_d2k, extract_dds, extract_size,
-                 from_edge_list, gen_d0k, gen_d1k, generate, structural_suite)
+                 MODE_DEGREE, MODE_PAIR, MetricsConfig, enumerate_jdam_swaps,
+                 extract_d2k, extract_dds, extract_size, from_edge_list,
+                 gen_d0k, gen_d1k, generate, structural_suite)
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
                        write_edge_list, write_metric_csvs)
@@ -145,6 +152,28 @@ def construct_digest(t: D2KTargets, seed: int) -> dict:
             "edges_added": state.edges_added, "substitutions": substitutions}
 
 
+def swap_cases() -> dict[str, tuple[DirectedGraph, str]]:
+    """Case name -> (digraph, mode) for swaps_sha256.json."""
+    rng = random.Random(17)
+    graphs = {"cycle3": from_edge_list([(0, 1), (1, 2), (2, 0)]),
+              "cycle4": from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])}
+    for i in range(40):
+        n = rng.randint(3, 12)
+        graphs[f"random{i}_n{n}"] = random_digraph(
+            rng.randrange(1 << 30), n, rng.uniform(0.1, 0.5))
+    return {f"{name}_{mode}": (g, mode) for name, g in graphs.items()
+            for mode in (MODE_DEGREE, MODE_PAIR)}
+
+
+def swap_digest(g: DirectedGraph, mode: str) -> dict:
+    """Size and sha256 of the ordered one-swap neighborhood of g."""
+    neighbors = [sorted(nbr.edge_set())
+                 for nbr in enumerate_jdam_swaps(g, mode)]
+    text = json.dumps(neighbors)
+    return {"neighbors": len(neighbors),
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
 def main() -> None:
     g = original_graph()
     graphs = {"original": g, "instance_d2k": generate(extract_d2k(g), seed=1),
@@ -175,6 +204,9 @@ def main() -> None:
              for name, case in construct_cases().items()}
     (HERE / "construct_sha256.json").write_text(
         json.dumps(built, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    swaps = {name: swap_digest(*case) for name, case in swap_cases().items()}
+    (HERE / "swaps_sha256.json").write_text(
+        json.dumps(swaps, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

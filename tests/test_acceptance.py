@@ -18,7 +18,7 @@ from conftest import (all_digraphs, betweenness_bruteforce, dataset_files,
 from d2k import (CellKey, D2KTargets, avg_neighbor_degree, check, dsp,
                  expansion, extract_d2k, extract_dds, extract_size,
                  extract_uman, from_edge_list, gen_d0k, gen_d1k, generate,
-                 read_edge_list, to_bipartite, triad_census)
+                 read_edge_list, triad_census)
 from d2k.construct import ConstructionState
 from d2k.metrics import betweenness_values
 from d2k.swaps import enumerate_jdam_swaps
@@ -113,8 +113,8 @@ def test_four_cycle_orientations_not_connected_by_one_swap():
     cycle = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
     reverse = from_edge_list([(1, 0), (2, 1), (3, 2), (0, 3)])
     assert extract_d2k(cycle) == extract_d2k(reverse)
-    fwd = {nbr.edge_set() for nbr in enumerate_jdam_swaps(to_bipartite(cycle))}
-    bwd = {nbr.edge_set() for nbr in enumerate_jdam_swaps(to_bipartite(reverse))}
+    fwd = {nbr.edge_set() for nbr in enumerate_jdam_swaps(cycle)}
+    bwd = {nbr.edge_set() for nbr in enumerate_jdam_swaps(reverse)}
     assert reverse.edge_set() not in fwd
     assert cycle.edge_set() not in bwd
 

@@ -143,7 +143,23 @@ def test_check_rejects_non_d2k_target(tmp_path, capsys):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "uman.json"
     main(["extract", str(graph_path), "--model", "uman", "-o", str(target_path)])
+    capsys.readouterr()
     assert main(["check", str(target_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: check applies to d2k/d2km targets\n"
+
+
+def test_generate_rejects_float_jdam_count(tmp_path, capsys):
+    # a count of 3.7 used to be truncated to 3, which is this 3-cycle's
+    target = {"v": 1, "model": "d2k", "n": 3, "dds": [[1, 1]] * 3,
+              "jdam": [{"a": {"side": "out", "label": 1},
+                        "b": {"side": "in", "label": 1}, "count": 3.7}]}
+    target_path = tmp_path / "t.json"
+    target_path.write_text(json.dumps(target), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "-o", str(out_dir)]) == 1
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()
 
 
 def test_measure_and_compare(tmp_path, capsys):

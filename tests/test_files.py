@@ -89,6 +89,59 @@ def test_malformed_target_files(tmp_path):
                                           "count": 1}]}), encoding="utf-8")
     with pytest.raises(TargetStructureError):
         load_targets(path)
+    # counts and labels are JSON integers, never strings, floats or bools,
+    # and n is not negative
+    for good in _three_cycle_targets().values():
+        path.write_text(json.dumps(good), encoding="utf-8")
+        assert load_targets(path).n == 3
+    for bad in _wrong_json_types():
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(TargetStructureError):
+            load_targets(path)
+
+
+def _three_cycle_targets() -> dict[str, dict]:
+    cell = {"d2k": ({"side": "out", "label": 1}, {"side": "in", "label": 1}),
+            "d2km": ({"side": "out", "label": [1, 1]},
+                     {"side": "in", "label": [1, 1]})}
+    targets = {model: {"v": 1, "model": model, "n": 3, "dds": [[1, 1]] * 3,
+                       "jdam": [{"a": a, "b": b, "count": 3}]}
+               for model, (a, b) in cell.items()}
+    targets["d1k"] = {"v": 1, "model": "d1k", "n": 3, "dds": [[1, 1]] * 3}
+    targets["uman"] = {"v": 1, "model": "uman", "n": 3,
+                       "dyads": {"mutual": 0, "asymmetric": 3, "null": 0}}
+    targets["d0k"] = {"v": 1, "model": "d0k", "n": 3, "m": 3}
+    return targets
+
+
+def _wrong_json_types() -> list[dict]:
+    good = _three_cycle_targets()
+    bad = []
+
+    def variant(model, edit):
+        t = json.loads(json.dumps(good[model]))
+        edit(t)
+        bad.append(t)
+
+    for model in good:
+        for n in ("3", 3.0, True, -1):
+            variant(model, lambda t: t.update(n=n))
+        for v in (1.0, True):
+            variant(model, lambda t: t.update(v=v))
+    for model in ("d2k", "d2km", "d1k"):
+        variant(model, lambda t: t.update(dds=[[1, 1], [1, 1], [True, 1]]))
+        variant(model, lambda t: t.update(dds=[[1, "1"], [1, 1], [1, 1]]))
+    for model in ("d2k", "d2km"):
+        variant(model, lambda t: t["jdam"][0].update(count=3.7))
+        variant(model, lambda t: t["jdam"][0].update(count=True))
+    variant("d2k", lambda t: t["jdam"][0]["a"].update(label=1.9))
+    variant("d2k", lambda t: t["jdam"][0]["b"].update(label=True))
+    variant("d2km", lambda t: t["jdam"][0]["a"].update(label=[1, 1.0]))
+    variant("uman", lambda t: t["dyads"].update(asymmetric=3.0))
+    variant("uman", lambda t: t["dyads"].update(mutual=False))
+    variant("d0k", lambda t: t.update(m=3.5))
+    variant("d0k", lambda t: t.update(m="3"))
+    return bad
 
 
 def test_metrics_report_round_trip(tmp_path):

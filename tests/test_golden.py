@@ -1,6 +1,7 @@
 """Byte-identity of the v:1 metrics, compare and CSV formats, of the
-`gen_d1k` edge lists per target, seed and swap budget, and of the d2k/d2km
-constructor's edge lists and counts per target and seed.
+`gen_d1k` edge lists per target, seed and swap budget, of the d2k/d2km
+constructor's edge lists and counts per target and seed, and of the ordered
+one-swap neighborhoods that `enumerate_jdam_swaps` lists.
 
 The files under golden/ were written by golden/make_golden.py; the test
 reads the metrics files back instead of measuring again, so it holds on
@@ -18,7 +19,8 @@ from d2k.files import (build_compare_report, load_metrics_report,
                        save_compare_report, save_metrics_report,
                        write_metric_csvs)
 from golden.make_golden import (construct_cases, construct_digest,
-                                d1k_cases, d1k_sha256)
+                                d1k_cases, d1k_sha256, swap_cases,
+                                swap_digest)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -63,3 +65,9 @@ def test_construct_edge_lists_are_byte_identical():
                for name, case in construct_cases().items()}
     assert digests == json.loads(
         (GOLDEN / "construct_sha256.json").read_text(encoding="utf-8"))
+
+
+def test_swap_neighborhoods_are_byte_identical():
+    digests = {name: swap_digest(*case) for name, case in swap_cases().items()}
+    assert digests == json.loads(
+        (GOLDEN / "swaps_sha256.json").read_text(encoding="utf-8"))

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from conftest import all_digraphs, random_digraph
-from d2k import (ASYMMETRIC, BipartiteGraph, D2KError, DirectedGraph,
-                 EdgeListFormatError, MUTUAL, NULL, collapse_bipartite,
-                 dyad_state, from_edge_list, to_bipartite)
+from conftest import random_digraph
+from d2k import (ASYMMETRIC, DirectedGraph, EdgeListFormatError, MUTUAL, NULL,
+                 dyad_state, from_edge_list)
 
 
 def test_loop_and_duplicate_removal():
@@ -83,49 +82,3 @@ def test_dyad_state():
     assert dyad_state(g, 0, 2) == NULL
     with pytest.raises(ValueError):
         dyad_state(g, 1, 1)
-
-
-def test_to_bipartite_three_cycle():
-    g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    b = to_bipartite(g)
-    assert b.m == 3
-    assert b.non_chords == {0, 1, 2}
-    assert b.edge_set() == {(0, 1), (1, 2), (2, 0)}
-    b.validate()
-
-
-def test_to_bipartite_single_edge_has_no_non_chords():
-    b = to_bipartite(from_edge_list([(0, 1)]))
-    assert b.m == 1
-    assert b.non_chords == frozenset()
-
-
-def test_collapse_inverts_split_exhaustively():
-    for n in (1, 2, 3):
-        for g in all_digraphs(n):
-            assert collapse_bipartite(to_bipartite(g)) == g
-
-
-def test_collapse_inverts_split_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        g = random_digraph(rng, rng.randint(1, 50), rng.uniform(0.02, 0.4))
-        assert collapse_bipartite(to_bipartite(g)) == g
-
-
-def test_collapse_roundtrip_larger():
-    rng = random.Random(12)
-    g = random_digraph(rng, 200, 0.05)
-    assert collapse_bipartite(to_bipartite(g)) == g
-
-
-def test_collapse_rejects_non_chord_edge():
-    b = BipartiteGraph(2, [[0, 1], []], [[0], [0]], frozenset({0}))
-    with pytest.raises(D2KError):
-        collapse_bipartite(b)
-
-
-def test_collapse_rejects_out_of_sync_adjacency():
-    b = BipartiteGraph(2, [[1], []], [[], []], frozenset())
-    with pytest.raises(D2KError):
-        collapse_bipartite(b)

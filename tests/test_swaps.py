@@ -6,21 +6,19 @@ import pytest
 
 from conftest import random_digraph
 from d2k import (DirectedGraph, SwapError, apply_swap, c6_reverse_proposal,
-                 collapse_bipartite, double_swap_proposal,
-                 enumerate_jdam_swaps, extract_d2k, extract_dds,
-                 from_edge_list, to_bipartite)
+                 double_swap_proposal, enumerate_jdam_swaps, extract_d2k,
+                 extract_dds, from_edge_list)
 
 
 def test_same_cell_double_swap_preserves_jdam():
     # sources 0,1 share the out-degree-1 cell; crossing their edges is a
     # jdam-preserving move
     g = DirectedGraph.from_edges(4, [(0, 2), (1, 3)])
-    b = to_bipartite(g)
     p = double_swap_proposal((0, 2), (1, 3), kind="jdam_double")
-    res = apply_swap(b, p)
+    res = apply_swap(g, p)
     assert res is not None
     assert res.edge_set() == {(0, 3), (1, 2)}
-    assert extract_d2k(collapse_bipartite(res)) == extract_d2k(g)
+    assert extract_d2k(res) == extract_d2k(g)
 
 
 def test_swap_creating_parallel_edge_is_rejected():
@@ -72,26 +70,25 @@ def test_degenerate_proposals_rejected():
 
 def test_malformed_jdam_swap_raises():
     g = from_edge_list([(0, 1), (0, 2), (1, 2)])   # sources differ in out-degree
-    b = to_bipartite(g)
     with pytest.raises(SwapError):
-        apply_swap(b, double_swap_proposal((0, 1), (1, 2), kind="jdam_double"))
+        apply_swap(g, double_swap_proposal((0, 1), (1, 2), kind="jdam_double"))
 
 
 def test_four_cycle_reversal_not_one_swap_away():
     cycle = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
     reversed_cycle = from_edge_list([(1, 0), (2, 1), (3, 2), (0, 3)])
     assert extract_d2k(cycle) == extract_d2k(reversed_cycle)
-    neighbors = enumerate_jdam_swaps(to_bipartite(cycle))
+    neighbors = enumerate_jdam_swaps(cycle)
     assert neighbors                      # mutual-dyad states are reachable
     assert all(nbr.edge_set() != reversed_cycle.edge_set()
                for nbr in neighbors)
-    back = enumerate_jdam_swaps(to_bipartite(reversed_cycle))
+    back = enumerate_jdam_swaps(reversed_cycle)
     assert all(nbr.edge_set() != cycle.edge_set() for nbr in back)
 
 
 def test_three_cycle_reversal_not_one_swap_away():
     cycle = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    neighbors = enumerate_jdam_swaps(to_bipartite(cycle))
+    neighbors = enumerate_jdam_swaps(cycle)
     assert neighbors == []                # every crossing hits a non-chord
 
 
@@ -100,21 +97,13 @@ def test_enumerated_neighbors_preserve_extracted_targets():
     for _ in range(10):
         g = random_digraph(rng, rng.randint(4, 12), 0.3)
         t = extract_d2k(g)
-        for nbr in enumerate_jdam_swaps(to_bipartite(g)):
-            assert extract_d2k(collapse_bipartite(nbr)) == t
+        for nbr in enumerate_jdam_swaps(g):
+            assert extract_d2k(nbr) == t
 
 
-def test_self_loop_permitting_regime_is_bipartite_only():
+def test_crossing_onto_a_non_chord_is_rejected():
+    # on a 3-cycle, crossing (0,1) with (1,2) would add the self-loop (1,1),
+    # the edge on node 1's non-chord
     g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(SwapError):
-        apply_swap(g, c6_reverse_proposal(0, 1, 2), allow_self_loops=True)
-    # on the bipartite form the blocked crossing goes through, and the
-    # resulting state no longer collapses to a simple digraph
-    b = to_bipartite(g)
     p = double_swap_proposal((0, 1), (1, 2), kind="jdam_double")
-    assert apply_swap(b, p) is None
-    res = apply_swap(b, p, allow_self_loops=True)
-    assert res is not None
-    assert (1, 1) in res.edge_set()
-    with pytest.raises(Exception):
-        collapse_bipartite(res)
+    assert apply_swap(g, p) is None
