@@ -5,6 +5,11 @@ for a fixed configuration and seed.  Heavy computations (all-source BFS,
 betweenness, eigenvalues) switch to seeded sampling or iterative solvers
 above configurable size thresholds, with the switch recorded in the
 report metadata.
+
+Shared partners, strongly connected components and the spectrum run on
+one sparse adjacency matrix (scipy, imported inside those functions only,
+so loading the package for extraction or generation does not pay for it);
+the other kernels walk the adjacency lists.
 """
 from __future__ import annotations
 
@@ -19,6 +24,28 @@ import numpy as np
 
 from .graph import DirectedGraph
 from .targets import extract_d2k, extract_uman
+
+
+def _adjacency(g: DirectedGraph):
+    """g's adjacency matrix as an int64 CSR matrix with sorted column
+    indices: ARPACK's matvec sums each row in index order, so the order
+    reaches the last bits of the eigenvalues."""
+    from scipy.sparse import csr_matrix
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in g.out_adj], out=indptr[1:])
+    indices = np.fromiter((v for nbrs in g.out_adj for v in nbrs),
+                          dtype=np.int64, count=g.m)
+    a = csr_matrix((np.ones(g.m, dtype=np.int64), indices, indptr),
+                   shape=(g.n, g.n))
+    a.sort_indices()
+    return a
+
+
+def _histogram(values) -> dict[int, int]:
+    """{value: count} of an integer array."""
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
 
 # ---------------------------------------------------------------------------
 # dyad and triad censuses
@@ -88,24 +115,17 @@ def dsp(g: DirectedGraph, variant: str) -> dict[int, int]:
     """
     if variant not in DSP_VARIANTS:
         raise ValueError(f"unknown dsp variant {variant!r}")
-    n = g.n
-    counts: dict[tuple[int, int], int] = {}
+    a = _adjacency(g)
     if variant == "independent_two_paths":
-        groups = ((g.in_adj[w], g.out_adj[w]) for w in range(n))
+        shared = a @ a
     elif variant == "outgoing":
-        groups = ((g.in_adj[w], g.in_adj[w]) for w in range(n))
+        shared = a @ a.T
     else:
-        groups = ((g.out_adj[w], g.out_adj[w]) for w in range(n))
-    for left, right in groups:
-        for i in left:
-            for j in right:
-                if i != j:
-                    key = (i, j)
-                    counts[key] = counts.get(key, 0) + 1
-    hist: dict[int, int] = {}
-    for c in counts.values():
-        hist[c] = hist.get(c, 0) + 1
-    zero = n * (n - 1) - len(counts)
+        shared = a.T @ a
+    shared.setdiag(0)
+    shared.eliminate_zeros()
+    hist = _histogram(shared.data)
+    zero = g.n * (g.n - 1) - shared.nnz
     if zero:
         hist[0] = zero
     return hist
@@ -163,11 +183,8 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
 
 
 def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for v in range(g.n):
-        d = g.in_degree(v) if side == "in" else g.out_degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    adj = g.in_adj if side == "in" else g.out_adj
+    return _histogram([len(nbrs) for nbrs in adj])
 
 
 # ---------------------------------------------------------------------------
@@ -213,51 +230,11 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
     return hist, meta
 
 
-def strongly_connected_components(g: DirectedGraph) -> list[list[int]]:
-    """Kosaraju's algorithm, iterative on both passes."""
-    n = g.n
-    visited = [False] * n
-    order: list[int] = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(g.out_adj[v]):
-                stack[-1] = (v, i + 1)
-                w = g.out_adj[v][i]
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append((w, 0))
-            else:
-                stack.pop()
-                order.append(v)
-    comp = [-1] * n
-    components: list[list[int]] = []
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        members = [root]
-        comp[root] = len(components)
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in g.in_adj[v]:
-                if comp[w] == -1:
-                    comp[w] = len(components)
-                    members.append(w)
-                    queue.append(w)
-        components.append(members)
-    return components
-
-
 def scc_size_histogram(g: DirectedGraph) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for members in strongly_connected_components(g):
-        hist[len(members)] = hist.get(len(members), 0) + 1
-    return hist
+    from scipy.sparse.csgraph import connected_components
+    _, labels = connected_components(_adjacency(g), directed=True,
+                                     connection="strong")
+    return _histogram(np.bincount(labels))
 
 
 def core_numbers(g: DirectedGraph) -> list[int]:
@@ -306,10 +283,7 @@ def core_numbers(g: DirectedGraph) -> list[int]:
 
 
 def core_number_histogram(g: DirectedGraph) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for c in core_numbers(g):
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+    return _histogram(core_numbers(g))
 
 
 def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
@@ -368,6 +342,9 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     return bc, meta
 
 
+EIGEN_OPERATORS = ("directed", "symmetrized")
+
+
 def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
                     dense_nodes: int = 2000,
                     seed: int = 1) -> tuple[list[float], dict]:
@@ -376,36 +353,21 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     Dense solver up to dense_nodes, iterative Krylov (seeded start vector,
     hence deterministic) above.
     """
+    if operator not in EIGEN_OPERATORS:
+        raise ValueError(f"unknown eigenvalue operator {operator!r}")
     n = g.n
     k = min(k, n)
     if n == 0 or k == 0:
         return [], {"method": "none", "operator": operator, "k": 0}
     symmetrize = operator == "symmetrized"
-    if operator not in ("directed", "symmetrized"):
-        raise ValueError(f"unknown eigenvalue operator {operator!r}")
+    a = _adjacency(g)
+    a = ((a + a.T) > 0 if symmetrize else a).astype(np.float64)
     if n <= dense_nodes or g.m == 0 or k >= n - 1:
-        a = np.zeros((n, n))
-        for u, v in g.edges():
-            a[u, v] = 1.0
-            if symmetrize:
-                a[v, u] = 1.0
+        a = a.toarray()
         vals = np.linalg.eigvalsh(a) if symmetrize else np.linalg.eigvals(a)
         mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
         return mags, {"method": "dense", "operator": operator, "k": k}
-    import scipy.sparse
     import scipy.sparse.linalg
-    rows, cols = [], []
-    for u, v in g.edges():
-        rows.append(u)
-        cols.append(v)
-        if symmetrize:
-            rows.append(v)
-            cols.append(u)
-    data = np.ones(len(rows))
-    a = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    if symmetrize:
-        a.sum_duplicates()
-        a.data[:] = 1.0
     v0 = np.random.default_rng(seed).standard_normal(n)
     vals = scipy.sparse.linalg.eigs(a, k=k, which="LM", v0=v0,
                                     return_eigenvectors=False)
@@ -709,6 +671,9 @@ class MetricsConfig:
                 f"sample_sources must be at least 1, got {self.sample_sources}")
         if self.eigen_k < 0:
             raise ValueError(f"eigen_k must not be negative, got {self.eigen_k}")
+        if self.eigen_operator not in EIGEN_OPERATORS:
+            raise ValueError(
+                f"unknown eigenvalue operator {self.eigen_operator!r}")
 
     def selected(self) -> tuple[str, ...]:
         if "all" in self.metrics:

@@ -142,6 +142,10 @@ class D2KTargets:
                 raise TargetStructureError("negative degree in dds")
         sym: dict[tuple[CellKey, CellKey], int] = {}
         for (a, b), count in jdam.items():
+            for c in (a, b):
+                if isinstance(c.label, tuple) != (mode == MODE_PAIR):
+                    raise TargetStructureError(
+                        f"cell label {c.label!r} does not fit mode {mode!r}")
             if count == 0:
                 continue
             if count < 0:

@@ -162,6 +162,17 @@ def test_generate_rejects_float_jdam_count(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_check_rejects_pair_labels_on_a_d2k_target(tmp_path, capsys):
+    target = {"v": 1, "model": "d2k", "n": 3, "dds": [[1, 1]] * 3,
+              "jdam": [{"a": {"side": "out", "label": [1, 1]},
+                        "b": {"side": "in", "label": [1, 1]}, "count": 3}]}
+    target_path = tmp_path / "t.json"
+    target_path.write_text(json.dumps(target), encoding="utf-8")
+    assert main(["check", str(target_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: cell label (1, 1) does not fit mode 'd2k'\n"
+
+
 def test_measure_and_compare(tmp_path, capsys):
     graph_path, g = write_graph(tmp_path)
     target_path = tmp_path / "t.json"

@@ -3,9 +3,11 @@
 constructor's edge lists and counts per target and seed, and of the ordered
 one-swap neighborhoods that `enumerate_jdam_swaps` lists.
 
-The files under golden/ were written by golden/make_golden.py; the test
-reads the metrics files back instead of measuring again, so it holds on
-any LAPACK/ARPACK build.
+The files under golden/ were written by golden/make_golden.py; the format
+tests read the metrics files back instead of measuring again, so they hold
+on any LAPACK/ARPACK build.  One test measures the original graph again and
+checks every metric but the spectrum, whose last bits depend on that build,
+so a metric kernel that drifts fails here.
 """
 from __future__ import annotations
 
@@ -15,12 +17,14 @@ from pathlib import Path
 
 import pytest
 
+from d2k import MetricsConfig, structural_suite
 from d2k.files import (build_compare_report, load_metrics_report,
-                       save_compare_report, save_metrics_report,
-                       write_metric_csvs)
-from golden.make_golden import (construct_cases, construct_digest,
-                                d1k_cases, d1k_sha256, swap_cases,
-                                swap_digest)
+                       report_to_json_dict, save_compare_report,
+                       save_metrics_report, write_metric_csvs)
+from d2k.metrics import METRIC_NAMES
+from golden.make_golden import (SMALL, construct_cases, construct_digest,
+                                d1k_cases, d1k_sha256, original_graph,
+                                swap_cases, swap_digest)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -32,6 +36,18 @@ def test_metrics_file_load_save_is_byte_identical(tmp_path, name):
     save_metrics_report(report, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == \
         (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_remeasured_metrics_match_golden():
+    names = tuple(name for name in METRIC_NAMES if name != "eigenvalues")
+    report = structural_suite(original_graph(),
+                              MetricsConfig(metrics=names, **SMALL))
+    measured = json.loads(json.dumps(report_to_json_dict(report)["metrics"]))
+    stored = json.loads((GOLDEN / "original.json").read_text(
+        encoding="utf-8"))["metrics"]
+    spectrum = ("eigenvalues", "eigen_meta")
+    assert {k: v for k, v in measured.items() if k not in spectrum} == \
+        {k: v for k, v in stored.items() if k not in spectrum}
 
 
 def test_compare_file_is_byte_identical(tmp_path):

@@ -31,6 +31,15 @@ def complete_digraph(n):
         n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
+def edge_case_graphs():
+    """No node, one node, five isolated nodes, one mutual pair, an out-star
+    and an in-star hub with five leaves each."""
+    return [DirectedGraph.from_edges(0, []), DirectedGraph.from_edges(1, []),
+            DirectedGraph.from_edges(5, []), from_edge_list([(0, 1), (1, 0)]),
+            from_edge_list([(0, v) for v in range(1, 6)]),
+            from_edge_list([(v, 0) for v in range(1, 6)])]
+
+
 # -- censuses ----------------------------------------------------------------
 
 def test_triad_census_three_cycle():
@@ -77,8 +86,9 @@ def test_dsp_outgoing_is_symmetric():
 
 def test_dsp_matches_bruteforce():
     rng = random.Random(19)
-    for _ in range(6):
-        g = random_digraph(rng, 20, rng.uniform(0.05, 0.4))
+    graphs = [random_digraph(rng, 20, rng.uniform(0.05, 0.4))
+              for _ in range(6)]
+    for g in graphs + edge_case_graphs():
         for variant in ("independent_two_paths", "outgoing", "incoming"):
             assert dsp(g, variant) == dsp_bruteforce(g, variant)
 
@@ -137,8 +147,9 @@ def test_scc_three_cycle():
 
 def test_scc_matches_bruteforce():
     rng = random.Random(21)
-    for _ in range(8):
-        g = random_digraph(rng, 18, rng.uniform(0.05, 0.3))
+    graphs = [random_digraph(rng, 18, rng.uniform(0.05, 0.3))
+              for _ in range(8)]
+    for g in graphs + edge_case_graphs():
         assert scc_size_histogram(g) == scc_bruteforce(g)
 
 
@@ -243,6 +254,12 @@ def test_eigenvalues_arpack_agrees_with_dense():
     assert sparse == pytest.approx(dense, rel=1e-8, abs=1e-8)
 
 
+def test_eigenvalue_operator_checked_before_the_empty_answer():
+    for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
+        with pytest.raises(ValueError):
+            top_eigenvalues(g, k=k, operator="bogus")
+
+
 def test_structural_suite_selection_and_determinism():
     rng = random.Random(26)
     g = random_digraph(rng, 30, 0.15)
@@ -269,7 +286,8 @@ def test_unknown_metric_name_rejected():
     for kwargs in ({"metrics": ("degrees", "nope")},
                    {"metrics": ("all", "bogus")},
                    {"sample_sources": 0},
-                   {"eigen_k": -2}):
+                   {"eigen_k": -2},
+                   {"eigen_operator": "bogus"}):
         with pytest.raises(ValueError):
             MetricsConfig(**kwargs)
 
