@@ -82,6 +82,7 @@ def _generate_one(target_path: str, model: str, seed: int, out_path: str,
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    workers = _worker_count()
     t = files.load_targets(args.target)
     if isinstance(t, targets.D2KTargets):
         model = t.mode
@@ -105,7 +106,7 @@ def cmd_generate(args) -> int:
              str(out_dir / f"{model}_s{args.seed + i}.txt"), args.swap_rounds)
             for i in range(args.count)]
     try:
-        for path in _run_jobs(_generate_one, jobs):
+        for path in _run_jobs(_generate_one, jobs, workers):
             print(f"wrote {path}")
     except NotGraphicalError as exc:
         print(f"target is not graphical: {exc}", file=sys.stderr)
@@ -114,14 +115,14 @@ def cmd_generate(args) -> int:
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("D2K_THREADS", "1")))
-    except ValueError:
-        return 1
+    """D2K_THREADS as an integer >= 1; unset or empty means 1."""
+    raw = os.environ.get("D2K_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"D2K_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
-def _run_jobs(fn, jobs):
-    workers = _worker_count()
+def _run_jobs(fn, jobs, workers: int):
     if workers == 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,9 +157,10 @@ def cmd_measure(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _config_from_args(args)
+    workers = _worker_count()
     original = _measure_one(args.original, config)
     jobs = [(path, config) for path in args.generated]
-    instances = _run_jobs(_measure_one, jobs)
+    instances = _run_jobs(_measure_one, jobs, workers)
     report = files.build_compare_report(original, list(instances))
     files.save_compare_report(report, args.output)
     for name, row in sorted(report["metrics"].items()):

@@ -92,19 +92,23 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable) -> DirectedGraph:
+def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
+                   stats: dict | None = None) -> DirectedGraph:
     """Build a simple digraph from raw (source, target) id pairs.
 
     Ids may be arbitrary non-negative integers; they are remapped to dense
     0..n-1 in first-appearance order (the original ids are kept on the
     graph).  Self-loop pairs are dropped before ids are registered, and
-    duplicate ordered pairs collapse to one edge.
+    duplicate ordered pairs collapse to one edge.  When stats is given, it
+    receives the counts of input pairs, dropped self-loops and dropped
+    duplicates under "pairs", "self_loops" and "duplicates".
 
     Raises EdgeListFormatError for a malformed pair, reporting its position.
     """
     remap: dict[int, int] = {}
     out_adj: list[list[int]] = []
     edge_seen: set[tuple[int, int]] = set()
+    loops = dups = 0
 
     def dense(orig: int) -> int:
         idx = remap.get(orig)
@@ -131,13 +135,18 @@ def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable) -> DirectedGraph
                 f"pair at position {pos} has negative ids: {pair!r}",
                 position=pos)
         if u == v:
+            loops += 1
             continue
         du, dv = dense(u), dense(v)
         if (du, dv) in edge_seen:
+            dups += 1
             continue
         edge_seen.add((du, dv))
         out_adj[du].append(dv)
 
+    if stats is not None:
+        stats.update({"pairs": loops + dups + len(edge_seen),
+                      "self_loops": loops, "duplicates": dups})
     orig_ids = list(remap)
     return DirectedGraph(len(out_adj), out_adj, orig_ids or None)
 

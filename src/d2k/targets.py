@@ -94,75 +94,72 @@ def node_cells(dds: list[tuple[int, int]], mode: str) \
     return in_cells, out_cells
 
 
-def non_chord_counts(dds: list[tuple[int, int]], mode: str) \
+def normalize_jdam(mode: str, jdam: dict[tuple[CellKey, CellKey], int]) \
         -> dict[tuple[CellKey, CellKey], int]:
-    """Count forbidden (v_in, v_out) pairs per cell pair, stored symmetrically.
+    """jdam with both orientations of every pair and zeros dropped.
 
-    One pass over the degree sequence: node v contributes iff both degrees
-    are positive, to the pair (cell of v_in, cell of v_out).
+    Accepts entries in either or both orientations.  A label that does not
+    fit the mode, a negative count, a zero-degree cell or two counts for one
+    pair raises TargetStructureError.
     """
-    in_cells, out_cells = node_cells(dds, mode)
-    f: dict[tuple[CellKey, CellKey], int] = {}
-    for v, (d_in, d_out) in enumerate(dds):
-        if d_in > 0 and d_out > 0:
-            a, b = in_cells[v], out_cells[v]
-            f[(a, b)] = f.get((a, b), 0) + 1
-            f[(b, a)] = f.get((b, a), 0) + 1
-    return f
+    sym: dict[tuple[CellKey, CellKey], int] = {}
+    for (a, b), count in jdam.items():
+        for c in (a, b):
+            if isinstance(c.label, tuple) != (mode == MODE_PAIR):
+                raise TargetStructureError(
+                    f"cell label {c.label!r} does not fit mode {mode!r}")
+        if count == 0:
+            continue
+        if count < 0:
+            raise TargetStructureError(f"negative jdam count at ({a},{b})")
+        if a.degree() == 0 or b.degree() == 0:
+            raise TargetStructureError(
+                f"zero-degree cell used as jdam key: ({a},{b})")
+        known = sym.get((a, b))
+        if known is not None and known != count:
+            raise TargetStructureError(
+                f"asymmetric jdam: ({a},{b})={count} vs ({b},{a})={known}")
+        sym[(a, b)] = count
+        sym[(b, a)] = count
+    return sym
 
 
 @dataclass
 class D2KTargets:
     """Degree-correlation target: dds + joint degree/side matrix.
 
-    jdam maps ordered cell pairs to edge counts and stores both
-    orientations of every pair; f (non-chord counts) and cell_sizes are
-    derived from dds.  Equality compares mode, n, dds as a multiset and the
-    nonzero jdam entries.
+    The constructor normalizes and validates structure (not graphicality):
+    dds becomes int pairs, jdam is symmetrized by normalize_jdam, and n, f
+    (non-chord counts per cell pair, stored symmetrically) and cell_sizes
+    are derived from dds.  Equality compares mode, n, dds as a multiset and
+    the nonzero jdam entries.
     """
 
     mode: str
-    n: int
     dds: list[tuple[int, int]]
     jdam: dict[tuple[CellKey, CellKey], int]
-    f: dict[tuple[CellKey, CellKey], int] = field(default_factory=dict)
-    cell_sizes: dict[CellKey, int] = field(default_factory=dict)
+    n: int = field(init=False)
+    f: dict[tuple[CellKey, CellKey], int] = field(init=False)
+    cell_sizes: dict[CellKey, int] = field(init=False)
 
-    @classmethod
-    def from_dds_jdam(cls, mode: str, dds: list[tuple[int, int]],
-                      jdam: dict[tuple[CellKey, CellKey], int]) -> "D2KTargets":
-        """Normalize and validate structure (not graphicality).
-
-        Accepts jdam entries in either or both orientations; symmetrizes,
-        drops zeros, and recomputes the derived fields from dds.
-        """
-        dds = [(int(a), int(b)) for a, b in dds]
-        for d_in, d_out in dds:
+    def __post_init__(self):
+        self.dds = [(int(a), int(b)) for a, b in self.dds]
+        for d_in, d_out in self.dds:
             if d_in < 0 or d_out < 0:
                 raise TargetStructureError("negative degree in dds")
-        sym: dict[tuple[CellKey, CellKey], int] = {}
-        for (a, b), count in jdam.items():
-            for c in (a, b):
-                if isinstance(c.label, tuple) != (mode == MODE_PAIR):
-                    raise TargetStructureError(
-                        f"cell label {c.label!r} does not fit mode {mode!r}")
-            if count == 0:
-                continue
-            if count < 0:
-                raise TargetStructureError(f"negative jdam count at ({a},{b})")
-            if a.degree() == 0 or b.degree() == 0:
-                raise TargetStructureError(
-                    f"zero-degree cell used as jdam key: ({a},{b})")
-            known = sym.get((a, b))
-            if known is not None and known != count:
-                raise TargetStructureError(
-                    f"asymmetric jdam: ({a},{b})={count} vs ({b},{a})={known}")
-            sym[(a, b)] = count
-            sym[(b, a)] = count
-        t = cls(mode=mode, n=len(dds), dds=dds, jdam=sym)
-        t.f = non_chord_counts(dds, mode)
-        t.cell_sizes = _cell_sizes(dds, mode)
-        return t
+        self.jdam = normalize_jdam(self.mode, self.jdam)
+        self.n = len(self.dds)
+        # Node v puts one member in each of its nonzero cells, and one
+        # non-chord (v_in, v_out) between them when both degrees are positive.
+        self.f = f = {}
+        self.cell_sizes = sizes = {}
+        for a, b in zip(*node_cells(self.dds, self.mode)):
+            for cell in (a, b):
+                if cell is not None:
+                    sizes[cell] = sizes.get(cell, 0) + 1
+            if a is not None and b is not None:
+                f[(a, b)] = f.get((a, b), 0) + 1
+                f[(b, a)] = f.get((b, a), 0) + 1
 
     @property
     def m(self) -> int:
@@ -170,10 +167,6 @@ class D2KTargets:
         if total % 2:
             raise TargetStructureError("jdam totals to an odd stub count")
         return total // 2
-
-    @property
-    def d_max(self) -> int:
-        return max((max(p) for p in self.dds), default=0)
 
     def cells(self) -> list[CellKey]:
         """All nonzero-degree cells, in canonical order."""
@@ -200,15 +193,6 @@ class D2KTargets:
                 and self.jdam == other.jdam)
 
 
-def _cell_sizes(dds: list[tuple[int, int]], mode: str) -> dict[CellKey, int]:
-    in_cells, out_cells = node_cells(dds, mode)
-    sizes: dict[CellKey, int] = {}
-    for cell in in_cells + out_cells:
-        if cell is not None:
-            sizes[cell] = sizes.get(cell, 0) + 1
-    return sizes
-
-
 @dataclass(frozen=True)
 class UmanTargets:
     """Dyad-census target: counts of mutual, asymmetric, null dyads."""
@@ -217,6 +201,13 @@ class UmanTargets:
     mutual: int
     asymmetric: int
     null: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise TargetStructureError(f"n must be non-negative, got {self.n}")
+        if min(self.mutual, self.asymmetric, self.null) < 0 \
+                or self.total() != self.n * (self.n - 1) // 2:
+            raise TargetStructureError("dyad counts do not sum to C(n,2)")
 
     def total(self) -> int:
         return self.mutual + self.asymmetric + self.null
@@ -228,6 +219,12 @@ class SizeTargets:
 
     n: int
     m: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise TargetStructureError(f"n must be non-negative, got {self.n}")
+        if not 0 <= self.m <= self.n * (self.n - 1):
+            raise TargetStructureError("edge count out of range")
 
 
 @dataclass
@@ -255,7 +252,8 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
     jdam(k, l) counts bipartite edges between cells k and l, i.e. directed
     edges between the corresponding node groups; zero-degree cells never
-    appear as keys.
+    appear as keys.  It is counted in the (out, in) orientation only; the
+    constructor stores both.
     """
     dds = g.degree_pairs()
     in_cells, out_cells = node_cells(dds, mode)
@@ -264,8 +262,7 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
         a = out_cells[u]
         b = in_cells[v]
         jdam[(a, b)] = jdam.get((a, b), 0) + 1
-        jdam[(b, a)] = jdam.get((b, a), 0) + 1
-    return D2KTargets.from_dds_jdam(mode, dds, jdam)
+    return D2KTargets(mode, dds, jdam)
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:

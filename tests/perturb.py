@@ -1,10 +1,11 @@
-"""Perturbed-target generator for cross-validating the realizability check
-against exhaustive enumeration on tiny node counts."""
+"""Perturbed-target generators: for cross-validating the realizability
+check against exhaustive enumeration on tiny node counts, and against the
+constructor beyond them."""
 from __future__ import annotations
 
 import random
 
-from conftest import all_digraphs
+from conftest import all_digraphs, random_digraph
 from d2k import D2KTargets, extract_d2k
 
 
@@ -48,4 +49,40 @@ def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
         for (a, b), count in entries.items():
             jdam[(a, b)] = count
             jdam[(b, a)] = count
-        yield D2KTargets.from_dds_jdam(t.mode, t.dds, jdam)
+        yield D2KTargets(t.mode, t.dds, jdam)
+
+
+def row_preserving_targets(rng: random.Random, rounds: int):
+    """Yield targets that differ from every extracted one they start from.
+
+    Each starts from the target of a random digraph on 3..30 nodes, in
+    either mode, and applies 1..3 moves, each on two out-cells o1, o2 and
+    two in-cells i1, i2: +d on (o1,i1) and (o2,i2), -d on (o1,i2) and
+    (o2,i1), drawn again (up to 50 draws in all) while a count would go
+    negative.  A move keeps every row sum, so condition III holds and
+    condition II decides.  The jdam is passed in one orientation.
+    """
+    for _ in range(rounds):
+        g = random_digraph(rng, rng.randint(3, 30), rng.uniform(0.05, 0.5))
+        t = extract_d2k(g, rng.choice(("d2k", "d2km")))
+        outs = [c for c in t.cells() if c.side == "out"]
+        ins = [c for c in t.cells() if c.side == "in"]
+        if len(outs) < 2 or len(ins) < 2:
+            continue
+        jdam = {(o, i): t.jdam.get((o, i), 0) for o in outs for i in ins}
+        moves = rng.randint(1, 3)
+        for _draw in range(50):
+            o1, o2 = rng.sample(outs, 2)
+            i1, i2 = rng.sample(ins, 2)
+            d = rng.randint(1, 3)
+            if jdam[(o1, i2)] >= d and jdam[(o2, i1)] >= d:
+                jdam[(o1, i1)] += d
+                jdam[(o2, i2)] += d
+                jdam[(o1, i2)] -= d
+                jdam[(o2, i1)] -= d
+                moves -= 1
+                if not moves:
+                    break
+        moved = D2KTargets(t.mode, t.dds, jdam)
+        if moved != t:
+            yield moved

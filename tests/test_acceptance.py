@@ -147,7 +147,7 @@ def test_census_metrics_match_bruteforce_oracles():
 
 def _regular_targets(n: int, d: int) -> D2KTargets:
     a, b = CellKey("in", d), CellKey("out", d)
-    return D2KTargets.from_dds_jdam("d2k", [(d, d)] * n, {(a, b): n * d})
+    return D2KTargets("d2k", [(d, d)] * n, {(a, b): n * d})
 
 
 @criterion("complexity")

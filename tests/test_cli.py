@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import random_digraph
-from d2k import extract_d2k, load_targets, read_edge_list, write_edge_list
+from d2k import (extract_d2k, from_edge_list, load_targets, read_edge_list,
+                 write_edge_list)
 from d2k.cli import main
 
 
@@ -162,6 +163,30 @@ def test_generate_rejects_float_jdam_count(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def write_three_cycle_target(tmp_path, rows):
+    target = {"v": 1, "model": "d2k", "n": 3, "dds": [[1, 1]] * 3,
+              "jdam": [{"a": {"side": a, "label": 1},
+                        "b": {"side": b, "label": 1}, "count": count}
+                       for a, b, count in rows]}
+    target_path = tmp_path / "t.json"
+    target_path.write_text(json.dumps(target), encoding="utf-8")
+    return target_path
+
+
+@pytest.mark.parametrize("second", [("out", "in", 2), ("in", "out", 2)])
+def test_conflicting_duplicate_jdam_rows_exit_1(tmp_path, capsys, second):
+    target_path = write_three_cycle_target(tmp_path, [("out", "in", 3), second])
+    assert main(["check", str(target_path)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_equal_duplicate_jdam_rows_load(tmp_path):
+    target_path = write_three_cycle_target(
+        tmp_path, [("out", "in", 3), ("out", "in", 3), ("in", "out", 3)])
+    cycle = from_edge_list([(0, 1), (1, 2), (2, 0)])
+    assert load_targets(target_path) == extract_d2k(cycle)
+
+
 def test_check_rejects_pair_labels_on_a_d2k_target(tmp_path, capsys):
     target = {"v": 1, "model": "d2k", "n": 3, "dds": [[1, 1]] * 3,
               "jdam": [{"a": {"side": "out", "label": [1, 1]},
@@ -234,3 +259,17 @@ def test_parallel_generation_via_env(tmp_path, monkeypatch):
                  "-o", str(parallel_dir)]) == 0
     for f in sorted(serial_dir.iterdir()):
         assert f.read_bytes() == (parallel_dir / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
+def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch, threads):
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "t.json"
+    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    capsys.readouterr()
+    monkeypatch.setenv("D2K_THREADS", threads)
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "--count", "2",
+                 "-o", str(out_dir)]) == 1
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()

@@ -75,7 +75,7 @@ def test_determinism_per_seed():
 
 def test_unrealizable_rejected_up_front():
     a, b = CellKey("in", 1), CellKey("out", 1)
-    t = D2KTargets.from_dds_jdam("d2k", [(1, 1)], {(a, b): 1})
+    t = D2KTargets("d2k", [(1, 1)], {(a, b): 1})
     with pytest.raises(NotRealizableError) as exc:
         generate(t, 1)
     assert not exc.value.report.realizable
@@ -95,7 +95,7 @@ def test_progress_and_switch_budget():
 
 
 def test_isolated_nodes_survive():
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", [(0, 1), (1, 0), (0, 0)],
         {(CellKey("out", 1), CellKey("in", 1)): 1})
     g = generate(t, 1)
@@ -136,7 +136,7 @@ def _add(state: ConstructionState, pair: tuple[int, int], uo: int, vi: int):
 def switch_gadget():
     """Two in-degree-2 sinks, two out-degree-2 sources, no non-chords."""
     a, b = CellKey("in", 2), CellKey("out", 2)
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", [(2, 0), (2, 0), (0, 2), (0, 2)], {(a, b): 4})
     assert check(t).realizable
     return ConstructionState(t, seed=0)
@@ -186,7 +186,7 @@ def case4_gadget():
     in2, in1 = CellKey("in", 2), CellKey("in", 1)
     out2 = CellKey("out", 2)
     dds = [(2, 0), (2, 2), (1, 0), (1, 0), (0, 2), (0, 2)]
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", dds, {(in2, out2): 4, (in1, out2): 2})
     assert check(t).realizable
     state = ConstructionState(t, seed=0)
@@ -236,7 +236,7 @@ def test_add_next_edge_case2_switch_then_add():
     in2 = CellKey("in", 2)
     out2, out1 = CellKey("out", 2), CellKey("out", 1)
     dds = [(2, 0), (2, 0), (0, 2), (0, 1), (0, 1)]
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", dds, {(in2, out2): 2, (in2, out1): 2})
     assert check(t).realizable
     state = ConstructionState(t, seed=0)

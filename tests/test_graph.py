@@ -10,10 +10,12 @@ from d2k import (ASYMMETRIC, DirectedGraph, EdgeListFormatError, MUTUAL, NULL,
 
 
 def test_loop_and_duplicate_removal():
-    g = from_edge_list([(0, 1), (1, 0), (1, 1), (0, 1)])
+    stats: dict = {}
+    g = from_edge_list([(0, 1), (1, 0), (1, 1), (0, 1)], stats)
     assert g.n == 2
     assert g.m == 2
     assert g.edge_set() == {(0, 1), (1, 0)}
+    assert stats == {"pairs": 4, "self_loops": 1, "duplicates": 1}
 
 
 def test_empty_input():

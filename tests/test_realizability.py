@@ -5,9 +5,10 @@ import random
 import pytest
 
 from conftest import all_digraphs
-from d2k import (CellKey, D2KTargets, TargetStructureError, check,
-                 extract_d2k, from_edge_list)
-from perturb import canonical_target_key, perturbed_targets
+from d2k import (CellKey, D2KTargets, NotRealizableError, TargetStructureError,
+                 check, extract_d2k, from_edge_list, generate)
+from perturb import (canonical_target_key, perturbed_targets,
+                     row_preserving_targets)
 
 
 def test_three_cycle_realizable():
@@ -19,7 +20,7 @@ def test_three_cycle_realizable():
 
 def test_single_node_self_loop_target_fails_condition_ii():
     a, b = CellKey("in", 1), CellKey("out", 1)
-    t = D2KTargets.from_dds_jdam("d2k", [(1, 1)], {(a, b): 1})
+    t = D2KTargets("d2k", [(1, 1)], {(a, b): 1})
     report = check(t)
     assert not report.realizable
     assert [v.condition for v in report.violations] == ["II"]
@@ -28,7 +29,7 @@ def test_single_node_self_loop_target_fails_condition_ii():
 
 
 def test_non_integer_row_sum_fails_condition_iii():
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", [(2, 0), (2, 1), (0, 1)],
         {(CellKey("in", 2), CellKey("out", 1)): 3})
     report = check(t)
@@ -43,7 +44,7 @@ def test_non_integer_row_sum_fails_condition_iii():
 
 
 def test_same_side_count_fails_condition_i():
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", [(1, 1), (1, 1)],
         {(CellKey("in", 1), CellKey("in", 1)): 2})
     report = check(t)
@@ -52,14 +53,14 @@ def test_same_side_count_fails_condition_i():
 
 def test_structural_malformation_raises_instead_of_reporting():
     a, b = CellKey("in", 1), CellKey("out", 1)
-    t = D2KTargets.from_dds_jdam("d2k", [(1, 1)] * 3, {(a, b): 3})
+    t = D2KTargets("d2k", [(1, 1)] * 3, {(a, b): 3})
     t.jdam = {(a, b): 3, (b, a): 2}   # hand-corrupted asymmetry
     with pytest.raises(TargetStructureError):
         check(t)
 
 
 def test_report_json_shape():
-    t = D2KTargets.from_dds_jdam(
+    t = D2KTargets(
         "d2k", [(2, 0), (2, 1), (0, 1)],
         {(CellKey("in", 2), CellKey("out", 1)): 3})
     d = check(t).to_json_dict()
@@ -106,3 +107,22 @@ def test_perturbed_targets_match_enumeration_oracle_n4():
     rng = random.Random(22)
     for t in perturbed_targets(rng, rounds=80, n=4, base_graphs=graphs):
         assert check(t).realizable == (canonical_target_key(t) in existing)
+
+
+def test_row_preserving_targets_match_construction_n3_to_30():
+    # beyond exhaustive enumeration the constructor is the oracle: a target
+    # check accepts must build exactly, one it rejects must raise
+    # NotRealizableError, and nothing may raise ConstructionInvariantError
+    rng = random.Random(23)
+    realizable_seen = unrealizable_seen = 0
+    for t in row_preserving_targets(rng, rounds=300):
+        if check(t).realizable:
+            realizable_seen += 1
+            for seed in (1, 2):
+                assert extract_d2k(generate(t, seed), t.mode) == t
+        else:
+            unrealizable_seen += 1
+            with pytest.raises(NotRealizableError):
+                generate(t, 1)
+    assert realizable_seen > 50
+    assert unrealizable_seen > 50

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conftest import all_digraphs, random_digraph
-from d2k import (CellKey, D2KTargets, TargetStructureError, extract_d2k,
-                 extract_dds, extract_size, extract_uman, from_edge_list)
+from d2k import (CellKey, D2KTargets, SizeTargets, TargetStructureError,
+                 UmanTargets, check, extract_d2k, extract_dds, extract_size,
+                 extract_uman, from_edge_list, generate)
 
 
 def three_cycle():
@@ -22,6 +23,16 @@ def test_three_cycle_d2k():
     assert t.f[(a, b)] == 3
     assert t.cell_sizes == {a: 3, b: 3}
     assert t.m == 3
+
+
+def test_one_orientation_constructor_derives_cell_data():
+    # the constructor alone makes a complete target: f and the cell sizes
+    # come from dds, the jdam is symmetrized from one orientation
+    out1, in1 = CellKey("out", 1), CellKey("in", 1)
+    t = D2KTargets("d2k", [(1, 1)] * 3, {(out1, in1): 3})
+    assert t == extract_d2k(three_cycle())
+    assert check(t).realizable
+    assert extract_d2k(generate(t, seed=1)) == t
 
 
 def test_toy_graph_drops_zero_degree_cells():
@@ -120,19 +131,29 @@ def test_mode_mismatch_breaks_equality():
     assert extract_d2k(g, "d2k") != extract_d2k(g, "d2km")
 
 
-def test_from_dds_jdam_validates():
+def test_constructor_validates():
     with pytest.raises(TargetStructureError):
-        D2KTargets.from_dds_jdam("d2k", [(1, -1)], {})
+        D2KTargets("d2k", [(1, -1)], {})
     a, b = CellKey("in", 1), CellKey("out", 1)
     with pytest.raises(TargetStructureError):
-        D2KTargets.from_dds_jdam("d2k", [(1, 1)], {(a, b): -2})
+        D2KTargets("d2k", [(1, 1)], {(a, b): -2})
     with pytest.raises(TargetStructureError):
-        D2KTargets.from_dds_jdam(
+        D2KTargets(
             "d2k", [(1, 1)], {(CellKey("in", 0), b): 1})
 
 
+@pytest.mark.parametrize("cls, args", [
+    (SizeTargets, (-1, 0)), (SizeTargets, (3, 7)), (SizeTargets, (3, -1)),
+    (UmanTargets, (-1, 0, 0, 1)), (UmanTargets, (3, 1, 1, 4)),
+    (UmanTargets, (3, -1, 2, 2))])
+def test_size_and_dyad_targets_validate(cls, args):
+    # n = -1 with m = 0, or with one null dyad (C(-1, 2) = 1), passes every
+    # range check but the explicit n >= 0
+    with pytest.raises(TargetStructureError):
+        cls(*args)
+
+
 def test_extraction_always_graphical_n3():
-    from d2k import check
     for g in all_digraphs(3):
         for mode in ("d2k", "d2km"):
             assert check(extract_d2k(g, mode)).realizable
