@@ -144,8 +144,7 @@ def gen_d1k(t: DdsTargets, seed: int = 1,
 
 
 def _try_c6_reverse(src: list[int], dst: list[int], pos: dict[int, int],
-                    out: list[set[int]], n: int, rng: random.Random,
-                    probes: int = 5) -> None:
+                    out: list[set[int]], n: int, rng: random.Random) -> None:
     """Reverse one random directed 3-cycle, if one is found quickly.
 
     The add/discard order on each out-set is part of the output: set
@@ -154,7 +153,7 @@ def _try_c6_reverse(src: list[int], dst: list[int], pos: dict[int, int],
     m = len(src)
     k = m.bit_length()
     getrandbits = rng.getrandbits
-    for _ in range(probes):
+    for _ in range(5):
         i = getrandbits(k)
         while i >= m:
             i = getrandbits(k)

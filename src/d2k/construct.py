@@ -56,8 +56,7 @@ class ConstructionState:
         # Dense cell indexing over both sides.
         cell_list = sorted(
             {c for c in in_cells if c is not None}
-            | {c for c in out_cells if c is not None},
-            key=lambda c: c.sort_key())
+            | {c for c in out_cells if c is not None})
         self.cells = cell_list
         cell_index = {c: i for i, c in enumerate(cell_list)}
 

@@ -51,14 +51,12 @@ def read_edge_list(path, stats: dict | None = None) -> DirectedGraph:
         return parse_edge_lines(fh, stats)
 
 
-def write_edge_list(g: DirectedGraph, path, original_ids: bool = True) -> None:
-    """Write g in the same format; original ids are used when retained."""
+def write_edge_list(g: DirectedGraph, path) -> None:
+    """Write g in the same format, under its original ids where retained."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# directed edge list: {g.n} nodes, {g.m} edges\n")
         for u, v in g.edges():
-            if original_ids:
-                u, v = g.original_id(u), g.original_id(v)
-            fh.write(f"{u}\t{v}\n")
+            fh.write(f"{g.original_id(u)}\t{g.original_id(v)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -86,43 +84,36 @@ def targets_to_json_dict(t) -> dict:
     raise TypeError(f"not a target object: {t!r}")
 
 
-def _dds_from_json(rows) -> list[tuple[int, int]]:
-    return [(json_int(a, "dds entry"), json_int(b, "dds entry"))
-            for a, b in rows]
-
-
 def targets_from_json_dict(obj: dict):
     if not isinstance(obj, dict) or type(obj.get("v")) is not int \
             or obj["v"] != SCHEMA_VERSION:
         raise TargetStructureError("missing or unsupported schema version")
     model = obj.get("model")
     try:
-        n = json_int(obj["n"], "n")
         if model in (MODE_DEGREE, MODE_PAIR):
-            dds = _dds_from_json(obj["dds"])
+            n = json_int(obj["n"], "n")
             jdam: dict[tuple[CellKey, CellKey], int] = {}
             for row in obj["jdam"]:
                 a = cell_from_json(row["a"])
                 b = cell_from_json(row["b"])
+                # Strict before comparing: 3 and 3.0 would compare equal.
                 count = json_int(row["count"], "jdam count")
                 known = jdam.setdefault((a, b), count)
                 if known != count:
                     raise TargetStructureError(
                         f"conflicting jdam entries for ({a},{b})")
-            t = D2KTargets(model, dds, jdam)
+            t = D2KTargets(model, obj["dds"], jdam)
             if t.n != n:
                 raise TargetStructureError("n does not match dds length")
             return t
         if model == "d1k":
-            return DdsTargets(n, _dds_from_json(obj["dds"]))
+            return DdsTargets(obj["n"], obj["dds"])
         if model == "uman":
             d = obj["dyads"]
-            return UmanTargets(
-                n, json_int(d["mutual"], "mutual dyad count"),
-                json_int(d["asymmetric"], "asymmetric dyad count"),
-                json_int(d["null"], "null dyad count"))
+            return UmanTargets(obj["n"], d["mutual"], d["asymmetric"],
+                               d["null"])
         if model == "d0k":
-            return SizeTargets(n, json_int(obj["m"], "m"))
+            return SizeTargets(obj["n"], obj["m"])
     except TargetStructureError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -287,9 +287,10 @@ def core_number_histogram(g: DirectedGraph) -> dict[int, int]:
 
 
 def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
-                       pivots: int = 100, seed: int = 1,
-                       normalized: bool = True) -> tuple[list[float], dict]:
-    """Directed shortest-path betweenness per node (Brandes accumulation).
+                       pivots: int = 100, seed: int = 1) \
+        -> tuple[list[float], dict]:
+    """Directed shortest-path betweenness per node (Brandes accumulation),
+    normalized by (n-1)(n-2) when n > 2.
 
     Exact below the node threshold, otherwise estimated from a seeded
     pivot sample scaled by n / #pivots.
@@ -334,11 +335,11 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
                 delta[v] += sigma[v] * coeff
             if w != s:
                 bc[w] += delta[w] * scale
-    if normalized and n > 2:
+    if n > 2:
         norm = (n - 1) * (n - 2)
         bc = [x / norm for x in bc]
     meta = {"exact": exact, "sources": len(list(sources)),
-            "normalized": normalized, "seed": seed}
+            "normalized": True, "seed": seed}
     return bc, meta
 
 
@@ -650,7 +651,7 @@ def _cell_pair_label(a, b) -> str:
 # ---------------------------------------------------------------------------
 # the assembled report
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsConfig:
     metrics: tuple[str, ...] = ("all",)
     seed: int = 1

@@ -16,7 +16,8 @@ cell labelling, not the code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import TargetStructureError
 from .graph import DirectedGraph
@@ -35,10 +36,6 @@ class CellKey(NamedTuple):
     side: str
     label: int | tuple[int, int]
 
-    def sort_key(self) -> tuple:
-        label = self.label if isinstance(self.label, tuple) else (self.label,)
-        return (self.side, label)
-
     def degree(self) -> int:
         """The bipartite degree every member of this cell has."""
         if isinstance(self.label, tuple):
@@ -47,10 +44,20 @@ class CellKey(NamedTuple):
 
 
 def json_int(x, what: str) -> int:
-    """x itself when it is a JSON integer; a bool, float or string raises."""
+    """x itself when it is an int; a bool, float or string raises."""
     if type(x) is not int:
         raise TargetStructureError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _degree_pairs(dds) -> tuple[tuple[int, int], ...]:
+    """dds as a tuple of int pairs; a non-int or negative degree raises."""
+    pairs = tuple((d_in, d_out) for d_in, d_out in dds)
+    for pair in pairs:
+        for d in pair:
+            if json_int(d, "dds entry") < 0:
+                raise TargetStructureError("negative degree in dds")
+    return pairs
 
 
 def cell_to_json(c: CellKey) -> dict:
@@ -76,7 +83,7 @@ def cell_from_json(obj: dict) -> CellKey:
     return CellKey(side, json_int(label, "cell label"))
 
 
-def node_cells(dds: list[tuple[int, int]], mode: str) \
+def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
         -> tuple[list[CellKey | None], list[CellKey | None]]:
     """Per-node (in-side cell, out-side cell); None on a zero-degree side."""
     if mode not in (MODE_DEGREE, MODE_PAIR):
@@ -94,13 +101,13 @@ def node_cells(dds: list[tuple[int, int]], mode: str) \
     return in_cells, out_cells
 
 
-def normalize_jdam(mode: str, jdam: dict[tuple[CellKey, CellKey], int]) \
+def _normalize_jdam(mode: str, jdam: Mapping[tuple[CellKey, CellKey], int]) \
         -> dict[tuple[CellKey, CellKey], int]:
     """jdam with both orientations of every pair and zeros dropped.
 
     Accepts entries in either or both orientations.  A label that does not
-    fit the mode, a negative count, a zero-degree cell or two counts for one
-    pair raises TargetStructureError.
+    fit the mode, a count that is not a non-negative int, a zero-degree cell
+    or two counts for one pair raises TargetStructureError.
     """
     sym: dict[tuple[CellKey, CellKey], int] = {}
     for (a, b), count in jdam.items():
@@ -108,7 +115,7 @@ def normalize_jdam(mode: str, jdam: dict[tuple[CellKey, CellKey], int]) \
             if isinstance(c.label, tuple) != (mode == MODE_PAIR):
                 raise TargetStructureError(
                     f"cell label {c.label!r} does not fit mode {mode!r}")
-        if count == 0:
+        if json_int(count, "jdam count") == 0:
             continue
         if count < 0:
             raise TargetStructureError(f"negative jdam count at ({a},{b})")
@@ -124,42 +131,48 @@ def normalize_jdam(mode: str, jdam: dict[tuple[CellKey, CellKey], int]) \
     return sym
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class D2KTargets:
     """Degree-correlation target: dds + joint degree/side matrix.
 
-    The constructor normalizes and validates structure (not graphicality):
-    dds becomes int pairs, jdam is symmetrized by normalize_jdam, and n, f
-    (non-chord counts per cell pair, stored symmetrically) and cell_sizes
-    are derived from dds.  Equality compares mode, n, dds as a multiset and
-    the nonzero jdam entries.
+    An immutable value.  The constructor validates structure (not
+    graphicality): every degree and count must be an int, dds becomes a
+    tuple of pairs, jdam is symmetrized, and n, f (non-chord counts per cell
+    pair, stored symmetrically) and cell_sizes are derived from dds; jdam, f
+    and cell_sizes are read-only mappings.  Equality compares mode, n, dds
+    as a multiset and the nonzero jdam entries.
     """
 
     mode: str
-    dds: list[tuple[int, int]]
-    jdam: dict[tuple[CellKey, CellKey], int]
+    dds: tuple[tuple[int, int], ...]
+    jdam: Mapping[tuple[CellKey, CellKey], int]
     n: int = field(init=False)
-    f: dict[tuple[CellKey, CellKey], int] = field(init=False)
-    cell_sizes: dict[CellKey, int] = field(init=False)
+    f: Mapping[tuple[CellKey, CellKey], int] = field(init=False)
+    cell_sizes: Mapping[CellKey, int] = field(init=False)
 
     def __post_init__(self):
-        self.dds = [(int(a), int(b)) for a, b in self.dds]
-        for d_in, d_out in self.dds:
-            if d_in < 0 or d_out < 0:
-                raise TargetStructureError("negative degree in dds")
-        self.jdam = normalize_jdam(self.mode, self.jdam)
-        self.n = len(self.dds)
+        dds = _degree_pairs(self.dds)
+        jdam = _normalize_jdam(self.mode, self.jdam)
         # Node v puts one member in each of its nonzero cells, and one
         # non-chord (v_in, v_out) between them when both degrees are positive.
-        self.f = f = {}
-        self.cell_sizes = sizes = {}
-        for a, b in zip(*node_cells(self.dds, self.mode)):
+        f: dict[tuple[CellKey, CellKey], int] = {}
+        sizes: dict[CellKey, int] = {}
+        for a, b in zip(*node_cells(dds, self.mode)):
             for cell in (a, b):
                 if cell is not None:
                     sizes[cell] = sizes.get(cell, 0) + 1
             if a is not None and b is not None:
                 f[(a, b)] = f.get((a, b), 0) + 1
                 f[(b, a)] = f.get((b, a), 0) + 1
+        object.__setattr__(self, "dds", dds)
+        object.__setattr__(self, "jdam", MappingProxyType(jdam))
+        object.__setattr__(self, "n", len(dds))
+        object.__setattr__(self, "f", MappingProxyType(f))
+        object.__setattr__(self, "cell_sizes", MappingProxyType(sizes))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle: rebuild through the constructor.
+        return D2KTargets, (self.mode, self.dds, dict(self.jdam))
 
     @property
     def m(self) -> int:
@@ -174,15 +187,12 @@ class D2KTargets:
         for a, b in self.jdam:
             seen.add(a)
             seen.add(b)
-        return sorted(seen, key=CellKey.sort_key)
+        return sorted(seen)
 
     def jdam_entries(self) -> list[tuple[CellKey, CellKey, int]]:
         """Nonzero entries, one per unordered pair, canonically ordered."""
-        rows = []
-        for (a, b), count in self.jdam.items():
-            if a.sort_key() <= b.sort_key():
-                rows.append((a, b, count))
-        rows.sort(key=lambda r: (r[0].sort_key(), r[1].sort_key()))
+        rows = [(a, b, count) for (a, b), count in self.jdam.items() if a <= b]
+        rows.sort()
         return rows
 
     def __eq__(self, other: object) -> bool:
@@ -203,6 +213,9 @@ class UmanTargets:
     null: int
 
     def __post_init__(self):
+        json_int(self.n, "n")
+        for name in ("mutual", "asymmetric", "null"):
+            json_int(getattr(self, name), f"{name} dyad count")
         if self.n < 0:
             raise TargetStructureError(f"n must be non-negative, got {self.n}")
         if min(self.mutual, self.asymmetric, self.null) < 0 \
@@ -221,25 +234,27 @@ class SizeTargets:
     m: int
 
     def __post_init__(self):
+        json_int(self.n, "n")
+        json_int(self.m, "m")
         if self.n < 0:
             raise TargetStructureError(f"n must be non-negative, got {self.n}")
         if not 0 <= self.m <= self.n * (self.n - 1):
             raise TargetStructureError("edge count out of range")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DdsTargets:
-    """Directed degree sequence target."""
+    """Directed degree sequence target; dds becomes a tuple of int pairs."""
 
     n: int
-    dds: list[tuple[int, int]]
+    dds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.dds) != self.n:
+        json_int(self.n, "n")
+        dds = _degree_pairs(self.dds)
+        if len(dds) != self.n:
             raise TargetStructureError("dds length does not match n")
-        for d_in, d_out in self.dds:
-            if d_in < 0 or d_out < 0:
-                raise TargetStructureError("negative degree in dds")
+        object.__setattr__(self, "dds", dds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DdsTargets):

@@ -175,7 +175,8 @@ def _bfs_all(g: DirectedGraph, s: int) -> tuple[list[int], list[int]]:
     return dist, sigma
 
 
-def betweenness_bruteforce(g: DirectedGraph, normalized: bool = True) -> list[float]:
+def betweenness_bruteforce(g: DirectedGraph) -> list[float]:
+    """Normalized betweenness, as betweenness_values computes it."""
     n = g.n
     dist = []
     sigma = []
@@ -194,7 +195,7 @@ def betweenness_bruteforce(g: DirectedGraph, normalized: bool = True) -> list[fl
                 if dist[s][v] >= 0 and dist[v][t] >= 0 and \
                         dist[s][v] + dist[v][t] == dist[s][t]:
                     bc[v] += sigma[s][v] * sigma[v][t] / sigma[s][t]
-    if normalized and n > 2:
+    if n > 2:
         norm = (n - 1) * (n - 2)
         bc = [x / norm for x in bc]
     return bc

@@ -7,6 +7,7 @@ import random
 
 from conftest import all_digraphs, random_digraph
 from d2k import D2KTargets, extract_d2k
+from d2k.targets import node_cells
 
 
 def canonical_target_key(t: D2KTargets):
@@ -28,13 +29,11 @@ def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
         g = base_graphs[rng.randrange(len(base_graphs))]
         t = extract_d2k(g)
         entries = {(a, b): c for a, b, c in t.jdam_entries()}
-        cells = sorted({c for pair in entries for c in pair},
-                       key=lambda c: c.sort_key())
+        cells = sorted({c for pair in entries for c in pair})
         for _edit in range(rng.randint(0, 3)):
             if not entries:
                 break
-            keys = sorted(entries, key=lambda kv: (kv[0].sort_key(),
-                                                   kv[1].sort_key()))
+            keys = sorted(entries)
             a, b = keys[rng.randrange(len(keys))]
             delta = rng.choice((-1, 1))
             entries[(a, b)] = max(0, entries[(a, b)] + delta)
@@ -86,3 +85,32 @@ def row_preserving_targets(rng: random.Random, rounds: int):
         moved = D2KTargets(t.mode, t.dds, jdam)
         if moved != t:
             yield moved
+
+
+def dds_level_targets(rng: random.Random, rounds: int):
+    """Yield targets built from a random dds, not extracted from a graph.
+
+    Each has n = 1..60 nodes in either mode.  Out-degrees are drawn up to a
+    cap of 1, 2, 3, 5 or n-1 (at most n-1), and the same total is spread
+    over in-degrees capped at n-1.  The jdam pairs the out-cell stubs with
+    the shuffled in-cell stubs, so condition III holds and condition II
+    decides.
+    """
+    for _ in range(rounds):
+        n = rng.randint(1, 60)
+        cap = min(rng.choice((1, 2, 3, 5, n - 1)), n - 1)
+        outs = [rng.randint(0, cap) for _ in range(n)]
+        ins = [0] * n
+        slots = [v for v in range(n) for _ in range(n - 1)]
+        for v in rng.sample(slots, sum(outs)):
+            ins[v] += 1
+        dds = list(zip(ins, outs))
+        mode = rng.choice(("d2k", "d2km"))
+        in_cells, out_cells = node_cells(dds, mode)
+        out_stubs = [out_cells[v] for v in range(n) for _ in range(outs[v])]
+        in_stubs = [in_cells[v] for v in range(n) for _ in range(ins[v])]
+        rng.shuffle(in_stubs)
+        jdam: dict = {}
+        for pair in zip(out_stubs, in_stubs):
+            jdam[pair] = jdam.get(pair, 0) + 1
+        yield D2KTargets(mode, dds, jdam)

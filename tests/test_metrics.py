@@ -292,6 +292,14 @@ def test_unknown_metric_name_rejected():
             MetricsConfig(**kwargs)
 
 
+def test_metrics_config_is_immutable():
+    # a config is validated once, so no field may change afterwards
+    c = MetricsConfig()
+    with pytest.raises(AttributeError):
+        c.sample_sources = 0
+    assert c.sample_sources == 100
+
+
 # -- exact distances, against the Fraction-per-step reference ---------------
 
 def _ref_normalized(hist: dict) -> dict:

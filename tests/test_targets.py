@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from conftest import all_digraphs, random_digraph
-from d2k import (CellKey, D2KTargets, SizeTargets, TargetStructureError,
-                 UmanTargets, check, extract_d2k, extract_dds, extract_size,
-                 extract_uman, from_edge_list, generate)
+from d2k import (CellKey, D2KTargets, DdsTargets, SizeTargets,
+                 TargetStructureError, UmanTargets, check, extract_d2k,
+                 extract_dds, extract_size, extract_uman, from_edge_list,
+                 generate)
 
 
 def three_cycle():
@@ -16,7 +19,7 @@ def three_cycle():
 
 def test_three_cycle_d2k():
     t = extract_d2k(three_cycle())
-    assert t.dds == [(1, 1)] * 3
+    assert t.dds == ((1, 1),) * 3
     a, b = CellKey("in", 1), CellKey("out", 1)
     assert t.jdam[(a, b)] == 3
     assert t.jdam[(b, a)] == 3
@@ -64,7 +67,7 @@ def test_empty_graph_targets():
 
 def test_dds_extraction():
     g = from_edge_list([(0, 1), (0, 2), (2, 1)])
-    assert extract_dds(g).dds == [(0, 2), (2, 0), (1, 1)]
+    assert extract_dds(g).dds == ((0, 2), (2, 0), (1, 1))
 
 
 def _coarse(cell: CellKey) -> CellKey:
@@ -110,13 +113,55 @@ def test_marginal_consistency():
                 assert rows.get(cell, 0) == cell.degree() * size
 
 
+def _spelled_out(c: CellKey) -> tuple:
+    return (c.side, c.label if isinstance(c.label, tuple) else (c.label,))
+
+
 def test_jdam_entries_canonical_order():
     rng = random.Random(6)
     g = random_digraph(rng, 30, 0.2)
-    entries = extract_d2k(g).jdam_entries()
-    keys = [(a.sort_key(), b.sort_key()) for a, b, _ in entries]
-    assert keys == sorted(keys)
-    assert all(a.sort_key() <= b.sort_key() for a, b, _ in entries)
+    for mode in ("d2k", "d2km"):
+        keys = [(a, b) for a, b, _ in extract_d2k(g, mode).jdam_entries()]
+        assert keys == sorted(keys)
+        assert all(a <= b for a, b in keys)
+        # one label type per mode, so the natural order is this one
+        assert keys == sorted(keys, key=lambda k: (_spelled_out(k[0]),
+                                                   _spelled_out(k[1])))
+
+
+def test_built_targets_are_immutable():
+    t = extract_d2k(three_cycle())
+    for name in ("mode", "dds", "jdam", "n", "f", "cell_sizes"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+    pair = next(iter(t.jdam))
+    for mapping, key in ((t.jdam, pair), (t.f, pair),
+                         (t.cell_sizes, pair[0]), (t.dds, 0)):
+        with pytest.raises(TypeError):
+            mapping[key] = 1
+
+
+def test_reassigned_dds_cannot_leave_cell_data_stale():
+    # a dds changed after construction used to pass check with stale f and
+    # cell sizes, and generate then raised ConstructionInvariantError
+    t = extract_d2k(three_cycle())
+    with pytest.raises(AttributeError):
+        t.dds = [(1, 1), (1, 1), (1, 0)]
+    with pytest.raises(TypeError):
+        t.dds[2] = (1, 0)
+    assert check(t).realizable
+    assert extract_d2k(generate(t, seed=1)) == t
+
+
+def test_targets_survive_pickle_and_deepcopy():
+    g = random_digraph(random.Random(7), 20, 0.2)
+    for t in (extract_d2k(g), extract_d2k(g, "d2km"), extract_dds(g)):
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert type(clone) is type(t)
+            assert clone == t
+            assert clone.dds == t.dds
+            if isinstance(t, D2KTargets):
+                assert (clone.f, clone.cell_sizes) == (t.f, t.cell_sizes)
 
 
 def test_target_equality_is_multiset_on_dds():
@@ -140,15 +185,29 @@ def test_constructor_validates():
     with pytest.raises(TargetStructureError):
         D2KTargets(
             "d2k", [(1, 1)], {(CellKey("in", 0), b): 1})
+    # every count and degree must be an int, and every label fit the mode
+    for count in (3.0, True):
+        with pytest.raises(TargetStructureError):
+            D2KTargets("d2k", [(1, 1)] * 3, {(b, a): count})
+    for degree in (1.9, "1"):
+        with pytest.raises(TargetStructureError):
+            D2KTargets("d2k", [(degree, 1)] + [(1, 1)] * 2, {(b, a): 3})
+    pair_a, pair_b = CellKey("in", (1, 1)), CellKey("out", (1, 1))
+    with pytest.raises(TargetStructureError):
+        D2KTargets("d2k", [(1, 1)], {(pair_b, pair_a): 1})
+    with pytest.raises(TargetStructureError):
+        D2KTargets("d2km", [(1, 1)], {(b, a): 1})
 
 
 @pytest.mark.parametrize("cls, args", [
     (SizeTargets, (-1, 0)), (SizeTargets, (3, 7)), (SizeTargets, (3, -1)),
     (UmanTargets, (-1, 0, 0, 1)), (UmanTargets, (3, 1, 1, 4)),
-    (UmanTargets, (3, -1, 2, 2))])
+    (UmanTargets, (3, -1, 2, 2)), (SizeTargets, (3, 2.0)),
+    (UmanTargets, (3, 1.0, 0, 2)), (DdsTargets, (3.0, [(1, 1)] * 3))])
 def test_size_and_dyad_targets_validate(cls, args):
     # n = -1 with m = 0, or with one null dyad (C(-1, 2) = 1), passes every
-    # range check but the explicit n >= 0
+    # range check but the explicit n >= 0; a float equal to a valid int
+    # passes every range check but the integer rule
     with pytest.raises(TargetStructureError):
         cls(*args)
 
