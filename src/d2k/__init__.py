@@ -18,8 +18,7 @@ from .metrics import (CensusReport, MetricsConfig, avg_neighbor_degree,
                       dsp, dyad_census, expansion, structural_suite,
                       triad_census)
 from .realizability import RealizabilityReport, check
-from .swaps import (SwapProposal, apply_swap, c6_reverse_proposal,
-                    double_swap_proposal, enumerate_jdam_swaps)
+from .swaps import SwapGraph, enumerate_jdam_swaps
 from .targets import (CellKey, D2KTargets, DdsTargets, MODE_DEGREE,
                       MODE_PAIR, SizeTargets, UmanTargets, extract_d2k,
                       extract_dds, extract_size, extract_uman)
@@ -32,13 +31,11 @@ __all__ = [
     "D2KTargets", "DdsTargets", "DirectedGraph", "EdgeListFormatError",
     "MODE_DEGREE", "MODE_PAIR", "MUTUAL", "MetricsConfig", "NULL",
     "NotGraphicalError", "NotRealizableError", "RealizabilityReport",
-    "SizeTargets", "SwapError", "SwapProposal", "TargetStructureError",
-    "UmanTargets", "apply_swap", "avg_neighbor_degree",
-    "c6_reverse_proposal", "check", "dsp",
-    "double_swap_proposal", "dyad_census", "dyad_state",
-    "enumerate_jdam_swaps", "expansion", "extract_d2k", "extract_dds",
-    "extract_size", "extract_uman", "from_edge_list", "gen_d0k", "gen_d1k",
-    "gen_uman", "generate", "load_metrics_report", "load_targets",
-    "read_edge_list", "save_metrics_report", "save_targets",
+    "SizeTargets", "SwapError", "SwapGraph", "TargetStructureError",
+    "UmanTargets", "avg_neighbor_degree", "check", "dsp", "dyad_census",
+    "dyad_state", "enumerate_jdam_swaps", "expansion", "extract_d2k",
+    "extract_dds", "extract_size", "extract_uman", "from_edge_list",
+    "gen_d0k", "gen_d1k", "gen_uman", "generate", "load_metrics_report",
+    "load_targets", "read_edge_list", "save_metrics_report", "save_targets",
     "structural_suite", "triad_census", "write_edge_list",
 ]

@@ -11,6 +11,7 @@ import random
 
 from .errors import NotGraphicalError
 from .graph import DirectedGraph
+from .swaps import SwapGraph
 from .targets import DdsTargets, SizeTargets, UmanTargets
 
 # Above this pair-universe size the dense sampling path is not attempted.
@@ -87,104 +88,33 @@ def gen_d1k(t: DdsTargets, seed: int = 1,
 
     A greedy pass certifies graphicality by constructing one realization;
     a randomization pass then makes randomize_swaps attempts (default
-    10*m, negative raises ValueError).  Each attempt draws rng.random();
-    below 0.1 it tries to reverse a directed 3-cycle, which double swaps
-    alone cannot reach: up to 5 probes each draw an edge (a, b) and a
-    closing node w uniformly among the w with b->w->a.  Otherwise it draws
-    two edges (a, b), (c, d) uniformly and swaps them into (a, d), (c, b).
-    A move is applied only when the result stays simple (no self-loop,
-    parallel edge or existing reversed arc), so degrees are never
-    disturbed.  Indices are drawn by getrandbits rejection, the algorithm
-    behind Random.randrange and Random.choice, inlined: the draw stream and
-    so the graph of each seed are those of randrange(m) and choice(closers).
+    10*m, negative raises ValueError) on a SwapGraph.  Each attempt draws
+    rng.random(): below 0.1 it tries SwapGraph.reverse_random_cycle,
+    otherwise it crosses two edges drawn uniformly by inlined getrandbits
+    rejection, the draws of randrange(m).
     """
     if randomize_swaps is not None and randomize_swaps < 0:
-        raise ValueError(
-            f"swap attempts must be >= 0, got {randomize_swaps}")
+        raise ValueError(f"swap attempts must be >= 0, got {randomize_swaps}")
     edges = _greedy_directed_realization(t, seed)
     rng = random.Random(seed ^ 0x5EED)
     m = len(edges)
     attempts = 10 * m if randomize_swaps is None else randomize_swaps
-    if m >= 2:
-        n = t.n
-        src = [u for u, _ in edges]
-        dst = [v for _, v in edges]
-        pos = {u * n + v: i for i, (u, v) in enumerate(edges)}
-        out: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            out[u].add(v)
-        rand = rng.random
-        getrandbits = rng.getrandbits
-        k = m.bit_length()
-        for _ in range(attempts):
-            if rand() < 0.1:
-                _try_c6_reverse(src, dst, pos, out, n, rng)
-                continue
-            i = getrandbits(k)
-            while i >= m:
-                i = getrandbits(k)
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            a, b, c, d = src[i], dst[i], src[j], dst[j]
-            if a == d or c == b or a == c or b == d:
-                continue
-            out_a, out_c = out[a], out[c]
-            if d in out_a or b in out_c:
-                continue
-            dst[i], dst[j] = d, b
-            del pos[a * n + b], pos[c * n + d]
-            pos[a * n + d], pos[c * n + b] = i, j
-            out_a.discard(b)
-            out_a.add(d)
-            out_c.discard(d)
-            out_c.add(b)
-        edges = list(zip(src, dst))
-    return DirectedGraph.from_edges(t.n, sorted(edges))
-
-
-def _try_c6_reverse(src: list[int], dst: list[int], pos: dict[int, int],
-                    out: list[set[int]], n: int, rng: random.Random) -> None:
-    """Reverse one random directed 3-cycle, if one is found quickly.
-
-    The add/discard order on each out-set is part of the output: set
-    iteration order feeds the closers list that the draw picks from.
-    """
-    m = len(src)
+    sg = SwapGraph(t.n, edges)
+    rand, getrandbits = rng.random, rng.getrandbits
+    cross, reverse_random_cycle = sg.cross, sg.reverse_random_cycle
     k = m.bit_length()
-    getrandbits = rng.getrandbits
-    for _ in range(5):
+    for _ in range(attempts if m >= 2 else 0):
+        if rand() < 0.1:
+            reverse_random_cycle(rng)
+            continue
         i = getrandbits(k)
         while i >= m:
             i = getrandbits(k)
-        a, b = src[i], dst[i]
-        out_b = out[b]
-        closers = [w for w in out_b if w != a and a in out[w]]
-        if not closers:
-            continue
-        count = len(closers)
-        kc = count.bit_length()
-        r = getrandbits(kc)
-        while r >= count:
-            r = getrandbits(kc)
-        w = closers[r]
-        out_a, out_w = out[a], out[w]
-        # Reversal must stay simple: none of the reversed arcs may exist.
-        if a in out_b or b in out_w or w in out_a:
-            continue
-        j, h = pos.pop(b * n + w), pos.pop(w * n + a)
-        del pos[a * n + b]
-        pos[b * n + a], pos[w * n + b], pos[a * n + w] = i, j, h
-        src[i], dst[i] = b, a
-        src[j], dst[j] = w, b
-        src[h], dst[h] = a, w
-        out_a.discard(b)
-        out_b.add(a)
-        out_b.discard(w)
-        out_w.add(b)
-        out_w.discard(a)
-        out_a.add(w)
-        return
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        cross(i, j)
+    return sg.graph()
 
 
 def _greedy_directed_realization(t: DdsTargets, seed: int) -> list[tuple[int, int]]:

@@ -40,4 +40,4 @@ class ConstructionInvariantError(D2KError, RuntimeError):
 
 
 class SwapError(D2KError, ValueError):
-    """A swap proposal is malformed (e.g. removes edges that do not exist)."""
+    """A swap move or edge list is malformed (e.g. names a missing edge)."""

@@ -1,128 +1,160 @@
-"""Edge-swap moves over realizations and swap-neighborhood enumeration.
+"""One mutable swap engine, and swap-neighborhood enumeration.
 
-Three move kinds:
+SwapGraph applies each move in place in O(1), and only when the result
+stays simple: cross, the double swap (a,b),(c,d) -> (a,d),(c,b), keeps every
+degree, and the joint degree/side matrix too when the sources share an
+out-cell or the targets an in-cell (a jdam_double swap); reverse turns a
+directed 3-cycle around, which double swaps cannot do.
 
-* jdam_double: crossing rewire of two edges that share a cell on one side,
-  so every cell-pair count of the joint degree/side matrix is preserved;
-* degree_double: crossing rewire of two arbitrary directed edges, which
-  preserves every in- and out-degree (but not the joint matrix);
-* c6_reverse: reversal of a directed 3-cycle, the extra move needed on top
-  of double swaps for degree-preserving connectivity.
-
-A swap is accepted only when the result stays simple.  On the bipartite
-split, where every node has an out-side and an in-side copy, a self-loop is
-an edge on the non-chord joining the two copies of one node.
+jdam_double alone is reducible: at n = 4 it splits the realizations of 94
+d2k and 286 d2km targets into classes no chain of such swaps joins.  The
+smallest is the directed 3-cycle, whose two orientations share one matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from collections.abc import Sequence
 
 from .errors import SwapError
 from .graph import DirectedGraph
 from .targets import MODE_DEGREE, node_cells
 
-Edge = tuple[int, int]
 
+class SwapGraph:
+    """A simple digraph on nodes 0..n-1 as mutable arrays.
 
-@dataclass(frozen=True)
-class SwapProposal:
-    kind: str                      # jdam_double | degree_double | c6_reverse
-    removed: tuple[Edge, ...]
-    added: tuple[Edge, ...]
-
-
-def double_swap_proposal(e1: Edge, e2: Edge,
-                         kind: str = "degree_double") -> SwapProposal:
-    """Crossing rewire of two edges: (a,b),(c,d) -> (a,d),(c,b)."""
-    (a, b), (c, d) = e1, e2
-    if a == c or b == d:
-        raise SwapError(f"degenerate double swap of {e1} and {e2}")
-    if kind not in ("degree_double", "jdam_double"):
-        raise SwapError(f"not a double-swap kind: {kind}")
-    return SwapProposal(kind, (e1, e2), ((a, d), (c, b)))
-
-
-def c6_reverse_proposal(a: int, b: int, c: int) -> SwapProposal:
-    """Reversal of the directed 3-cycle a->b->c->a."""
-    if len({a, b, c}) != 3:
-        raise SwapError("3-cycle nodes must be distinct")
-    return SwapProposal("c6_reverse",
-                        ((a, b), (b, c), (c, a)),
-                        ((b, a), (c, b), (a, c)))
-
-
-def apply_swap(g: DirectedGraph, p: SwapProposal,
-               mode: str = MODE_DEGREE) -> DirectedGraph | None:
-    """Apply p to g, returning the updated graph or None when rejected.
-
-    Rejection means the result would not be simple: an added edge already
-    exists or is a self-loop.  For a swap of existing edges, a self-loop is
-    exactly an edge on a non-chord.  Nonexistent removed edges or a
-    proposal that does not preserve its kind's invariant raise SwapError.
+    Edge i is (src[i], dst[i]) and keeps its index when a move rewires it;
+    out[u] holds u's out-neighbours and pos maps u * n + v to the index of
+    (u, v).  The out-sets' iteration order, which reverse_random_cycle draws
+    from, depends on their add/discard order, so each move keeps that order.
     """
-    edge_set = set(g.edges())
-    if len(set(p.removed)) != len(p.removed):
-        raise SwapError("removed edges are not distinct")
-    for e in p.removed:
-        if e not in edge_set:
-            raise SwapError(f"removed edge {e} does not exist")
-    _validate_kind(g, p, mode)
 
-    result = edge_set - set(p.removed)
-    for u, v in p.added:
-        if u == v or (u, v) in result:
-            return None               # self-loop or parallel edge
-        result.add((u, v))
-    return DirectedGraph.from_edges(g.n, sorted(result))
+    __slots__ = ("n", "src", "dst", "out", "pos")
 
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
+        self.n = n
+        self.src = [u for u, _ in edges]
+        self.dst = [v for _, v in edges]
+        self.pos = {u * n + v: i for i, (u, v) in enumerate(edges)}
+        if len(self.pos) != len(edges) or not all(
+                0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+            raise SwapError(f"edges do not form a simple digraph on {n} nodes")
+        self.out: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            self.out[u].add(v)
 
-def _validate_kind(g: DirectedGraph, p: SwapProposal, mode: str) -> None:
-    if p.kind == "degree_double" or p.kind == "jdam_double":
-        if len(p.removed) != 2 or len(p.added) != 2:
-            raise SwapError("double swap must move exactly two edges")
-        (a, b), (c, d) = p.removed
-        if p.added not in (((a, d), (c, b)), ((c, b), (a, d))):
-            raise SwapError("double swap must cross the removed endpoints")
-        if p.kind == "jdam_double":
-            in_cell, out_cell = node_cells(g.degree_pairs(), mode)
-            if out_cell[a] != out_cell[c] and in_cell[b] != in_cell[d]:
-                raise SwapError(
-                    "jdam double swap requires a shared cell on one side")
-    elif p.kind == "c6_reverse":
-        if len(p.removed) != 3:
-            raise SwapError("3-cycle reversal must move exactly three edges")
-        (a, b), (b2, c), (c2, a2) = p.removed
-        if b != b2 or c != c2 or a != a2:
-            raise SwapError("removed edges do not form a directed 3-cycle")
-        if p.added != ((b, a), (c, b), (a, c)):
-            raise SwapError("added edges must be the reversed cycle")
-    else:
-        raise SwapError(f"unknown swap kind {p.kind!r}")
+    def graph(self) -> DirectedGraph:
+        """The current edge set as a DirectedGraph, edges in sorted order."""
+        return DirectedGraph.from_edges(self.n,
+                                        sorted(zip(self.src, self.dst)))
+
+    def cross(self, i: int, j: int) -> bool:
+        """Rewire edges i = (a,b) and j = (c,d) into (a,d) and (c,b).
+
+        Returns False and changes nothing when the edges share an endpoint
+        or the result would have a self-loop or a parallel edge.  Crossing
+        the same two indices again undoes the move.
+        """
+        src, dst = self.src, self.dst
+        a, b, c, d = src[i], dst[i], src[j], dst[j]
+        if a == d or c == b or a == c or b == d:
+            return False
+        out_a, out_c = self.out[a], self.out[c]
+        if d in out_a or b in out_c:
+            return False
+        n, pos = self.n, self.pos
+        dst[i], dst[j] = d, b
+        del pos[a * n + b], pos[c * n + d]
+        pos[a * n + d], pos[c * n + b] = i, j
+        out_a.discard(b)
+        out_a.add(d)
+        out_c.discard(d)
+        out_c.add(b)
+        return True
+
+    def reverse(self, i: int, w: int) -> bool:
+        """Reverse the directed 3-cycle a->b->w->a through edge i = (a,b).
+
+        Returns False and changes nothing when a reversed arc already
+        exists; raises SwapError when w does not close such a cycle.
+        Reversing the same edge index and w again undoes the move.
+        """
+        src, dst, out = self.src, self.dst, self.out
+        a, b = src[i], dst[i]
+        out_a, out_b, out_w = out[a], out[b], out[w]
+        if w not in out_b or a not in out_w:
+            raise SwapError(f"{w} does not close a 3-cycle through ({a}, {b})")
+        if a in out_b or b in out_w or w in out_a:
+            return False
+        n, pos = self.n, self.pos
+        j, h = pos.pop(b * n + w), pos.pop(w * n + a)
+        del pos[a * n + b]
+        pos[b * n + a], pos[w * n + b], pos[a * n + w] = i, j, h
+        src[i], dst[i] = b, a
+        src[j], dst[j] = w, b
+        src[h], dst[h] = a, w
+        out_a.discard(b)
+        out_b.add(a)
+        out_b.discard(w)
+        out_w.add(b)
+        out_w.discard(a)
+        out_a.add(w)
+        return True
+
+    def reverse_random_cycle(self, rng: random.Random) -> bool:
+        """Reverse one random directed 3-cycle, if 5 probes find one.
+
+        Each probe draws an edge (a, b), then a closer w of b->w->a from
+        the closers in out[b] iteration order, both uniformly by inlined
+        getrandbits rejection (the draws of randrange(m) and
+        choice(closers)), and tries reverse.
+        """
+        src, dst, out = self.src, self.dst, self.out
+        m = len(src)
+        if m == 0:
+            return False
+        k = m.bit_length()
+        getrandbits = rng.getrandbits
+        for _ in range(5):
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            a = src[i]
+            closers = [w for w in out[dst[i]] if a in out[w]]
+            if not closers:
+                continue
+            count = len(closers)
+            kc = count.bit_length()
+            r = getrandbits(kc)
+            while r >= count:
+                r = getrandbits(kc)
+            if self.reverse(i, closers[r]):
+                return True
+        return False
 
 
 def enumerate_jdam_swaps(g: DirectedGraph,
                          mode: str = MODE_DEGREE) -> list[DirectedGraph]:
     """All graphs one accepted jdam-preserving double swap away from g.
 
-    Deduplicated by edge set; g itself never appears (a non-degenerate
-    accepted swap always changes the edge set).
+    Walks the edge pairs i < j of g's sorted edges whose sources share an
+    out-cell or whose targets share an in-cell.  Deduplicated by edge set;
+    g itself never appears (an accepted swap always changes the edge set).
     """
-    edges = sorted(g.edges())
+    sg = SwapGraph(g.n, sorted(g.edges()))
+    src, dst = sg.src, sg.dst
     in_cell, out_cell = node_cells(g.degree_pairs(), mode)
     neighbors: list[DirectedGraph] = []
-    seen: set[frozenset[Edge]] = set()
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if a == c or b == d:
+    seen: set[frozenset[tuple[int, int]]] = set()
+    for i in range(len(src)):
+        for j in range(i + 1, len(src)):
+            if out_cell[src[i]] != out_cell[src[j]] \
+                    and in_cell[dst[i]] != in_cell[dst[j]]:
                 continue
-            if out_cell[a] != out_cell[c] and in_cell[b] != in_cell[d]:
+            if not sg.cross(i, j):
                 continue
-            p = double_swap_proposal((a, b), (c, d), kind="jdam_double")
-            res = apply_swap(g, p, mode=mode)
-            if res is None:
-                continue
+            res = sg.graph()
+            sg.cross(i, j)
             key = res.edge_set()
             if key not in seen:
                 seen.add(key)

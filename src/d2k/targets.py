@@ -67,19 +67,15 @@ def cell_to_json(c: CellKey) -> dict:
 
 
 def cell_from_json(obj: dict) -> CellKey:
-    """The cell a JSON object encodes; malformed input raises."""
+    """The cell a JSON object encodes, every label part a strict int;
+    D2KTargets checks its side and its label's shape."""
     try:
         side = obj["side"]
         label = obj["label"]
     except (TypeError, KeyError):
         raise TargetStructureError(f"malformed cell {obj!r}") from None
-    if side not in ("in", "out"):
-        raise TargetStructureError(f"bad cell side {side!r}")
     if isinstance(label, list):
-        if len(label) != 2:
-            raise TargetStructureError(f"bad cell label {label!r}")
-        return CellKey(side, (json_int(label[0], "cell label"),
-                              json_int(label[1], "cell label")))
+        return CellKey(side, tuple(json_int(x, "cell label") for x in label))
     return CellKey(side, json_int(label, "cell label"))
 
 
@@ -105,14 +101,19 @@ def _normalize_jdam(mode: str, jdam: Mapping[tuple[CellKey, CellKey], int]) \
         -> dict[tuple[CellKey, CellKey], int]:
     """jdam with both orientations of every pair and zeros dropped.
 
-    Accepts entries in either or both orientations.  A label that does not
-    fit the mode, a count that is not a non-negative int, a zero-degree cell
-    or two counts for one pair raises TargetStructureError.
+    Accepts entries in either or both orientations.  A side other than in
+    or out, a label that is not an int (d2k) or a pair of ints (d2km), a
+    count that is not a non-negative int, a zero-degree cell or two counts
+    for one pair raises TargetStructureError.
     """
     sym: dict[tuple[CellKey, CellKey], int] = {}
     for (a, b), count in jdam.items():
         for c in (a, b):
-            if isinstance(c.label, tuple) != (mode == MODE_PAIR):
+            if c.side not in ("in", "out"):
+                raise TargetStructureError(f"bad cell side {c.side!r}")
+            if not (type(c.label) is int if mode == MODE_DEGREE else
+                    type(c.label) is tuple and len(c.label) == 2
+                    and all(type(x) is int for x in c.label)):
                 raise TargetStructureError(
                     f"cell label {c.label!r} does not fit mode {mode!r}")
         if json_int(count, "jdam count") == 0:

@@ -247,18 +247,24 @@ def test_zero_sample_sources_exit_1_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_parallel_generation_via_env(tmp_path, monkeypatch):
+@pytest.mark.parametrize("model", ["d0k", "uman", "d1k", "d2k", "d2km"])
+def test_parallel_generation_via_env(tmp_path, monkeypatch, model):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "t.json"
-    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    main(["extract", str(graph_path), "--model", model,
+          "-o", str(target_path)])
     serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
     assert main(["generate", str(target_path), "--seed", "5", "--count", "4",
                  "-o", str(serial_dir)]) == 0
     monkeypatch.setenv("D2K_THREADS", "2")
     assert main(["generate", str(target_path), "--seed", "5", "--count", "4",
                  "-o", str(parallel_dir)]) == 0
-    for f in sorted(serial_dir.iterdir()):
-        assert f.read_bytes() == (parallel_dir / f.name).read_bytes()
+    names = [f.name for f in sorted(serial_dir.iterdir())]
+    assert names == [f"{model}_s{s}.txt" for s in range(5, 9)]
+    assert names == [f.name for f in sorted(parallel_dir.iterdir())]
+    for name in names:
+        assert (serial_dir / name).read_bytes() \
+            == (parallel_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])

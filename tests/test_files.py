@@ -137,6 +137,9 @@ def _wrong_json_types() -> list[dict]:
     variant("d2k", lambda t: t["jdam"][0]["a"].update(label=1.9))
     variant("d2k", lambda t: t["jdam"][0]["b"].update(label=True))
     variant("d2km", lambda t: t["jdam"][0]["a"].update(label=[1, 1.0]))
+    variant("d2km", lambda t: t["jdam"][0]["a"].update(label=[1, 1, 1]))
+    variant("d2km", lambda t: t["jdam"][0]["b"].update(label=[1]))
+    variant("d2k", lambda t: t["jdam"][0]["a"].update(side="sideways"))
     # a label's shape fits the mode: an int in d2k, a pair in d2km
     variant("d2k", lambda t: t["jdam"][0].update(good["d2km"]["jdam"][0]))
     variant("d2km", lambda t: t["jdam"][0].update(good["d2k"]["jdam"][0]))

@@ -5,39 +5,48 @@ import random
 import pytest
 
 from conftest import random_digraph
-from d2k import (DirectedGraph, SwapError, apply_swap, c6_reverse_proposal,
-                 double_swap_proposal, enumerate_jdam_swaps, extract_d2k,
-                 extract_dds, from_edge_list)
+from d2k import (DirectedGraph, SwapError, SwapGraph, enumerate_jdam_swaps,
+                 extract_d2k, extract_dds, from_edge_list)
+
+
+def engine(g: DirectedGraph) -> SwapGraph:
+    return SwapGraph(g.n, sorted(g.edges()))
+
+
+def index(sg: SwapGraph, u: int, v: int) -> int:
+    return sg.pos[u * sg.n + v]
 
 
 def test_same_cell_double_swap_preserves_jdam():
     # sources 0,1 share the out-degree-1 cell; crossing their edges is a
     # jdam-preserving move
     g = DirectedGraph.from_edges(4, [(0, 2), (1, 3)])
-    p = double_swap_proposal((0, 2), (1, 3), kind="jdam_double")
-    res = apply_swap(g, p)
-    assert res is not None
+    sg = engine(g)
+    assert sg.cross(index(sg, 0, 2), index(sg, 1, 3))
+    res = sg.graph()
     assert res.edge_set() == {(0, 3), (1, 2)}
     assert extract_d2k(res) == extract_d2k(g)
 
 
 def test_swap_creating_parallel_edge_is_rejected():
     g = DirectedGraph.from_edges(4, [(0, 2), (1, 3), (0, 3)])
-    p = double_swap_proposal((0, 2), (1, 3), kind="degree_double")
-    assert apply_swap(g, p) is None        # (0,3) already exists
+    sg = engine(g)
+    assert not sg.cross(index(sg, 0, 2), index(sg, 1, 3))  # (0,3) exists
+    assert sg.graph() == g
 
 
 def test_swap_creating_self_loop_is_rejected():
     g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    p = double_swap_proposal((0, 1), (1, 2), kind="degree_double")
-    assert apply_swap(g, p) is None        # adds (1,1)
+    sg = engine(g)
+    assert not sg.cross(index(sg, 0, 1), index(sg, 1, 2))  # adds (1,1)
+    assert sg.graph() == g
 
 
 def test_c6_reverse_on_three_cycle():
     g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    p = c6_reverse_proposal(0, 1, 2)
-    res = apply_swap(g, p)
-    assert res is not None
+    sg = engine(g)
+    assert sg.reverse(index(sg, 0, 1), 2)
+    res = sg.graph()
     assert res.edge_set() == {(1, 0), (2, 1), (0, 2)}
     assert extract_dds(res) == extract_dds(g)
 
@@ -50,28 +59,32 @@ def test_degree_double_swap_preserves_degrees():
         e1, e2 = rng.sample(edges, 2)
         if e1[0] == e2[0] or e1[1] == e2[1]:
             continue
-        res = apply_swap(g, double_swap_proposal(e1, e2))
-        if res is not None:
-            assert res.degree_pairs() == g.degree_pairs()
+        sg = engine(g)
+        if sg.cross(index(sg, *e1), index(sg, *e2)):
+            assert sg.graph().degree_pairs() == g.degree_pairs()
 
 
 def test_nonexistent_removed_edge_raises():
+    # (2, 0) is not an edge, so node 2 does not close a 3-cycle through
+    # (0, 1) -> (1, 2)
     g = from_edge_list([(0, 1), (1, 2)])
+    sg = engine(g)
     with pytest.raises(SwapError):
-        apply_swap(g, double_swap_proposal((0, 1), (2, 0)))
+        sg.reverse(index(sg, 0, 1), 2)
+    assert sg.graph() == g
 
 
 def test_degenerate_proposals_rejected():
-    with pytest.raises(SwapError):
-        double_swap_proposal((0, 1), (0, 2))   # shared source
-    with pytest.raises(SwapError):
-        c6_reverse_proposal(0, 0, 1)
-
-
-def test_malformed_jdam_swap_raises():
-    g = from_edge_list([(0, 1), (0, 2), (1, 2)])   # sources differ in out-degree
-    with pytest.raises(SwapError):
-        apply_swap(g, double_swap_proposal((0, 1), (1, 2), kind="jdam_double"))
+    # two edges with a shared source do not cross; a 3-cycle through
+    # (0, 1) cannot close at one of its own endpoints
+    g = from_edge_list([(0, 1), (0, 2), (1, 0)])
+    sg = engine(g)
+    assert not sg.cross(index(sg, 0, 1), index(sg, 0, 2))
+    assert not sg.cross(index(sg, 0, 1), index(sg, 0, 1))
+    for w in (0, 1):
+        with pytest.raises(SwapError):
+            sg.reverse(index(sg, 0, 1), w)
+    assert sg.graph() == g
 
 
 def test_four_cycle_reversal_not_one_swap_away():
@@ -103,7 +116,88 @@ def test_enumerated_neighbors_preserve_extracted_targets():
 
 def test_crossing_onto_a_non_chord_is_rejected():
     # on a 3-cycle, crossing (0,1) with (1,2) would add the self-loop (1,1),
-    # the edge on node 1's non-chord
+    # the edge on node 1's non-chord; in the reverse order it adds (2,2)
     g = from_edge_list([(0, 1), (1, 2), (2, 0)])
-    p = double_swap_proposal((0, 1), (1, 2), kind="jdam_double")
-    assert apply_swap(g, p) is None
+    sg = engine(g)
+    assert not sg.cross(index(sg, 0, 1), index(sg, 1, 2))
+    assert not sg.cross(index(sg, 1, 2), index(sg, 0, 1))
+    assert sg.graph() == g
+
+
+def test_engine_holds_the_graph_it_was_built_from():
+    rng = random.Random(15)
+    for n in (0, 1, 2, 7, 20):
+        g = random_digraph(rng, n, 0.3)
+        assert engine(g).graph() == g
+        assert SwapGraph(g.n, list(g.edges())).graph() == g
+
+
+def test_engine_rejects_edges_that_are_not_a_simple_digraph():
+    for edges in ([(0, 0)], [(0, 1), (0, 1)], [(0, 3)], [(-1, 0)]):
+        with pytest.raises(SwapError):
+            SwapGraph(3, edges)
+
+
+def test_crossing_twice_restores_edges_and_positions():
+    rng = random.Random(16)
+    g = random_digraph(rng, 10, 0.3)
+    sg = engine(g)
+    pos = dict(sg.pos)
+    crossed = 0
+    for i in range(g.m):
+        for j in range(g.m):
+            if sg.cross(i, j):
+                crossed += 1
+                assert sg.graph() != g
+                assert sg.cross(i, j)
+            assert sg.graph() == g
+            assert sg.pos == pos
+    assert crossed
+
+
+def test_reversal_undone_by_its_inverse():
+    # two 3-cycles share the edge (0, 1); w picks which one turns around
+    g = from_edge_list([(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
+    for w in (2, 3):
+        sg = engine(g)
+        pos = dict(sg.pos)
+        i = index(sg, 0, 1)
+        assert sg.reverse(i, w)
+        assert (1, 0) in sg.graph().edge_set()
+        assert extract_dds(sg.graph()) == extract_dds(g)
+        assert sg.reverse(i, w)
+        assert sg.graph() == g
+        assert sg.pos == pos
+
+
+def test_reversal_onto_an_existing_arc_is_rejected():
+    # reversing 0->1->2->0 would add (1, 0), which already exists
+    g = from_edge_list([(0, 1), (1, 2), (2, 0), (1, 0)])
+    sg = engine(g)
+    assert not sg.reverse(index(sg, 0, 1), 2)
+    assert sg.graph() == g
+
+
+def test_random_moves_keep_degrees_and_simplicity():
+    rng = random.Random(17)
+    crossed = reversed_ = 0
+    for _ in range(10):
+        n = rng.randint(3, 15)
+        g = random_digraph(rng, n, rng.uniform(0.1, 0.6))
+        if g.m < 2:
+            continue
+        sg = engine(g)
+        for _ in range(500):
+            if rng.random() < 0.3:
+                reversed_ += sg.reverse_random_cycle(rng)
+            else:
+                crossed += sg.cross(rng.randrange(g.m), rng.randrange(g.m))
+        # graph() builds a DirectedGraph, which raises on a self-loop or a
+        # parallel edge
+        out = sg.graph()
+        assert out.degree_pairs() == g.degree_pairs()
+        assert len(sg.pos) == g.m
+        assert all(sg.pos[u * n + v] == i
+                   for i, (u, v) in enumerate(zip(sg.src, sg.dst)))
+        assert [set(nbrs) for nbrs in out.out_adj] == sg.out
+    assert crossed and reversed_

@@ -197,6 +197,14 @@ def test_constructor_validates():
         D2KTargets("d2k", [(1, 1)], {(pair_b, pair_a): 1})
     with pytest.raises(TargetStructureError):
         D2KTargets("d2km", [(1, 1)], {(b, a): 1})
+    # a side is in or out, and a label an int (d2k) or a pair of ints (d2km)
+    for mode, bad, good in [
+            ("d2k", CellKey("out", "1"), CellKey("in", 1)),
+            ("d2k", CellKey("out", True), CellKey("in", 1)),
+            ("d2k", CellKey("sideways", 1), CellKey("in", 1)),
+            ("d2km", CellKey("out", (1,)), CellKey("in", (1, 1)))]:
+        with pytest.raises(TargetStructureError):
+            D2KTargets(mode, [(1, 1)] * 3, {(bad, good): 3})
 
 
 @pytest.mark.parametrize("cls, args", [
