@@ -6,10 +6,10 @@ betweenness, eigenvalues) switch to seeded sampling or iterative solvers
 above configurable size thresholds, with the switch recorded in the
 report metadata.
 
-Shared partners, strongly connected components and the spectrum run on
-one sparse adjacency matrix (scipy, imported inside those functions only,
-so loading the package for extraction or generation does not pay for it);
-the other kernels walk the adjacency lists.
+Shared partners, shortest paths, strongly connected components and the
+spectrum run on one sparse adjacency matrix (scipy, imported inside those
+functions only, so loading the package for extraction or generation does
+not pay for it); the other kernels walk the adjacency lists.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .errors import D2KError
 from .graph import DirectedGraph
 from .targets import extract_d2k, extract_uman
 
@@ -190,20 +191,7 @@ def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # paths, components, cores, betweenness, spectrum
 
-def _bfs_distances(adj: list[list[int]], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+_PATH_BLOCK = 1 << 18          # distances per shortest_path call (2 MiB)
 
 
 def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
@@ -212,21 +200,27 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
     """Histogram of finite shortest-path lengths over ordered pairs.
 
     All sources when n <= exact_nodes, otherwise a seeded source sample.
+    The breadth-first searches run in blocks of sources, each block's
+    sources x n distance array at most _PATH_BLOCK entries.
     """
+    from scipy.sparse.csgraph import shortest_path
     n = g.n
     if n <= exact_nodes:
-        sources = range(n)
+        sources = list(range(n))
         sampled = False
     else:
         rng = random.Random(seed)
         sources = rng.sample(range(n), min(sample_sources, n))
         sampled = True
-    hist: dict[int, int] = {}
-    for s in sources:
-        for d in _bfs_distances(g.out_adj, s).values():
-            if d > 0:
-                hist[d] = hist.get(d, 0) + 1
-    meta = {"sampled": sampled, "sources": len(list(sources)), "seed": seed}
+    a = _adjacency(g)
+    step = max(1, _PATH_BLOCK // max(n, 1))
+    counts = np.zeros(n, dtype=np.int64)          # counts[d]: pairs at d
+    for i in range(0, len(sources), step):
+        dist = shortest_path(a, unweighted=True, indices=sources[i:i + step])
+        counts += np.bincount(dist[np.isfinite(dist)].astype(np.int64),
+                              minlength=n)
+    hist = {d: c for d, c in enumerate(counts.tolist()) if d and c}
+    meta = {"sampled": sampled, "sources": len(sources), "seed": seed}
     return hist, meta
 
 
@@ -351,8 +345,15 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
                     seed: int = 1) -> tuple[list[float], dict]:
     """Magnitudes of the k largest-magnitude adjacency eigenvalues.
 
-    Dense solver up to dense_nodes, iterative Krylov (seeded start vector,
-    hence deterministic) above.
+    The adjacency matrix is block-triangular over the strong components, so
+    its spectrum is the union of theirs, and a one-node component adds an
+    exact 0.  The solve runs on the m nodes of the components with at least
+    two nodes: dense when n <= dense_nodes or m is too small for the
+    basis, otherwise implicitly restarted Arnoldi (seeded start vector,
+    hence deterministic) for k + 10 values in a 3(k + 10) basis, of which
+    the top k are kept, since the magnitudes near the k-th lie close
+    together in a sparse digraph's bulk.  meta records what ran: method,
+    solved_k, ncv, tol and nodes (= m).
     """
     if operator not in EIGEN_OPERATORS:
         raise ValueError(f"unknown eigenvalue operator {operator!r}")
@@ -360,20 +361,35 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     k = min(k, n)
     if n == 0 or k == 0:
         return [], {"method": "none", "operator": operator, "k": 0}
+    from scipy.sparse.csgraph import connected_components
     symmetrize = operator == "symmetrized"
     a = _adjacency(g)
     a = ((a + a.T) > 0 if symmetrize else a).astype(np.float64)
-    if n <= dense_nodes or g.m == 0 or k >= n - 1:
-        a = a.toarray()
-        vals = np.linalg.eigvalsh(a) if symmetrize else np.linalg.eigvals(a)
-        mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
-        return mags, {"method": "dense", "operator": operator, "k": k}
-    import scipy.sparse.linalg
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    vals = scipy.sparse.linalg.eigs(a, k=k, which="LM", v0=v0,
-                                    return_eigenvectors=False)
-    mags = sorted((float(abs(x)) for x in vals), reverse=True)
-    return mags, {"method": "arpack", "operator": operator, "k": k}
+    _, labels = connected_components(a, directed=True, connection="strong")
+    keep = np.flatnonzero(np.bincount(labels)[labels] >= 2)
+    b = a[keep][:, keep]
+    m = len(keep)
+    solved = min(k + 10, m)
+    ncv = min(3 * solved, m - 1)
+    meta = {"method": "dense", "operator": operator, "k": k,
+            "solved_k": m, "ncv": None, "tol": None, "nodes": m}
+    if n <= dense_nodes or solved + 2 > ncv:       # eigs needs k + 1 < ncv
+        b = b.toarray()
+        vals = np.linalg.eigvalsh(b) if symmetrize else np.linalg.eigvals(b)
+    else:
+        import scipy.sparse.linalg
+        v0 = np.random.default_rng(seed).standard_normal(m)
+        try:
+            vals = scipy.sparse.linalg.eigs(b, k=solved, ncv=ncv, tol=0,
+                                            which="LM", v0=v0,
+                                            return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise D2KError(f"eigenvalue solve did not converge on {m} of "
+                           f"{n} nodes (k = {solved}, ncv = {ncv}): "
+                           f"{exc}") from exc
+        meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0)
+    mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
+    return mags + [0.0] * (k - len(mags)), meta
 
 
 # ---------------------------------------------------------------------------

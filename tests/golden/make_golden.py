@@ -11,8 +11,10 @@ second report of the original with only two metrics selected pins the
 
 d1k_sha256.json holds the sha256 of the `write_edge_list` output of
 `gen_d1k` for each case of `d1k_cases()`: a hub-heavy target on which
-3-cycle reversals are accepted, the forced 3-cycle, `randomize_swaps=0`
-and a small odd number of attempts.
+3-cycle reversals are accepted, the forced 3-cycle, `randomize_swaps=0`,
+a small odd number of attempts, and a dense n = 20, p = 0.3 target on
+which most 3-cycle probes find several closers, so the order they are
+listed in reaches the output.
 
 construct_sha256.json holds, for each case of `construct_cases()`, the
 sha256 of the `write_edge_list` output of `generate`, with the run's
@@ -85,6 +87,7 @@ def d1k_cases() -> dict[str, tuple[DdsTargets, int, int | None]]:
     cases = {"hub_s2": (hub, 2, None), "hub_s2_swaps0": (hub, 2, 0),
              "hub_s4_swaps37": (hub, 4, 37)}
     cases.update({f"cycle3_s{seed}": (cycle, seed, None) for seed in range(4)})
+    cases["dense20_s1"] = (extract_dds(random_digraph(1, 20, 0.3)), 1, None)
     return cases
 
 

@@ -247,6 +247,27 @@ def test_zero_sample_sources_exit_1_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_eigenvalue_solve_that_does_not_converge_exit_1(tmp_path, capsys,
+                                                        monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+    # a 2001-node ring: above the 2000-node dense eigenvalue threshold
+    graph_path = tmp_path / "ring.txt"
+    graph_path.write_text("".join(f"{v} {(v + 1) % 2001}\n"
+                                  for v in range(2001)), encoding="utf-8")
+    for command in ("measure", "compare"):
+        inputs = [str(graph_path)] * (1 if command == "measure" else 2)
+        assert main([command, *inputs, "--metrics", "eigenvalues",
+                     "-o", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalue solve did not converge")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("model", ["d0k", "uman", "d1k", "d2k", "d2km"])
 def test_parallel_generation_via_env(tmp_path, monkeypatch, model):
     graph_path, _ = write_graph(tmp_path)

@@ -4,18 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (betweenness_bruteforce, core_numbers_bruteforce,
                       dsp_bruteforce, expansion_bruteforce, random_digraph,
                       scc_bruteforce, triad_census_bruteforce)
-from d2k import (DirectedGraph, MetricsConfig, avg_neighbor_degree, dsp,
-                 dyad_census, expansion, from_edge_list, structural_suite,
-                 triad_census)
-from d2k.metrics import (HISTOGRAM, TRIAD_NAMES, Counts, Means, Values,
-                         betweenness_values, core_number_histogram,
-                         scc_size_histogram, shortest_path_histogram,
-                         top_eigenvalues)
+from d2k import (D2KError, DirectedGraph, MetricsConfig, avg_neighbor_degree,
+                 dsp, dyad_census, expansion, from_edge_list, metrics,
+                 structural_suite, triad_census)
+from d2k.metrics import (EIGEN_OPERATORS, HISTOGRAM, TRIAD_NAMES, Counts,
+                         Means, Values, betweenness_values,
+                         core_number_histogram, scc_size_histogram,
+                         shortest_path_histogram, top_eigenvalues)
 
 
 def three_cycle():
@@ -211,11 +212,47 @@ def _paths_bruteforce(g) -> dict[int, int]:
 
 def test_paths_match_bruteforce():
     rng = random.Random(27)
-    for _ in range(6):
-        g = random_digraph(rng, 30, rng.uniform(0.03, 0.3))
+    graphs = [random_digraph(rng, 30, rng.uniform(0.03, 0.3))
+              for _ in range(6)]
+    for g in graphs + edge_case_graphs():
         hist, meta = shortest_path_histogram(g)
         assert meta["sampled"] is False
         assert hist == _paths_bruteforce(g)
+
+
+def _bfs_histogram(g, sources) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for s in sources:
+        d, seen, frontier = 0, {s}, [s]
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in g.out_adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            if nxt:
+                hist[d] = hist.get(d, 0) + len(nxt)
+            frontier = nxt
+    return hist
+
+
+@pytest.mark.parametrize("block", [1, 100, 1 << 18])
+def test_paths_in_source_blocks_match_bfs(monkeypatch, block):
+    # on 30 nodes: one source per block, three per block (the 7-source
+    # sample ends in a shorter block), and every source in one block
+    monkeypatch.setattr(metrics, "_PATH_BLOCK", block)
+    rng = random.Random(28)
+    for _ in range(4):
+        g = random_digraph(rng, 30, rng.uniform(0.03, 0.2))
+        hist, _ = shortest_path_histogram(g)
+        assert hist == _bfs_histogram(g, range(g.n))
+        hist, meta = shortest_path_histogram(g, sample_sources=7,
+                                             exact_nodes=10, seed=5)
+        assert meta["sampled"] and meta["sources"] == 7
+        sample = random.Random(5).sample(range(g.n), 7)
+        assert hist == _bfs_histogram(g, sample)
 
 
 def test_betweenness_directed_path():
@@ -258,6 +295,127 @@ def test_eigenvalue_operator_checked_before_the_empty_answer():
     for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
         with pytest.raises(ValueError):
             top_eigenvalues(g, k=k, operator="bogus")
+
+
+def _dense_magnitudes(g, k: int, operator: str = "directed") -> list[float]:
+    """Top k eigenvalue magnitudes of g's full adjacency matrix, by LAPACK."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = 1.0
+    if operator == "symmetrized":
+        a = np.maximum(a, a.T)
+    return sorted((float(abs(x)) for x in np.linalg.eigvals(a)),
+                  reverse=True)[:k]
+
+
+def _sparse_digraph(seed: int, n: int, mean_degree: float = 2.1):
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < round(mean_degree * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    return DirectedGraph.from_edges(n, sorted(edges))
+
+
+# ARPACK's default basis (ncv = 2k + 1) gave a top 20 off by 1.3e-3 to
+# 4.5e-3 relative on each of these graphs when run on the whole matrix, and
+# on the three with n = 1500 also when run on the strong components alone.
+@pytest.mark.parametrize("n, seed", [(1000, 1), (1000, 2), (1500, 10),
+                                     (1500, 15), (1500, 26)])
+def test_arpack_top_k_matches_dense_on_sparse_digraphs(n, seed):
+    g = _sparse_digraph(seed, n)
+    values, meta = top_eigenvalues(g, k=20, dense_nodes=100)
+    assert (meta["method"], meta["solved_k"], meta["ncv"]) == ("arpack", 30, 90)
+    assert values == pytest.approx(_dense_magnitudes(g, 20), rel=1e-9, abs=0)
+
+
+def _blocks_digraph(rng: random.Random, sizes, isolated: int):
+    """Strongly connected blocks (a cycle plus random chords), the first two
+    joined by forward arcs only, the rest apart, then `isolated` one-node
+    components with forward arcs into the first block; node ids shuffled."""
+    edges, blocks, start = set(), [], 0
+    for size in sizes:
+        block = list(range(start, start + size))
+        edges |= {(block[i], block[(i + 1) % size]) for i in range(size)}
+        edges |= {(u, v) for u in block for v in block
+                  if u != v and rng.random() < 0.15}
+        blocks.append(block)
+        start += size
+    edges |= {(u, v) for u in blocks[0] for v in blocks[1]
+              if rng.random() < 0.1}
+    edges |= {(v, rng.choice(blocks[0])) for v in range(start, start + isolated)}
+    ids = list(range(start + isolated))
+    rng.shuffle(ids)
+    return DirectedGraph.from_edges(len(ids),
+                                    [(ids[u], ids[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("operator", ["directed", "symmetrized"])
+def test_spectrum_is_the_union_of_the_strong_components(operator):
+    rng = random.Random(29)
+    for _ in range(4):
+        sizes = [rng.randint(15, 40), rng.randint(10, 30), rng.randint(2, 25),
+                 rng.randint(2, 6)]
+        g = _blocks_digraph(rng, sizes, rng.randint(0, 12))
+        nodes = sum(sizes) if operator == "directed" else g.n
+        dense = _dense_magnitudes(g, 8, operator)
+        for dense_nodes, method in ((1000, "dense"), (10, "arpack")):
+            values, meta = top_eigenvalues(g, 8, operator, dense_nodes)
+            assert (meta["method"], meta["nodes"]) == (method, nodes)
+            assert values == pytest.approx(dense, rel=1e-9, abs=1e-9)
+
+
+def test_arpack_basis_floor_falls_back_to_dense():
+    # eigs needs k + 1 < ncv <= m, ncv = min(3 * solved, m - 1), solved = k + 10
+    for m, method in ((16, "dense"), (17, "dense"), (18, "dense"),
+                      (19, "arpack")):
+        g = from_edge_list([(v, (v + 1) % m) for v in range(m)]
+                           + [(v, (v + 5) % m) for v in range(0, m, 3)]
+                           + [(m + v, 0) for v in range(5)])
+        values, meta = top_eigenvalues(g, k=6, dense_nodes=10)
+        assert (meta["method"], meta["nodes"]) == (method, m)
+        assert len(values) == 6
+        assert values == pytest.approx(_dense_magnitudes(g, 6), abs=1e-9)
+
+
+def test_eigenvalues_pad_the_components_with_zeros():
+    g = DirectedGraph.from_edges(13, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    values, meta = top_eigenvalues(g, k=6, dense_nodes=5)
+    assert values[:3] == pytest.approx([1.0] * 3) and values[3:] == [0.0] * 3
+    assert (meta["method"], meta["nodes"]) == ("dense", 3)
+
+
+def test_eigenvalues_repeat_on_nearly_empty_spectra():
+    rng = random.Random(30)
+    for trial in range(60):
+        n, m = rng.randint(15, 25), rng.randint(3, 6)
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < m:
+            u, v = rng.sample(range(n), 2)
+            edges.add((u, v))
+        g = DirectedGraph.from_edges(n, sorted(edges))
+        operator = EIGEN_OPERATORS[trial % 2]
+        first, _ = top_eigenvalues(g, 6, operator, dense_nodes=10)
+        assert top_eigenvalues(g, 6, operator, dense_nodes=10)[0] == first
+        assert first == pytest.approx(_dense_magnitudes(g, 6, operator),
+                                      rel=0, abs=1e-12)
+        dag = DirectedGraph.from_edges(n, sorted({(min(e), max(e))
+                                                  for e in edges}))
+        if operator == "directed":
+            values, meta = top_eigenvalues(dag, 6, operator, dense_nodes=10)
+            assert values == [0.0] * 6 and meta["nodes"] == 0
+
+
+def test_eigenvalue_solve_that_does_not_converge_is_a_typed_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+    g = random_digraph(random.Random(25), 60, 0.1)
+    with pytest.raises(D2KError, match="did not converge"):
+        top_eigenvalues(g, k=3, dense_nodes=10)
 
 
 def test_structural_suite_selection_and_determinism():
