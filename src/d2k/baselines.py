@@ -29,21 +29,23 @@ def gen_d0k(t: SizeTargets, seed: int = 1) -> DirectedGraph:
     universe = n * (n - 1)
     rng = random.Random(seed)
     if m > universe // 2:
-        complement = _sample_ordered_pairs(n, universe - m, rng)
+        complement = _sample_pairs(n, universe - m, rng)
         edges = [(u, v) for u in range(n) for v in range(n)
                  if u != v and (u, v) not in complement]
         return DirectedGraph.from_edges(n, edges)
-    return DirectedGraph.from_edges(n, sorted(_sample_ordered_pairs(n, m, rng)))
+    return DirectedGraph.from_edges(n, sorted(_sample_pairs(n, m, rng)))
 
 
-def _sample_ordered_pairs(n: int, count: int,
-                          rng: random.Random) -> set[tuple[int, int]]:
+def _sample_pairs(n: int, count: int, rng: random.Random,
+                  ordered: bool = True) -> set[tuple[int, int]]:
+    """count distinct pairs of distinct nodes by rejection, each draw two
+    rng.randrange(n); an unordered pair is kept as (min, max)."""
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < count:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            chosen.add((u, v))
+            chosen.add((u, v) if ordered or u < v else (v, u))
     return chosen
 
 
@@ -62,13 +64,7 @@ def gen_uman(t: UmanTargets, seed: int = 1) -> DirectedGraph:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         sample = rng.sample(pairs, wanted)
     else:
-        chosen: set[tuple[int, int]] = set()
-        while len(chosen) < wanted:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u != v:
-                chosen.add((min(u, v), max(u, v)))
-        sample = sorted(chosen)
+        sample = sorted(_sample_pairs(n, wanted, rng, ordered=False))
         rng.shuffle(sample)
     edges: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(sample):

@@ -8,18 +8,14 @@ multi-file generation and measurement.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baselines, construct, files, metrics, targets
-from .errors import (D2KError, EdgeListFormatError, NotGraphicalError,
-                     NotRealizableError, TargetStructureError)
+from .errors import D2KError, NotGraphicalError, NotRealizableError
 from .realizability import check
-
-MODELS = ("d0k", "uman", "d1k", "d2k", "d2km")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,9 +54,7 @@ def cmd_check(args) -> int:
     report = check(t)
     print(report.to_text())
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_json_dict(), sort_keys=True, indent=1) + "\n",
-            encoding="utf-8")
+        files.save_json(report.to_json_dict(), args.json)
     return EXIT_OK if report.realizable else EXIT_UNREALIZABLE
 
 
@@ -84,14 +78,7 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     workers = _worker_count()
     t = files.load_targets(args.target)
-    if isinstance(t, targets.D2KTargets):
-        model = t.mode
-    elif isinstance(t, targets.DdsTargets):
-        model = "d1k"
-    elif isinstance(t, targets.UmanTargets):
-        model = "uman"
-    else:
-        model = "d0k"
+    model = t.model
     if args.swap_rounds is not None and model != "d1k":
         raise ValueError(f"--swap-rounds applies to d1k targets only, "
                          f"not to a {model} target")
@@ -105,12 +92,8 @@ def cmd_generate(args) -> int:
     jobs = [(str(args.target), model, args.seed + i,
              str(out_dir / f"{model}_s{args.seed + i}.txt"), args.swap_rounds)
             for i in range(args.count)]
-    try:
-        for path in _run_jobs(_generate_one, jobs, workers):
-            print(f"wrote {path}")
-    except NotGraphicalError as exc:
-        print(f"target is not graphical: {exc}", file=sys.stderr)
-        return EXIT_UNREALIZABLE
+    for path in _run_jobs(_generate_one, jobs, workers):
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -162,7 +145,7 @@ def cmd_compare(args) -> int:
     jobs = [(path, config) for path in args.generated]
     instances = _run_jobs(_measure_one, jobs, workers)
     report = files.build_compare_report(original, list(instances))
-    files.save_compare_report(report, args.output)
+    files.save_json(report, args.output)
     for name, row in sorted(report["metrics"].items()):
         print(f"{name}: ensemble={row['ensemble_distance']:.6g} "
               f"instances={row['instance_distance_mean']:.6g}"
@@ -176,10 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Directed graphs with prescribed degree sequences and "
                     "degree correlations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    census = argparse.ArgumentParser(add_help=False)
+    census.add_argument("--metrics", default="all",
+                        help="comma list of metric names, or 'all'")
+    census.add_argument("--seed", type=int, default=1)
+    census.add_argument("--sample-sources", type=int, default=100)
+    census.add_argument("--eigen-k", type=int, default=20)
 
     p = sub.add_parser("extract", help="measure targets from an edge list")
     p.add_argument("input", help="edge-list file (SNAP style)")
-    p.add_argument("--model", required=True, choices=MODELS)
+    p.add_argument("--model", required=True, choices=targets.MODELS)
     p.add_argument("-o", "--output", required=True, help="target JSON path")
     p.set_defaults(func=cmd_extract)
 
@@ -199,25 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("measure", help="compute metrics of one graph")
+    p = sub.add_parser("measure", parents=[census],
+                       help="compute metrics of one graph")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--metrics", default="all",
-                   help="comma list of metric names, or 'all'")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sample-sources", type=int, default=100)
-    p.add_argument("--eigen-k", type=int, default=20)
     p.add_argument("--csv-dir", help="also write per-metric CSV files here")
     p.add_argument("-o", "--output", required=True, help="metrics JSON path")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("compare",
+    p = sub.add_parser("compare", parents=[census],
                        help="distances between an original and an ensemble")
     p.add_argument("original", help="edge-list file of the measured graph")
     p.add_argument("generated", nargs="+", help="generated edge-list files")
-    p.add_argument("--metrics", default="all")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sample-sources", type=int, default=100)
-    p.add_argument("--eigen-k", type=int, default=20)
     p.add_argument("-o", "--output", required=True, help="compare JSON path")
     p.set_defaults(func=cmd_compare)
     return parser
@@ -231,8 +212,10 @@ def main(argv: list[str] | None = None) -> int:
     except NotRealizableError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNREALIZABLE
-    except (EdgeListFormatError, TargetStructureError, NotGraphicalError,
-            D2KError, OSError, ValueError) as exc:
+    except NotGraphicalError as exc:
+        print(f"target is not graphical: {exc}", file=sys.stderr)
+        return EXIT_UNREALIZABLE
+    except (D2KError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -54,9 +54,7 @@ class ConstructionState:
         in_cells, out_cells = node_cells(t.dds, t.mode)
 
         # Dense cell indexing over both sides.
-        cell_list = sorted(
-            {c for c in in_cells if c is not None}
-            | {c for c in out_cells if c is not None})
+        cell_list = sorted(t.cell_sizes)
         self.cells = cell_list
         cell_index = {c: i for i, c in enumerate(cell_list)}
 

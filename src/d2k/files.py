@@ -24,31 +24,27 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # edge lists
 
-def parse_edge_lines(lines, stats: dict | None = None) -> DirectedGraph:
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
-        if len(fields) != 2:
-            raise EdgeListFormatError(
-                f"line {lineno}: expected 'source target', got {text!r}",
-                position=lineno)
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise EdgeListFormatError(
-                f"line {lineno}: non-integer ids in {text!r}",
-                position=lineno) from None
-    return from_edge_list(pairs, stats)
-
-
 def read_edge_list(path, stats: dict | None = None) -> DirectedGraph:
     """Read a SNAP-style edge list ('#' comments, whitespace-separated ids),
     cleaning self-loops and duplicate edges."""
+    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_lines(fh, stats)
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = text.split()
+            if len(fields) != 2:
+                raise EdgeListFormatError(
+                    f"line {lineno}: expected 'source target', got {text!r}",
+                    position=lineno)
+            try:
+                pairs.append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"line {lineno}: non-integer ids in {text!r}",
+                    position=lineno) from None
+    return from_edge_list(pairs, stats)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
@@ -64,29 +60,29 @@ def write_edge_list(g: DirectedGraph, path) -> None:
 
 def targets_to_json_dict(t) -> dict:
     if isinstance(t, D2KTargets):
-        return {
-            "v": SCHEMA_VERSION,
-            "model": t.mode,
-            "n": t.n,
-            "dds": [list(p) for p in t.dds],
-            "jdam": [{"a": cell_to_json(a), "b": cell_to_json(b),
-                      "count": count} for a, b, count in t.jdam_entries()],
-        }
-    if isinstance(t, DdsTargets):
-        return {"v": SCHEMA_VERSION, "model": "d1k", "n": t.n,
-                "dds": [list(p) for p in t.dds]}
-    if isinstance(t, UmanTargets):
-        return {"v": SCHEMA_VERSION, "model": "uman", "n": t.n,
-                "dyads": {"mutual": t.mutual, "asymmetric": t.asymmetric,
+        body = {"dds": [list(p) for p in t.dds],
+                "jdam": [{"a": cell_to_json(a), "b": cell_to_json(b),
+                          "count": count} for a, b, count in t.jdam_entries()]}
+    elif isinstance(t, DdsTargets):
+        body = {"dds": [list(p) for p in t.dds]}
+    elif isinstance(t, UmanTargets):
+        body = {"dyads": {"mutual": t.mutual, "asymmetric": t.asymmetric,
                           "null": t.null}}
-    if isinstance(t, SizeTargets):
-        return {"v": SCHEMA_VERSION, "model": "d0k", "n": t.n, "m": t.m}
-    raise TypeError(f"not a target object: {t!r}")
+    elif isinstance(t, SizeTargets):
+        body = {"m": t.m}
+    else:
+        raise TypeError(f"not a target object: {t!r}")
+    return {"v": SCHEMA_VERSION, "model": t.model, "n": t.n, **body}
+
+
+def _is_schema_version(obj) -> bool:
+    """obj is a JSON object whose "v" is the int 1; true and 1.0 are not."""
+    return isinstance(obj, dict) and type(obj.get("v")) is int \
+        and obj["v"] == SCHEMA_VERSION
 
 
 def targets_from_json_dict(obj: dict):
-    if not isinstance(obj, dict) or type(obj.get("v")) is not int \
-            or obj["v"] != SCHEMA_VERSION:
+    if not _is_schema_version(obj):
         raise TargetStructureError("missing or unsupported schema version")
     model = obj.get("model")
     try:
@@ -121,10 +117,15 @@ def targets_from_json_dict(obj: dict):
     raise TargetStructureError(f"unknown model {model!r}")
 
 
+def save_json(obj, path) -> None:
+    """Write obj as canonical JSON: sorted keys, indent 1, a final newline,
+    UTF-8."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
+                          encoding="utf-8")
+
+
 def save_targets(t, path) -> None:
-    Path(path).write_text(
-        json.dumps(targets_to_json_dict(t), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8")
+    save_json(targets_to_json_dict(t), path)
 
 
 def load_targets(path):
@@ -154,7 +155,7 @@ def report_to_json_dict(r: CensusReport) -> dict:
 
 
 def report_from_json_dict(obj: dict) -> CensusReport:
-    if obj.get("v") != SCHEMA_VERSION or obj.get("kind") != "metrics":
+    if not _is_schema_version(obj) or obj.get("kind") != "metrics":
         raise ValueError("not a metrics file")
     config = MetricsConfig(**{**obj["config"],
                               "metrics": tuple(obj["config"]["metrics"])})
@@ -170,9 +171,7 @@ def report_from_json_dict(obj: dict) -> CensusReport:
 
 
 def save_metrics_report(r: CensusReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_json_dict(r), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8")
+    save_json(report_to_json_dict(r), path)
 
 
 def load_metrics_report(path) -> CensusReport:
@@ -215,11 +214,6 @@ def build_compare_report(original: CensusReport,
         "instances": len(instances),
         "metrics": results,
     }
-
-
-def save_compare_report(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

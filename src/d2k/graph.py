@@ -48,12 +48,12 @@ class DirectedGraph:
         self._edge_set = edge_set
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   orig_ids: list[int] | None = None) -> "DirectedGraph":
+    def from_edges(cls, n: int,
+                   edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         out_adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             out_adj[u].append(v)
-        return cls(n, out_adj, orig_ids)
+        return cls(n, out_adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_set
@@ -96,12 +96,13 @@ def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
                    stats: dict | None = None) -> DirectedGraph:
     """Build a simple digraph from raw (source, target) id pairs.
 
-    Ids may be arbitrary non-negative integers; they are remapped to dense
-    0..n-1 in first-appearance order (the original ids are kept on the
-    graph).  Self-loop pairs are dropped before ids are registered, and
-    duplicate ordered pairs collapse to one edge.  When stats is given, it
-    receives the counts of input pairs, dropped self-loops and dropped
-    duplicates under "pairs", "self_loops" and "duplicates".
+    Ids may be arbitrary non-negative ints (a bool or another int subclass
+    is malformed); they are remapped to dense 0..n-1 in first-appearance
+    order (the original ids are kept on the graph).  Self-loop pairs are
+    dropped before ids are registered, and duplicate ordered pairs collapse
+    to one edge.  When stats is given, it receives the counts of input
+    pairs, dropped self-loops and dropped duplicates under "pairs",
+    "self_loops" and "duplicates".
 
     Raises EdgeListFormatError for a malformed pair, reporting its position.
     """
@@ -125,8 +126,7 @@ def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
             raise EdgeListFormatError(
                 f"pair at position {pos} is not a (source, target) pair: {pair!r}",
                 position=pos) from None
-        if not isinstance(u, int) or not isinstance(v, int) \
-                or isinstance(u, bool) or isinstance(v, bool):
+        if type(u) is not int or type(v) is not int:
             raise EdgeListFormatError(
                 f"pair at position {pos} has non-integer ids: {pair!r}",
                 position=pos)

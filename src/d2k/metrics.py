@@ -66,6 +66,11 @@ _CODE_TO_NAME = {i: TRIAD_NAMES[code - 1] for i, code in enumerate(_TRICODES)}
 DYAD_ORDER = ("mutual", "asymmetric", "null")
 
 
+def _neighbours(g: DirectedGraph) -> list[set[int]]:
+    """Per node, its neighbours in the symmetrized simple graph."""
+    return [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(g.n)]
+
+
 def dyad_census(g: DirectedGraph) -> dict[str, int]:
     t = extract_uman(g)
     return {"mutual": t.mutual, "asymmetric": t.asymmetric, "null": t.null}
@@ -80,7 +85,7 @@ def triad_census(g: DirectedGraph) -> dict[str, int]:
     """
     n = g.n
     census = dict.fromkeys(TRIAD_NAMES, 0)
-    nbrs = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
+    nbrs = _neighbours(g)
     has = g.has_edge
     for v in range(n):
         for u in nbrs[v]:
@@ -194,6 +199,14 @@ def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
 _PATH_BLOCK = 1 << 18          # distances per shortest_path call (2 MiB)
 
 
+def _sources(n: int, exact_nodes: int, count: int, seed: int) -> list[int]:
+    """Every node when n <= exact_nodes, otherwise a seeded sample of
+    count of them."""
+    if n <= exact_nodes:
+        return list(range(n))
+    return random.Random(seed).sample(range(n), min(count, n))
+
+
 def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
                             exact_nodes: int = 1000,
                             seed: int = 1) -> tuple[dict[int, int], dict]:
@@ -205,13 +218,7 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
     """
     from scipy.sparse.csgraph import shortest_path
     n = g.n
-    if n <= exact_nodes:
-        sources = list(range(n))
-        sampled = False
-    else:
-        rng = random.Random(seed)
-        sources = rng.sample(range(n), min(sample_sources, n))
-        sampled = True
+    sources = _sources(n, exact_nodes, sample_sources, seed)
     a = _adjacency(g)
     step = max(1, _PATH_BLOCK // max(n, 1))
     counts = np.zeros(n, dtype=np.int64)          # counts[d]: pairs at d
@@ -220,7 +227,7 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
         counts += np.bincount(dist[np.isfinite(dist)].astype(np.int64),
                               minlength=n)
     hist = {d: c for d, c in enumerate(counts.tolist()) if d and c}
-    meta = {"sampled": sampled, "sources": len(sources), "seed": seed}
+    meta = {"sampled": n > exact_nodes, "sources": len(sources), "seed": seed}
     return hist, meta
 
 
@@ -236,10 +243,7 @@ def core_numbers(g: DirectedGraph) -> list[int]:
     k-core is not uniquely defined; symmetrization is the conventional
     reading and is recorded in report metadata)."""
     n = g.n
-    und: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges():
-        und[u].add(v)
-        und[v].add(u)
+    und = _neighbours(g)
     deg = [len(und[v]) for v in range(n)]
     if n == 0:
         return []
@@ -290,15 +294,9 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     pivot sample scaled by n / #pivots.
     """
     n = g.n
-    if n <= exact_nodes:
-        sources = range(n)
-        exact = True
-        scale = 1.0
-    else:
-        rng = random.Random(seed)
-        sources = rng.sample(range(n), min(pivots, n))
-        exact = False
-        scale = n / len(sources)
+    sources = _sources(n, exact_nodes, pivots, seed)
+    exact = n <= exact_nodes
+    scale = 1.0 if exact else n / len(sources)
     bc = [0.0] * n
     for s in sources:
         sigma = [0] * n
@@ -332,7 +330,7 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     if n > 2:
         norm = (n - 1) * (n - 2)
         bc = [x / norm for x in bc]
-    meta = {"exact": exact, "sources": len(list(sources)),
+    meta = {"exact": exact, "sources": len(sources),
             "normalized": True, "seed": seed}
     return bc, meta
 

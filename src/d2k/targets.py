@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .errors import TargetStructureError
 from .graph import DirectedGraph
 
 MODE_DEGREE = "d2k"
 MODE_PAIR = "d2km"
+MODELS = ("d0k", "uman", "d1k", MODE_DEGREE, MODE_PAIR)
 
 
 class CellKey(NamedTuple):
@@ -176,6 +177,11 @@ class D2KTargets:
         return D2KTargets, (self.mode, self.dds, dict(self.jdam))
 
     @property
+    def model(self) -> str:
+        """The model name, which for this type is the mode."""
+        return self.mode
+
+    @property
     def m(self) -> int:
         total = sum(self.jdam.values())
         if total % 2:
@@ -208,6 +214,7 @@ class D2KTargets:
 class UmanTargets:
     """Dyad-census target: counts of mutual, asymmetric, null dyads."""
 
+    model: ClassVar[str] = "uman"
     n: int
     mutual: int
     asymmetric: int
@@ -231,6 +238,7 @@ class UmanTargets:
 class SizeTargets:
     """Node and edge counts only."""
 
+    model: ClassVar[str] = "d0k"
     n: int
     m: int
 
@@ -247,6 +255,7 @@ class SizeTargets:
 class DdsTargets:
     """Directed degree sequence target; dds becomes a tuple of int pairs."""
 
+    model: ClassVar[str] = "d1k"
     n: int
     dds: tuple[tuple[int, int], ...]
 

@@ -16,6 +16,12 @@ a small odd number of attempts, and a dense n = 20, p = 0.3 target on
 which most 3-cycle probes find several closers, so the order they are
 listed in reaches the output.
 
+baselines_sha256.json holds the sha256 of the `write_edge_list` output of
+`gen_d0k` and `gen_uman` for each case of `baselines_cases()`, two seeds
+each: a sparse and a dense size target (the dense one samples the
+complement) and a sparse and a dense dyad-census target (the dense one
+samples from the enumerated pairs).
+
 construct_sha256.json holds, for each case of `construct_cases()`, the
 sha256 of the `write_edge_list` output of `generate`, with the run's
 `switch_count`, `edges_added` and the number of case-4 substitutions
@@ -43,12 +49,13 @@ import tempfile
 from pathlib import Path
 
 from d2k import (ConstructionState, D2KTargets, DdsTargets, DirectedGraph,
-                 MODE_DEGREE, MODE_PAIR, MetricsConfig, enumerate_jdam_swaps,
-                 extract_d2k, extract_dds, extract_size, from_edge_list,
-                 gen_d0k, gen_d1k, generate, structural_suite)
+                 MODE_DEGREE, MODE_PAIR, MetricsConfig, SizeTargets,
+                 UmanTargets, enumerate_jdam_swaps, extract_d2k, extract_dds,
+                 extract_size, from_edge_list, gen_d0k, gen_d1k, gen_uman,
+                 generate, structural_suite)
 from d2k.files import (build_compare_report, load_metrics_report,
-                       save_compare_report, save_metrics_report,
-                       write_edge_list, write_metric_csvs)
+                       save_json, save_metrics_report, write_edge_list,
+                       write_metric_csvs)
 
 HERE = Path(__file__).resolve().parent
 SMALL = dict(seed=3, sample_sources=12, path_exact_nodes=20,
@@ -95,6 +102,24 @@ def d1k_sha256(t: DdsTargets, seed: int, randomize_swaps: int | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d1k.txt"
         write_edge_list(gen_d1k(t, seed, randomize_swaps), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def baselines_cases() -> dict[str, tuple[SizeTargets | UmanTargets, int]]:
+    """Case name -> (target, seed) for baselines_sha256.json."""
+    targets = {"d0k_sparse": SizeTargets(50, 200),
+               "d0k_dense": SizeTargets(12, 100),
+               "uman_sparse": UmanTargets(50, 30, 100, 1095),
+               "uman_dense": UmanTargets(20, 60, 80, 50)}
+    return {f"{name}_s{seed}": (t, seed) for name, t in targets.items()
+            for seed in (1, 2)}
+
+
+def baselines_sha256(t: SizeTargets | UmanTargets, seed: int) -> str:
+    generator = gen_d0k if isinstance(t, SizeTargets) else gen_uman
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "baseline.txt"
+        write_edge_list(generator(t, seed), path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -189,8 +214,7 @@ def main() -> None:
 
     original, *instances = (load_metrics_report(HERE / f"{name}.json")
                             for name in graphs)
-    save_compare_report(build_compare_report(original, instances),
-                        HERE / "compare.json")
+    save_json(build_compare_report(original, instances), HERE / "compare.json")
     csv_dir = HERE / "csv"
     written = write_metric_csvs(original, csv_dir)
     digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -198,18 +222,17 @@ def main() -> None:
     for p in written:
         Path(p).unlink()
     csv_dir.rmdir()
-    (HERE / "original_csv_sha256.json").write_text(
-        json.dumps(digests, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_json(digests, HERE / "original_csv_sha256.json")
     d1k = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
-    (HERE / "d1k_sha256.json").write_text(
-        json.dumps(d1k, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_json(d1k, HERE / "d1k_sha256.json")
+    pinned = {name: baselines_sha256(*case)
+              for name, case in baselines_cases().items()}
+    save_json(pinned, HERE / "baselines_sha256.json")
     built = {name: construct_digest(*case)
              for name, case in construct_cases().items()}
-    (HERE / "construct_sha256.json").write_text(
-        json.dumps(built, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_json(built, HERE / "construct_sha256.json")
     swaps = {name: swap_digest(*case) for name, case in swap_cases().items()}
-    (HERE / "swaps_sha256.json").write_text(
-        json.dumps(swaps, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_json(swaps, HERE / "swaps_sha256.json")
 
 
 if __name__ == "__main__":

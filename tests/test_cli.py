@@ -60,6 +60,8 @@ def test_check_exit_2_on_broken_target(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert data["realizable"] is False
     assert data["violations"]
+    assert report_path.read_text(encoding="utf-8") == \
+        json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
 def test_generate_exit_2_on_unrealizable(tmp_path):
@@ -70,6 +72,18 @@ def test_generate_exit_2_on_unrealizable(tmp_path):
     obj["jdam"][0]["count"] += 1
     target_path.write_text(json.dumps(obj))
     assert main(["generate", str(target_path), "-o", str(tmp_path / "x")]) == 2
+
+
+def test_generate_exit_2_on_non_graphical_d1k_target(tmp_path, capsys):
+    target_path = tmp_path / "d1k.json"
+    target_path.write_text(json.dumps(
+        {"v": 1, "model": "d1k", "n": 3, "dds": [[0, 0], [0, 2], [2, 0]]}),
+        encoding="utf-8")
+    assert main(["generate", str(target_path),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("target is not graphical: ")
+    assert err.count("\n") == 1
 
 
 def test_exit_1_on_malformed_input(tmp_path, capsys):

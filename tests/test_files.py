@@ -160,6 +160,19 @@ def test_metrics_report_round_trip(tmp_path):
     assert report_to_json_dict(loaded) == report_to_json_dict(report)
 
 
+def test_metrics_file_schema_version_is_the_int_1(tmp_path):
+    rng = random.Random(33)
+    report = structural_suite(random_digraph(rng, 10, 0.2),
+                              MetricsConfig(metrics=("degrees",)))
+    path = tmp_path / "metrics.json"
+    save_metrics_report(report, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for v in (True, 1.0, "1", 2, None):
+        path.write_text(json.dumps({**obj, "v": v}), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a metrics file"):
+            load_metrics_report(path)
+
+
 def test_compare_graph_with_itself_is_all_zero():
     # odd ensemble sizes catch float contamination in the exact averaging
     rng = random.Random(34)

@@ -1,5 +1,6 @@
 """Byte-identity of the v:1 metrics, compare and CSV formats, of the
-`gen_d1k` edge lists per target, seed and swap budget, of the d2k/d2km
+`gen_d1k` edge lists per target, seed and swap budget, of the `gen_d0k` and
+`gen_uman` edge lists on both sampling paths, of the d2k/d2km
 constructor's edge lists and counts per target and seed, and of the ordered
 one-swap neighborhoods that `enumerate_jdam_swaps` lists.
 
@@ -19,12 +20,13 @@ import pytest
 
 from d2k import MetricsConfig, structural_suite
 from d2k.files import (build_compare_report, load_metrics_report,
-                       report_to_json_dict, save_compare_report,
-                       save_metrics_report, write_metric_csvs)
+                       report_to_json_dict, save_json, save_metrics_report,
+                       write_metric_csvs)
 from d2k.metrics import METRIC_NAMES
-from golden.make_golden import (SMALL, construct_cases, construct_digest,
-                                d1k_cases, d1k_sha256, original_graph,
-                                swap_cases, swap_digest)
+from golden.make_golden import (SMALL, baselines_cases, baselines_sha256,
+                                construct_cases, construct_digest, d1k_cases,
+                                d1k_sha256, original_graph, swap_cases,
+                                swap_digest)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -53,8 +55,8 @@ def test_remeasured_metrics_match_golden():
 def test_compare_file_is_byte_identical(tmp_path):
     original, *instances = (load_metrics_report(GOLDEN / f"{name}.json")
                             for name in REPORTS[:3])
-    save_compare_report(build_compare_report(original, instances),
-                        tmp_path / "compare.json")
+    save_json(build_compare_report(original, instances),
+              tmp_path / "compare.json")
     assert (tmp_path / "compare.json").read_bytes() == \
         (GOLDEN / "compare.json").read_bytes()
 
@@ -74,6 +76,13 @@ def test_d1k_edge_lists_are_byte_identical():
     digests = {name: d1k_sha256(*case) for name, case in d1k_cases().items()}
     assert digests == json.loads(
         (GOLDEN / "d1k_sha256.json").read_text(encoding="utf-8"))
+
+
+def test_d0k_and_uman_edge_lists_are_byte_identical():
+    digests = {name: baselines_sha256(*case)
+               for name, case in baselines_cases().items()}
+    assert digests == json.loads(
+        (GOLDEN / "baselines_sha256.json").read_text(encoding="utf-8"))
 
 
 def test_construct_edge_lists_are_byte_identical():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import random
 
 import pytest
@@ -37,6 +38,14 @@ def test_malformed_pairs_report_position():
     assert exc.value.position == 1
     with pytest.raises(EdgeListFormatError):
         from_edge_list([(0, "x")])
+    with pytest.raises(EdgeListFormatError):
+        from_edge_list([(True, 1)])
+    # str() of an IntEnum member is its name on Python 3.10, which
+    # write_edge_list would write in place of an id.
+    Id = enum.IntEnum("Id", "A B")
+    with pytest.raises(EdgeListFormatError) as exc:
+        from_edge_list([(0, 1), (Id.A, 1)])
+    assert exc.value.position == 1
     with pytest.raises(EdgeListFormatError) as exc:
         from_edge_list([(0, 1), (1, 2), (-1, 0)])
     assert exc.value.position == 2
