@@ -9,7 +9,9 @@ report metadata.
 Shared partners, shortest paths, strongly connected components and the
 spectrum run on one sparse adjacency matrix (scipy, imported inside those
 functions only, so loading the package for extraction or generation does
-not pay for it); the other kernels walk the adjacency lists.
+not pay for it).  Betweenness and the triad census are numpy kernels over
+flat arc arrays; neighbour degrees, expansion and core numbers walk the
+adjacency lists.
 """
 from __future__ import annotations
 
@@ -27,19 +29,43 @@ from .graph import DirectedGraph
 from .targets import extract_d2k, extract_uman
 
 
+def _out_arcs(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of g's out-arcs in CSR form, each row in the
+    order of its adjacency list."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in g.out_adj], out=indptr[1:])
+    indices = np.fromiter((v for nbrs in g.out_adj for v in nbrs),
+                          dtype=np.int64, count=g.m)
+    return indptr, indices
+
+
 def _adjacency(g: DirectedGraph):
     """g's adjacency matrix as an int64 CSR matrix with sorted column
     indices: ARPACK's matvec sums each row in index order, so the order
     reaches the last bits of the eigenvalues."""
     from scipy.sparse import csr_matrix
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum([len(nbrs) for nbrs in g.out_adj], out=indptr[1:])
-    indices = np.fromiter((v for nbrs in g.out_adj for v in nbrs),
-                          dtype=np.int64, count=g.m)
+    indptr, indices = _out_arcs(g)
     a = csr_matrix((np.ones(g.m, dtype=np.int64), indices, indptr),
                    shape=(g.n, g.n))
     a.sort_indices()
     return a
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the CSR entries of rows, row after row, and the number
+    of entries of each row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + \
+        np.repeat(starts - ends + counts, counts), counts
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of keys occur in the sorted array sorted_keys."""
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 def _histogram(values) -> dict[int, int]:
@@ -55,12 +81,12 @@ TRIAD_NAMES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
                "030T", "030C", "201", "120D", "120U", "120C", "210", "300")
 
 # Batagelj/Mrvar code table: the 6 possible arcs of a triple, read as bits,
-# map to one of the 16 isomorphism classes.
+# map to one of the 16 isomorphism classes (1-based TRIAD_NAMES positions).
 _TRICODES = (1, 2, 2, 3, 2, 4, 6, 8, 2, 6, 5, 7, 3, 8, 7, 11, 2, 6, 4, 8, 5,
              9, 9, 13, 6, 10, 9, 14, 7, 14, 12, 15, 2, 5, 6, 7, 6, 9, 10, 14,
              4, 9, 9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7, 12, 14, 15, 8, 14,
              13, 15, 11, 15, 15, 16)
-_CODE_TO_NAME = {i: TRIAD_NAMES[code - 1] for i, code in enumerate(_TRICODES)}
+_WEDGE_CHUNK = 1 << 14          # wedges classified per triad-census step
 
 
 DYAD_ORDER = ("mutual", "asymmetric", "null")
@@ -79,29 +105,54 @@ def dyad_census(g: DirectedGraph) -> dict[str, int]:
 def triad_census(g: DirectedGraph) -> dict[str, int]:
     """Counts of the 16 directed triad classes.
 
-    Subquadratic scan over connected pairs; disconnected classes ("003" and
-    the one-dyad classes) come out arithmetically rather than by cubic
-    enumeration.
+    Batagelj and Mrvar's subquadratic census over arrays.  A triple with
+    two or three connected pairs is a wedge (c; x < y) of the symmetrized
+    graph, x and y neighbours of c, taken at its one center when x and y
+    are not adjacent and at c = min otherwise; the wedges are classified
+    in chunks of _WEDGE_CHUNK through the code table.  A triple with one
+    connected pair {a, b} is counted per pair as n - deg(a) - deg(b) +
+    common(a, b), common counted from the closed wedges, and "003" is what
+    is left.
     """
     n = g.n
-    census = dict.fromkeys(TRIAD_NAMES, 0)
-    nbrs = _neighbours(g)
-    has = g.has_edge
-    for v in range(n):
-        for u in nbrs[v]:
-            if u <= v:
-                continue
-            third = (nbrs[v] | nbrs[u]) - {u, v}
-            if has(v, u) and has(u, v):
-                census["102"] += n - len(third) - 2
-            else:
-                census["012"] += n - len(third) - 2
-            for w in third:
-                if u < w or (v < w < u and w not in nbrs[v]):
-                    code = ((1 if has(v, u) else 0) | (2 if has(u, v) else 0)
-                            | (4 if has(v, w) else 0) | (8 if has(w, v) else 0)
-                            | (16 if has(u, w) else 0) | (32 if has(w, u) else 0))
-                    census[_CODE_TO_NAME[code]] += 1
+    indptr, indices = _out_arcs(g)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    arcs = np.sort(src * n + indices)
+    und = np.unique(np.concatenate([arcs, indices * n + src]))
+    owner, nbr = und // n, und % n
+    deg = np.bincount(owner, minlength=n)
+    # entry e of row c makes a wedge with each later entry of row c
+    later = deg.cumsum()[owner] - np.arange(und.size) - 1
+    wedge_end = later.cumsum()
+    wedges = int(wedge_end[-1]) if und.size else 0
+    classes = np.zeros(17, dtype=np.int64)
+    common = np.zeros(und.size, dtype=np.int64)
+    code_class = np.array(_TRICODES)
+    for lo in range(0, wedges, _WEDGE_CHUNK):
+        t = np.arange(lo, min(lo + _WEDGE_CHUNK, wedges))
+        e = np.searchsorted(wedge_end, t, side="right")
+        f = e + 1 + t - (wedge_end[e] - later[e])
+        c, x, y = owner[e], nbr[e], nbr[f]
+        closed = _contains(und, x * n + y)
+        keep = ~closed | (c < x)
+        c, x, y = c[keep], x[keep], y[keep]
+        code = (_contains(arcs, c * n + x) | _contains(arcs, x * n + c) << 1
+                | _contains(arcs, c * n + y) << 2
+                | _contains(arcs, y * n + c) << 3
+                | _contains(arcs, x * n + y) << 4
+                | _contains(arcs, y * n + x) << 5)
+        classes += np.bincount(code_class[code], minlength=17)
+        closed &= keep                  # each triangle once, at its min
+        xy = np.searchsorted(und, nbr[e[closed]] * n + nbr[f[closed]])
+        common += np.bincount(np.concatenate([e[closed], f[closed], xy]),
+                              minlength=und.size)
+    pair = owner < nbr
+    a, b = owner[pair], nbr[pair]
+    lone = n - deg[a] - deg[b] + common[pair]
+    mutual = _contains(arcs, a * n + b) & _contains(arcs, b * n + a)
+    census = dict(zip(TRIAD_NAMES, classes[1:].tolist()))
+    census["012"] = int(lone[~mutual].sum())
+    census["102"] = int(lone[mutual].sum())
     census["003"] = n * (n - 1) * (n - 2) // 6 - sum(census.values())
     return census
 
@@ -197,6 +248,7 @@ def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
 # paths, components, cores, betweenness, spectrum
 
 _PATH_BLOCK = 1 << 18          # distances per shortest_path call (2 MiB)
+_BETWEENNESS_BLOCK = 1 << 14   # source x node entries per betweenness block
 
 
 def _sources(n: int, exact_nodes: int, count: int, seed: int) -> list[int]:
@@ -284,6 +336,57 @@ def core_number_histogram(g: DirectedGraph) -> dict[int, int]:
     return _histogram(core_numbers(g))
 
 
+def _dependencies(indptr: np.ndarray, indices: np.ndarray, n: int,
+                  block: np.ndarray) -> np.ndarray:
+    """Brandes's dependencies delta[b, v] of the sources of block on every
+    node: one level-synchronous breadth-first search of all of them.
+
+    The entries are flat keys b * n + v.  A level's frontier is in stack
+    order per source: its out-arcs are gathered in adjacency-list order and
+    the new nodes kept in order of first occurrence.  The dependencies are
+    summed level by level from the deepest, each delta[v] over the arcs
+    v -> w in decreasing stack position of w, as a per-source stack walk
+    sums them.  Path counts are float64, exact below 2**53.
+    """
+    size = len(block) * n
+    dist = np.full(size, -1, dtype=np.int64)
+    rank = np.zeros(size, dtype=np.int64)     # position in its level
+    sigma = np.zeros(size)
+    frontier = np.arange(len(block), dtype=np.int64) * n + block
+    dist[frontier] = 0
+    rank[frontier] = np.arange(frontier.size)
+    sigma[frontier] = 1.0
+    levels = []
+    d = 0
+    while frontier.size:
+        d += 1
+        v = frontier % n
+        pos, counts = _row_entries(indptr, v)
+        tail = np.repeat(frontier, counts)
+        head = np.repeat(frontier - v, counts) + indices[pos]
+        fresh = head[dist[head] < 0]
+        _, first = np.unique(fresh, return_index=True)
+        below = fresh[np.sort(first)]
+        dist[below] = d
+        rank[below] = np.arange(below.size)
+        dag = dist[head] == d
+        tail, head = tail[dag], head[dag]
+        sigma[below] = np.bincount(rank[head], weights=sigma[tail],
+                                   minlength=below.size)
+        if not np.isfinite(sigma[below]).all():
+            raise D2KError("betweenness: a shortest-path count exceeds the "
+                           "float64 range")
+        order = np.argsort(-rank[head], kind="stable")
+        levels.append((frontier, tail[order], head[order]))
+        frontier = below
+    delta = np.zeros(size)
+    for above, tail, head in reversed(levels):
+        coeff = (1.0 + delta[head]) / sigma[head]
+        delta[above] = np.bincount(rank[tail], weights=sigma[tail] * coeff,
+                                   minlength=above.size)
+    return delta.reshape(len(block), n)
+
+
 def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
                        pivots: int = 100, seed: int = 1) \
         -> tuple[list[float], dict]:
@@ -291,48 +394,29 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     normalized by (n-1)(n-2) when n > 2.
 
     Exact below the node threshold, otherwise estimated from a seeded
-    pivot sample scaled by n / #pivots.
+    pivot sample scaled by n / #pivots.  The sources run in blocks of at
+    most _BETWEENNESS_BLOCK source x node entries.  Shortest-path counts
+    are float64, as in networkx: exact below 2**53, and in the last bits
+    of the values above it.  A count beyond the float64 range raises
+    D2KError.
     """
     n = g.n
     sources = _sources(n, exact_nodes, pivots, seed)
     exact = n <= exact_nodes
     scale = 1.0 if exact else n / len(sources)
-    bc = [0.0] * n
-    for s in sources:
-        sigma = [0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1
-        dist[s] = 0
-        stack: list[int] = []
-        frontier = [s]
-        d = 0
-        while frontier:
-            stack.extend(frontier)
-            nxt = []
-            d += 1
-            for v in frontier:
-                for w in g.out_adj[v]:
-                    if dist[w] == -1:
-                        dist[w] = d
-                        nxt.append(w)
-                    if dist[w] == d:
-                        sigma[w] += sigma[v]
-                        preds[w].append(v)
-            frontier = nxt
-        delta = [0.0] * n
-        for w in reversed(stack):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w] * scale
+    indptr, indices = _out_arcs(g)
+    bc = np.zeros(n)
+    step = max(1, _BETWEENNESS_BLOCK // max(n, 1))
+    for i in range(0, len(sources), step):
+        block = np.array(sources[i:i + step], dtype=np.int64)
+        for s, delta in zip(block, _dependencies(indptr, indices, n, block)):
+            delta[s] = 0.0
+            bc += delta * scale
     if n > 2:
-        norm = (n - 1) * (n - 2)
-        bc = [x / norm for x in bc]
+        bc /= (n - 1) * (n - 2)
     meta = {"exact": exact, "sources": len(sources),
             "normalized": True, "seed": seed}
-    return bc, meta
+    return bc.tolist(), meta
 
 
 EIGEN_OPERATORS = ("directed", "symmetrized")

@@ -36,6 +36,13 @@ double swap away (`enumerate_jdam_swaps`) and the sha256 of their ordered
 list of sorted edge lists: the directed 3-cycle (no such state), the
 directed 4-cycle and 40 small random digraphs.
 
+kernels.json holds the betweenness values (from a pivot sample) and the
+triad census of `shuffled_graph()`, a 300-node digraph read from a shuffled
+edge list.  Its adjacency lists are in file order, not sorted, and file
+order sets the breadth-first discovery order, hence the order in which a
+node's dependencies on its three or more successors are summed: a kernel
+that walks sorted adjacency lists changes the last bits of some values.
+
 test_golden.py loads the checked-in metrics files rather than measuring
 again, so it does not depend on the machine's LAPACK or ARPACK.  Rerun
 this script only when the file formats are meant to change.
@@ -56,6 +63,7 @@ from d2k import (ConstructionState, D2KTargets, DdsTargets, DirectedGraph,
 from d2k.files import (build_compare_report, load_metrics_report,
                        save_json, save_metrics_report, write_edge_list,
                        write_metric_csvs)
+from d2k.metrics import betweenness_values, triad_census
 
 HERE = Path(__file__).resolve().parent
 SMALL = dict(seed=3, sample_sources=12, path_exact_nodes=20,
@@ -202,6 +210,26 @@ def swap_digest(g: DirectedGraph, mode: str) -> dict:
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
+def shuffled_graph() -> DirectedGraph:
+    """About 1,500 random arcs on 300 nodes, one in four of them
+    reciprocated so that all 16 triad classes occur, read in a shuffled
+    order."""
+    rng = random.Random(29)
+    arcs = {(rng.randrange(300), rng.randrange(300)) for _ in range(1200)}
+    edges = sorted(arcs | {(v, u) for u, v in arcs if rng.random() < 0.25})
+    rng.shuffle(edges)
+    return from_edge_list(edges)
+
+
+def kernel_digest() -> dict:
+    """Betweenness from 60 of the pivots, and the triad census, of
+    `shuffled_graph()`, for kernels.json."""
+    g = shuffled_graph()
+    values, meta = betweenness_values(g, exact_nodes=100, pivots=60, seed=5)
+    return {"shuffled300": {"betweenness": values, "betweenness_meta": meta,
+                            "triad_census": triad_census(g)}}
+
+
 def main() -> None:
     g = original_graph()
     graphs = {"original": g, "instance_d2k": generate(extract_d2k(g), seed=1),
@@ -233,6 +261,7 @@ def main() -> None:
     save_json(built, HERE / "construct_sha256.json")
     swaps = {name: swap_digest(*case) for name, case in swap_cases().items()}
     save_json(swaps, HERE / "swaps_sha256.json")
+    save_json(kernel_digest(), HERE / "kernels.json")
 
 
 if __name__ == "__main__":

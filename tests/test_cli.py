@@ -282,6 +282,22 @@ def test_eigenvalue_solve_that_does_not_converge_exit_1(tmp_path, capsys,
     assert not (tmp_path / "out.json").exists()
 
 
+def test_betweenness_path_count_overflow_exit_1(tmp_path, capsys):
+    # 520 layers of 4 nodes, every arc between consecutive layers: 4**518
+    # shortest paths from a first-layer node to a last-layer node, beyond
+    # the float64 range
+    graph_path = tmp_path / "layered.txt"
+    graph_path.write_text("".join(f"{k * 4 + i} {(k + 1) * 4 + j}\n"
+                                  for k in range(519) for i in range(4)
+                                  for j in range(4)), encoding="utf-8")
+    assert main(["measure", str(graph_path), "--metrics", "betweenness",
+                 "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: betweenness: a shortest-path count")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("model", ["d0k", "uman", "d1k", "d2k", "d2km"])
 def test_parallel_generation_via_env(tmp_path, monkeypatch, model):
     graph_path, _ = write_graph(tmp_path)

@@ -2,7 +2,9 @@
 `gen_d1k` edge lists per target, seed and swap budget, of the `gen_d0k` and
 `gen_uman` edge lists on both sampling paths, of the d2k/d2km
 constructor's edge lists and counts per target and seed, and of the ordered
-one-swap neighborhoods that `enumerate_jdam_swaps` lists.
+one-swap neighborhoods that `enumerate_jdam_swaps` lists, and of the
+betweenness values and triad census of a digraph whose adjacency lists are
+in shuffled file order.
 
 The files under golden/ were written by golden/make_golden.py; the format
 tests read the metrics files back instead of measuring again, so they hold
@@ -25,8 +27,8 @@ from d2k.files import (build_compare_report, load_metrics_report,
 from d2k.metrics import METRIC_NAMES
 from golden.make_golden import (SMALL, baselines_cases, baselines_sha256,
                                 construct_cases, construct_digest, d1k_cases,
-                                d1k_sha256, original_graph, swap_cases,
-                                swap_digest)
+                                d1k_sha256, kernel_digest, original_graph,
+                                swap_cases, swap_digest)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("original", "instance_d2k", "instance_d0k", "subset")
@@ -96,3 +98,9 @@ def test_swap_neighborhoods_are_byte_identical():
     digests = {name: swap_digest(*case) for name, case in swap_cases().items()}
     assert digests == json.loads(
         (GOLDEN / "swaps_sha256.json").read_text(encoding="utf-8"))
+
+
+def test_kernels_on_shuffled_adjacency_match_golden():
+    measured = json.loads(json.dumps(kernel_digest()))
+    assert measured == json.loads(
+        (GOLDEN / "kernels.json").read_text(encoding="utf-8"))

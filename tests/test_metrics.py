@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (betweenness_bruteforce, core_numbers_bruteforce,
-                      dsp_bruteforce, expansion_bruteforce, random_digraph,
-                      scc_bruteforce, triad_census_bruteforce)
+from conftest import (betweenness_bruteforce, betweenness_stack_walk,
+                      core_numbers_bruteforce, dsp_bruteforce,
+                      expansion_bruteforce, random_digraph, scc_bruteforce,
+                      triad_census_bruteforce)
 from d2k import (D2KError, DirectedGraph, MetricsConfig, avg_neighbor_degree,
                  dsp, dyad_census, expansion, from_edge_list, metrics,
                  structural_suite, triad_census)
@@ -41,6 +42,42 @@ def edge_case_graphs():
             from_edge_list([(v, 0) for v in range(1, 6)])]
 
 
+def shuffled_digraph(rng, n, p):
+    """A random digraph whose adjacency lists are in random order."""
+    adj = [[v for v in range(n) if v != u and rng.random() < p]
+           for u in range(n)]
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return DirectedGraph(n, adj)
+
+
+def hub_star():
+    """A hub with 4 out-leaves, 4 in-leaves and 4 mutual leaves, and a few
+    arcs between leaves: 66 wedges at the hub, some of them closed."""
+    edges = [(0, v) for v in range(1, 5)] + [(v, 0) for v in range(5, 9)]
+    edges += [e for v in range(9, 13) for e in ((0, v), (v, 0))]
+    return from_edge_list(edges + [(1, 5), (9, 10), (10, 9), (2, 11),
+                                   (12, 6)])
+
+
+def layered(layers, width):
+    """Layers of `width` nodes, every arc between consecutive layers:
+    width**(layers - 2) shortest paths from the first layer to the last."""
+    return from_edge_list([(k * width + i, (k + 1) * width + j)
+                           for k in range(layers - 1)
+                           for i in range(width) for j in range(width)])
+
+
+def kernel_graphs(seed):
+    """Shuffled random digraphs, the edge cases, one arc on two nodes, the
+    complete digraph and the hub star."""
+    rng = random.Random(seed)
+    graphs = [shuffled_digraph(rng, rng.randint(8, 20), rng.uniform(0.05, 0.6))
+              for _ in range(6)]
+    return graphs + edge_case_graphs() + [
+        from_edge_list([(0, 1)]), complete_digraph(5), hub_star()]
+
+
 # -- censuses ----------------------------------------------------------------
 
 def test_triad_census_three_cycle():
@@ -69,6 +106,15 @@ def test_triad_census_matches_bruteforce():
     rng = random.Random(18)
     for _ in range(8):
         g = random_digraph(rng, 20, rng.uniform(0.05, 0.4))
+        assert triad_census(g) == triad_census_bruteforce(g)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 30])
+def test_triad_census_in_wedge_chunks_matches_bruteforce(monkeypatch, chunk):
+    # one wedge per chunk, three per chunk (a chunk ends inside a hub's
+    # row), and every wedge in one chunk
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
+    for g in kernel_graphs(32):
         assert triad_census(g) == triad_census_bruteforce(g)
 
 
@@ -273,6 +319,33 @@ def test_betweenness_matches_bruteforce():
         brute = betweenness_bruteforce(g)
         for a, b in zip(values, brute):
             assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("per_block", [1, 3, None])
+def test_betweenness_in_source_blocks_matches_stack_walk(monkeypatch,
+                                                         per_block):
+    # one source per block, three per block, and every source in one
+    # block; the layered graphs have path counts up to 2**23 and 4**10
+    for g in kernel_graphs(33) + [layered(25, 2), layered(12, 4)]:
+        monkeypatch.setattr(metrics, "_BETWEENNESS_BLOCK",
+                            (per_block or 1 << 20) * max(g.n, 1))
+        values, meta = betweenness_values(g)
+        assert meta["exact"]
+        assert values == betweenness_stack_walk(g, range(g.n), 1.0)
+        for a, b in zip(values, betweenness_bruteforce(g)):
+            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+        if g.n > 6:
+            values, meta = betweenness_values(g, exact_nodes=6, pivots=5,
+                                              seed=g.n)
+            sample = random.Random(g.n).sample(range(g.n), 5)
+            assert not meta["exact"] and meta["sources"] == 5
+            assert values == betweenness_stack_walk(g, sample, g.n / 5)
+
+
+def test_betweenness_path_count_overflow_is_a_typed_error():
+    # 4**518 shortest paths from a first-layer node to a last-layer node
+    with pytest.raises(D2KError, match="float64 range"):
+        betweenness_values(layered(520, 4))
 
 
 def test_eigenvalues_complete_digraph():
