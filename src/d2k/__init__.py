@@ -12,8 +12,7 @@ from .errors import (ConstructionInvariantError, D2KError,
                      NotRealizableError, SwapError, TargetStructureError)
 from .files import (load_metrics_report, load_targets, read_edge_list,
                     save_metrics_report, save_targets, write_edge_list)
-from .graph import (ASYMMETRIC, DirectedGraph, MUTUAL, NULL, dyad_state,
-                    from_edge_list)
+from .graph import DirectedGraph, from_edge_list
 from .metrics import (CensusReport, MetricsConfig, avg_neighbor_degree,
                       dsp, dyad_census, expansion, structural_suite,
                       triad_census)
@@ -26,14 +25,13 @@ from .targets import (CellKey, D2KTargets, DdsTargets, MODE_DEGREE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASYMMETRIC", "CellKey", "CensusReport",
-    "ConstructionInvariantError", "ConstructionState", "D2KError",
-    "D2KTargets", "DdsTargets", "DirectedGraph", "EdgeListFormatError",
-    "MODE_DEGREE", "MODE_PAIR", "MUTUAL", "MetricsConfig", "NULL",
-    "NotGraphicalError", "NotRealizableError", "RealizabilityReport",
-    "SizeTargets", "SwapError", "SwapGraph", "TargetStructureError",
-    "UmanTargets", "avg_neighbor_degree", "check", "dsp", "dyad_census",
-    "dyad_state", "enumerate_jdam_swaps", "expansion", "extract_d2k",
+    "CellKey", "CensusReport", "ConstructionInvariantError",
+    "ConstructionState", "D2KError", "D2KTargets", "DdsTargets",
+    "DirectedGraph", "EdgeListFormatError", "MODE_DEGREE", "MODE_PAIR",
+    "MetricsConfig", "NotGraphicalError", "NotRealizableError",
+    "RealizabilityReport", "SizeTargets", "SwapError", "SwapGraph",
+    "TargetStructureError", "UmanTargets", "avg_neighbor_degree", "check",
+    "dsp", "dyad_census", "enumerate_jdam_swaps", "expansion", "extract_d2k",
     "extract_dds", "extract_size", "extract_uman", "from_edge_list",
     "gen_d0k", "gen_d1k", "gen_uman", "generate", "load_metrics_report",
     "load_targets", "read_edge_list", "save_metrics_report", "save_targets",

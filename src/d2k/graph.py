@@ -1,7 +1,7 @@
 """Simple directed graphs.
 
-A directed graph over dense integer ids 0..n-1 is stored with both out- and
-in-adjacency plus a constant-time edge-membership set.
+A directed graph over dense integer ids 0..n-1 is stored once as out- and
+in-adjacency lists; its edge set is built on demand.
 """
 from __future__ import annotations
 
@@ -9,43 +9,36 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import EdgeListFormatError
 
-MUTUAL = "mutual"
-ASYMMETRIC = "asymmetric"
-NULL = "null"
-
 
 class DirectedGraph:
     """Immutable-by-convention simple digraph.
 
     Build instances through :func:`from_edge_list` or
     :meth:`DirectedGraph.from_edges`; the constructor trusts its input and
-    only asserts simplicity.
+    only asserts simplicity.  Graphs compare by node count and edge set and
+    are not hashable.
     """
 
-    __slots__ = ("n", "m", "out_adj", "in_adj", "orig_ids", "_edge_set")
+    __slots__ = ("n", "m", "out_adj", "in_adj", "orig_ids")
 
     def __init__(self, n: int, out_adj: list[list[int]],
                  orig_ids: list[int] | None = None):
         if len(out_adj) != n:
             raise ValueError("adjacency length does not match node count")
         in_adj: list[list[int]] = [[] for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
         m = 0
         for u, nbrs in enumerate(out_adj):
+            heads = set(nbrs)
+            if u in heads or len(heads) != len(nbrs):
+                _raise_not_simple(u, nbrs)
             for v in nbrs:
-                if u == v:
-                    raise ValueError(f"self-loop at node {u}")
-                if (u, v) in edge_set:
-                    raise ValueError(f"parallel edge {u}->{v}")
-                edge_set.add((u, v))
                 in_adj[v].append(u)
-                m += 1
+            m += len(nbrs)
         self.n = n
         self.m = m
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.orig_ids = orig_ids
-        self._edge_set = edge_set
 
     @classmethod
     def from_edges(cls, n: int,
@@ -54,9 +47,6 @@ class DirectedGraph:
         for u, v in edges:
             out_adj[u].append(v)
         return cls(n, out_adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, nbrs in enumerate(self.out_adj):
@@ -75,7 +65,8 @@ class DirectedGraph:
                 for v in range(self.n)]
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._edge_set)
+        """The (u, v) edges as a new frozenset, built on each call."""
+        return frozenset(self.edges())
 
     def original_id(self, v: int) -> int:
         return v if self.orig_ids is None else self.orig_ids[v]
@@ -83,13 +74,21 @@ class DirectedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return self.n == other.n and self._edge_set == other._edge_set
-
-    def __hash__(self):  # pragma: no cover - graphs are not meant as keys
-        return hash((self.n, frozenset(self._edge_set)))
+        return self.n == other.n and self.edge_set() == other.edge_set()
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, m={self.m})"
+
+
+def _raise_not_simple(u: int, nbrs: list[int]) -> None:
+    """Raise for the first self-loop or repeated head in u's list."""
+    seen: set[int] = set()
+    for v in nbrs:
+        if v == u:
+            raise ValueError(f"self-loop at node {u}")
+        if v in seen:
+            raise ValueError(f"parallel edge {u}->{v}")
+        seen.add(v)
 
 
 def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
@@ -108,8 +107,7 @@ def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
     """
     remap: dict[int, int] = {}
     out_adj: list[list[int]] = []
-    edge_seen: set[tuple[int, int]] = set()
-    loops = dups = 0
+    loops = 0
 
     def dense(orig: int) -> int:
         idx = remap.get(orig)
@@ -138,27 +136,16 @@ def from_edge_list(pairs: Sequence[tuple[int, int]] | Iterable,
             loops += 1
             continue
         du, dv = dense(u), dense(v)
-        if (du, dv) in edge_seen:
-            dups += 1
-            continue
-        edge_seen.add((du, dv))
         out_adj[du].append(dv)
 
+    dups = 0
+    for u, nbrs in enumerate(out_adj):
+        heads = list(dict.fromkeys(nbrs))     # first copies, in order
+        dups += len(nbrs) - len(heads)
+        out_adj[u] = heads
     if stats is not None:
-        stats.update({"pairs": loops + dups + len(edge_seen),
+        stats.update({"pairs": loops + dups + sum(map(len, out_adj)),
                       "self_loops": loops, "duplicates": dups})
     orig_ids = list(remap)
     return DirectedGraph(len(out_adj), out_adj, orig_ids or None)
 
-
-def dyad_state(g: DirectedGraph, u: int, v: int) -> str:
-    """Classify the unordered pair {u, v} as mutual, asymmetric or null."""
-    if u == v:
-        raise ValueError("dyad state is undefined for a single node")
-    uv = g.has_edge(u, v)
-    vu = g.has_edge(v, u)
-    if uv and vu:
-        return MUTUAL
-    if uv or vu:
-        return ASYMMETRIC
-    return NULL

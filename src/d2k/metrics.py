@@ -266,7 +266,9 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
 
     All sources when n <= exact_nodes, otherwise a seeded source sample.
     The breadth-first searches run in blocks of sources, each block's
-    sources x n distance array at most _PATH_BLOCK entries.
+    sources x n distance array at most _PATH_BLOCK entries; its rows are
+    binned one at a time, unreachable pairs moved into the dropped d = 0
+    bin in place.
     """
     from scipy.sparse.csgraph import shortest_path
     n = g.n
@@ -275,9 +277,10 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
     step = max(1, _PATH_BLOCK // max(n, 1))
     counts = np.zeros(n, dtype=np.int64)          # counts[d]: pairs at d
     for i in range(0, len(sources), step):
-        dist = shortest_path(a, unweighted=True, indices=sources[i:i + step])
-        counts += np.bincount(dist[np.isfinite(dist)].astype(np.int64),
-                              minlength=n)
+        for row in shortest_path(a, unweighted=True,
+                                 indices=sources[i:i + step]):
+            row[row == np.inf] = 0
+            counts += np.bincount(row.astype(np.int64), minlength=n)
     hist = {d: c for d, c in enumerate(counts.tolist()) if d and c}
     meta = {"sampled": n > exact_nodes, "sources": len(sources), "seed": seed}
     return hist, meta

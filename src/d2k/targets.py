@@ -291,8 +291,10 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:
-    """Dyad census in a single edge scan."""
-    reciprocated = sum(1 for u, v in g.edges() if g.has_edge(v, u))
+    """Dyad census: an arc u->v is reciprocated when v is also an in-neighbour
+    of u, counted per node against the set of its out-neighbours."""
+    reciprocated = sum(len(set(outs).intersection(ins))
+                       for outs, ins in zip(g.out_adj, g.in_adj))
     mutual = reciprocated // 2
     asymmetric = g.m - reciprocated
     null = g.n * (g.n - 1) // 2 - mutual - asymmetric

@@ -46,10 +46,10 @@ def dataset_files() -> list[Path]:
 # ---------------------------------------------------------------------------
 # oracle: triad classification by structure (not by code table)
 
-def classify_triad(g: DirectedGraph, a: int, b: int, c: int) -> str:
+def classify_triad(edges: frozenset, a: int, b: int, c: int) -> str:
     nodes = (a, b, c)
     arcs = {(u, v) for u in nodes for v in nodes
-            if u != v and g.has_edge(u, v)}
+            if u != v and (u, v) in edges}
     mutual_pairs = []
     asym_arcs = []
     for u, v in ((a, b), (a, c), (b, c)):
@@ -99,10 +99,11 @@ def classify_triad(g: DirectedGraph, a: int, b: int, c: int) -> str:
 def triad_census_bruteforce(g: DirectedGraph) -> dict[str, int]:
     from d2k.metrics import TRIAD_NAMES
     census = dict.fromkeys(TRIAD_NAMES, 0)
+    edges = g.edge_set()
     for a in range(g.n):
         for b in range(a + 1, g.n):
             for c in range(b + 1, g.n):
-                census[classify_triad(g, a, b, c)] += 1
+                census[classify_triad(edges, a, b, c)] += 1
     return census
 
 
@@ -111,6 +112,7 @@ def triad_census_bruteforce(g: DirectedGraph) -> dict[str, int]:
 
 def dsp_bruteforce(g: DirectedGraph, variant: str) -> dict[int, int]:
     n = g.n
+    e = g.edge_set()
     hist: dict[int, int] = {}
     for i in range(n):
         for j in range(n):
@@ -121,11 +123,11 @@ def dsp_bruteforce(g: DirectedGraph, variant: str) -> dict[int, int]:
                 if w in (i, j):
                     continue
                 if variant == "independent_two_paths":
-                    ok = g.has_edge(i, w) and g.has_edge(w, j)
+                    ok = (i, w) in e and (w, j) in e
                 elif variant == "outgoing":
-                    ok = g.has_edge(i, w) and g.has_edge(j, w)
+                    ok = (i, w) in e and (j, w) in e
                 else:
-                    ok = g.has_edge(w, i) and g.has_edge(w, j)
+                    ok = (w, i) in e and (w, j) in e
                 count += 1 if ok else 0
             hist[count] = hist.get(count, 0) + 1
     return hist
@@ -135,14 +137,15 @@ def dsp_bruteforce(g: DirectedGraph, variant: str) -> dict[int, int]:
 # oracle: expansion by explicit two-step walk
 
 def expansion_bruteforce(g: DirectedGraph, direction: str) -> list[float]:
+    e = g.edge_set()
     ratios = []
     for v in range(g.n):
         if direction == "out":
-            first = {w for w in range(g.n) if g.has_edge(v, w)}
-            second = {x for w in first for x in range(g.n) if g.has_edge(w, x)}
+            first = {w for w in range(g.n) if (v, w) in e}
+            second = {x for w in first for x in range(g.n) if (w, x) in e}
         else:
-            first = {w for w in range(g.n) if g.has_edge(w, v)}
-            second = {x for w in first for x in range(g.n) if g.has_edge(x, w)}
+            first = {w for w in range(g.n) if (w, v) in e}
+            second = {x for w in first for x in range(g.n) if (x, w) in e}
         if not first:
             continue
         second -= first

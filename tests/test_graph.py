@@ -6,8 +6,7 @@ import random
 import pytest
 
 from conftest import random_digraph
-from d2k import (ASYMMETRIC, DirectedGraph, EdgeListFormatError, MUTUAL, NULL,
-                 dyad_state, from_edge_list)
+from d2k import DirectedGraph, EdgeListFormatError, from_edge_list
 
 
 def test_loop_and_duplicate_removal():
@@ -17,6 +16,13 @@ def test_loop_and_duplicate_removal():
     assert g.m == 2
     assert g.edge_set() == {(0, 1), (1, 0)}
     assert stats == {"pairs": 4, "self_loops": 1, "duplicates": 1}
+    # a duplicate far from its first copy goes, a reversed pair stays; the
+    # kept heads are in first-appearance order
+    g = from_edge_list([(5, 7), (5, 9), (7, 5), (9, 7), (5, 2), (7, 9),
+                        (5, 7)], stats)
+    assert g.orig_ids == [5, 7, 9, 2]
+    assert g.out_adj == [[1, 2, 3], [0, 2], [1], []]
+    assert stats == {"pairs": 7, "self_loops": 0, "duplicates": 1}
 
 
 def test_empty_input():
@@ -83,13 +89,7 @@ def test_constructor_rejects_nonsimple():
         DirectedGraph(2, [[0], []])          # self-loop
     with pytest.raises(ValueError):
         DirectedGraph(2, [[1, 1], []])       # parallel edge
-
-
-def test_dyad_state():
-    g = from_edge_list([(0, 1), (1, 0), (1, 2)])
-    assert dyad_state(g, 0, 1) == MUTUAL
-    assert dyad_state(g, 1, 2) == ASYMMETRIC
-    assert dyad_state(g, 2, 1) == ASYMMETRIC
-    assert dyad_state(g, 0, 2) == NULL
-    with pytest.raises(ValueError):
-        dyad_state(g, 1, 1)
+    with pytest.raises(ValueError, match="parallel edge 0->1"):
+        DirectedGraph(3, [[1, 2, 1], [], []])
+    with pytest.raises(ValueError, match="self-loop at node 1"):
+        DirectedGraph(3, [[], [2, 1], []])

@@ -11,9 +11,10 @@ from conftest import (betweenness_bruteforce, betweenness_stack_walk,
                       core_numbers_bruteforce, dsp_bruteforce,
                       expansion_bruteforce, random_digraph, scc_bruteforce,
                       triad_census_bruteforce)
-from d2k import (D2KError, DirectedGraph, MetricsConfig, avg_neighbor_degree,
-                 dsp, dyad_census, expansion, from_edge_list, metrics,
-                 structural_suite, triad_census)
+from d2k import (D2KError, DirectedGraph, MetricsConfig, UmanTargets,
+                 avg_neighbor_degree, dsp, dyad_census, expansion,
+                 extract_uman, from_edge_list, metrics, structural_suite,
+                 triad_census)
 from d2k.metrics import (EIGEN_OPERATORS, HISTOGRAM, TRIAD_NAMES, Counts,
                          Means, Values, betweenness_values,
                          core_number_histogram, scc_size_histogram,
@@ -100,6 +101,24 @@ def test_censuses_sum_identities():
         n = g.n
         assert sum(triad_census(g).values()) == n * (n - 1) * (n - 2) // 6
         assert sum(dyad_census(g).values()) == n * (n - 1) // 2
+
+
+def test_dyad_census_matches_pair_classification():
+    # each unordered pair classified from the edge set; both orientations
+    # are drawn independently, so every graph has reciprocated pairs
+    rng = random.Random(19)
+    for _ in range(10):
+        g = random_digraph(rng, rng.randint(10, 25), rng.uniform(0.3, 0.7))
+        e = g.edge_set()
+        states = ("null", "asymmetric", "mutual")    # by arcs in the pair
+        want = dict.fromkeys(states, 0)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                want[states[((u, v) in e) + ((v, u) in e)]] += 1
+        assert want["mutual"] > 0
+        assert dyad_census(g) == want
+        assert extract_uman(g) == UmanTargets(g.n, want["mutual"],
+                                              want["asymmetric"], want["null"])
 
 
 def test_triad_census_matches_bruteforce():
