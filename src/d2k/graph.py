@@ -6,6 +6,7 @@ in-adjacency lists; its edge set is built on demand.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from .errors import EdgeListFormatError
 
@@ -15,8 +16,8 @@ class DirectedGraph:
 
     Build instances through :func:`from_edge_list` or
     :meth:`DirectedGraph.from_edges`; the constructor trusts its input and
-    only asserts simplicity.  Graphs compare by node count and edge set and
-    are not hashable.
+    only asserts that every head is a node id and that the graph is simple.
+    Graphs compare by node count and edge set and are not hashable.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj", "orig_ids")
@@ -25,14 +26,21 @@ class DirectedGraph:
                  orig_ids: list[int] | None = None):
         if len(out_adj) != n:
             raise ValueError("adjacency length does not match node count")
+        # a negative head would index in_adj from its end; one >= n raises
+        # IndexError there
+        if min(chain.from_iterable(out_adj), default=0) < 0:
+            _raise_not_a_node(n, out_adj)
         in_adj: list[list[int]] = [[] for _ in range(n)]
         m = 0
         for u, nbrs in enumerate(out_adj):
             heads = set(nbrs)
             if u in heads or len(heads) != len(nbrs):
                 _raise_not_simple(u, nbrs)
-            for v in nbrs:
-                in_adj[v].append(u)
+            try:
+                for v in nbrs:
+                    in_adj[v].append(u)
+            except IndexError:
+                _raise_not_a_node(n, out_adj)
             m += len(nbrs)
         self.n = n
         self.m = m
@@ -78,6 +86,13 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, m={self.m})"
+
+
+def _raise_not_a_node(n: int, out_adj: list[list[int]]) -> None:
+    """Raise for the first head outside 0..n-1, in node order."""
+    u, v = next((u, v) for u, nbrs in enumerate(out_adj) for v in nbrs
+                if not 0 <= v < n)
+    raise ValueError(f"head {v} of node {u} is not a node id in 0..{n - 1}")
 
 
 def _raise_not_simple(u: int, nbrs: list[int]) -> None:

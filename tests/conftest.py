@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from d2k import DirectedGraph
@@ -152,6 +153,26 @@ def expansion_bruteforce(g: DirectedGraph, direction: str) -> list[float]:
         second.discard(v)
         ratios.append(len(second) / len(first))
     return ratios
+
+
+# ---------------------------------------------------------------------------
+# oracle: average neighbor degree by a walk over the edges
+
+def avg_neighbor_degree_loop(g: DirectedGraph, node_side: str,
+                             neighbor_side: str) -> dict[int, Fraction]:
+    """Per key, in order of first appearance in g.edges(), the exact mean
+    of the neighbour's degree over the edges with that key."""
+    sums: dict[int, int] = {}
+    cnts: dict[int, int] = {}
+    for u, v in g.edges():
+        if node_side == "out":
+            key, nb = g.out_degree(u), v
+        else:
+            key, nb = g.in_degree(v), u
+        val = g.out_degree(nb) if neighbor_side == "out" else g.in_degree(nb)
+        sums[key] = sums.get(key, 0) + val
+        cnts[key] = cnts.get(key, 0) + 1
+    return {k: Fraction(sums[k], cnts[k]) for k in sums}
 
 
 # ---------------------------------------------------------------------------

@@ -93,3 +93,16 @@ def test_constructor_rejects_nonsimple():
         DirectedGraph(3, [[1, 2, 1], [], []])
     with pytest.raises(ValueError, match="self-loop at node 1"):
         DirectedGraph(3, [[], [2, 1], []])
+
+
+def test_constructor_rejects_heads_that_are_not_node_ids():
+    # -1 would index the last in-list and build a parallel edge 0->2
+    with pytest.raises(ValueError, match="head -1 of node 0 is not a node id"):
+        DirectedGraph(3, [[-1, 2], [], []])
+    with pytest.raises(ValueError, match=r"head 3 of node 1 .* in 0\.\.2"):
+        DirectedGraph(3, [[], [0, 3], []])
+    for bad in (-7, -6, -4, -3, 4, 6, 7):
+        with pytest.raises(ValueError, match=f"head {bad} of node 2 "):
+            DirectedGraph(3, [[1], [0], [0, bad]])
+    with pytest.raises(ValueError, match=r"head 1 of node 0 .* in 0\.\.0"):
+        DirectedGraph.from_edges(1, [(0, 1)])

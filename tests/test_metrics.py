@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (betweenness_bruteforce, betweenness_stack_walk,
-                      core_numbers_bruteforce, dsp_bruteforce,
-                      expansion_bruteforce, random_digraph, scc_bruteforce,
-                      triad_census_bruteforce)
+from conftest import (avg_neighbor_degree_loop, betweenness_bruteforce,
+                      betweenness_stack_walk, core_numbers_bruteforce,
+                      dsp_bruteforce, expansion_bruteforce, random_digraph,
+                      scc_bruteforce, triad_census_bruteforce)
 from d2k import (D2KError, DirectedGraph, MetricsConfig, UmanTargets,
                  avg_neighbor_degree, dsp, dyad_census, expansion,
                  extract_uman, from_edge_list, metrics, structural_suite,
@@ -203,6 +203,20 @@ def test_avg_neighbor_degree_mixed():
     assert avg_neighbor_degree(g, "in", "out")[2] == Fraction(1)
     # out-side grouping with out-degree 1 sources: targets' in-degrees 2,2,1
     assert avg_neighbor_degree(g, "out", "in") == {1: Fraction(5, 3)}
+
+
+def test_avg_neighbor_degree_matches_edge_walk_in_key_order():
+    # Means.encode writes the keys in dict order, so the order is output
+    graphs = kernel_graphs(41) + [from_edge_list([(5, 1), (1, 5), (1, 2),
+                                                  (3, 2), (2, 4), (4, 1)])]
+    for g in graphs:
+        for node_side in ("in", "out"):
+            for neighbor_side in ("in", "out"):
+                got = avg_neighbor_degree(g, node_side, neighbor_side)
+                want = avg_neighbor_degree_loop(g, node_side, neighbor_side)
+                assert list(got.items()) == list(want.items())
+                assert all(type(k) is int and type(v) is Fraction
+                           for k, v in got.items())
 
 
 # -- structural suite --------------------------------------------------------
@@ -455,6 +469,8 @@ def test_spectrum_is_the_union_of_the_strong_components(operator):
         for dense_nodes, method in ((1000, "dense"), (10, "arpack")):
             values, meta = top_eigenvalues(g, 8, operator, dense_nodes)
             assert (meta["method"], meta["nodes"]) == (method, nodes)
+            power = {"directed": 3, "symmetrized": 1}[operator]
+            assert meta["power"] == (power if method == "arpack" else None)
             assert values == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
@@ -499,6 +515,125 @@ def test_eigenvalues_repeat_on_nearly_empty_spectra():
             assert values == [0.0] * 6 and meta["nodes"] == 0
 
 
+def _strong(rng: random.Random, size: int, p: float):
+    """A strong component: a cycle through every node plus random arcs."""
+    return size, {(v, (v + 1) % size) for v in range(size)} | {
+        (u, v) for u in range(size) for v in range(size)
+        if u != v and rng.random() < p}
+
+
+def _layered(rng: random.Random, period: int, width: int, p: float):
+    """A strong component of the given period: node v is in layer
+    v % period, and the cycle v -> v + 1 and the random arcs all go from a
+    layer to the next, so the spectrum is invariant under rotation by
+    2 pi / period."""
+    size = period * width
+    return size, {(v, (v + 1) % size) for v in range(size)} | {
+        (u, j * period + (u + 1) % period) for u in range(size)
+        for j in range(width) if rng.random() < p}
+
+
+def _times_cycle(size: int, edges, c: int):
+    """The tensor product with the directed c-cycle: its spectrum is the
+    digraph's times every c-th root of 1."""
+    return size * c, {(u * c + i, v * c + (i + 1) % c)
+                      for u, v in edges for i in range(c)}
+
+
+def _side_by_side(rng: random.Random, parts, tails: int = 5):
+    """The parts as disjoint components, and `tails` one-node components
+    with an arc into the first part."""
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    for size, part in parts:
+        edges |= {(u + n, v + n) for u, v in part}
+        n += size
+    edges |= {(n + t, rng.randrange(parts[0][0])) for t in range(tails)}
+    return DirectedGraph.from_edges(n + tails, sorted(edges))
+
+
+ROTATION_CASES = ("period2", "period3", "period6", "rotations", "mixed",
+                  "cycle33", "cycle45", "cycle60")
+
+
+def _rotation_case(name: str) -> DirectedGraph:
+    """Spectra whose cubes coincide: one strong component of period 2, 3
+    or 6; a digraph H beside H x C3 and H x C6, whose spectra are H's and
+    its rotations; components of period 3, 6 and 1 together; a directed
+    cycle of length 3j."""
+    rng = random.Random(name)
+    if name.startswith("cycle"):
+        size = int(name[5:])
+        return _side_by_side(rng, [(size, {(v, (v + 1) % size)
+                                           for v in range(size)})])
+    if name.startswith("period"):
+        period = int(name[6:])
+        return _side_by_side(rng, [_layered(rng, period, 60 // period, 0.15)])
+    if name == "rotations":
+        h = _strong(rng, 20, 0.12)
+        return _side_by_side(rng, [h, _times_cycle(*h, 3),
+                                   _times_cycle(*h, 6)])
+    return _side_by_side(rng, [_layered(rng, 3, 12, 0.15),
+                               _layered(rng, 6, 6, 0.2), _strong(rng, 30, 0.1)])
+
+
+@pytest.mark.parametrize("k", [8, 20])
+@pytest.mark.parametrize("name", ROTATION_CASES)
+def test_arpack_on_the_cube_recovers_rotated_spectra(name, k):
+    g = _rotation_case(name)
+    values, meta = top_eigenvalues(g, k, dense_nodes=10)
+    assert (meta["method"], meta["power"]) == ("arpack", 3)
+    assert values == pytest.approx(_dense_magnitudes(g, k), rel=1e-9, abs=0)
+
+
+def _one_ritz_pair_per_value(monkeypatch) -> list[int]:
+    """Make eigs return only the first of each set of coinciding Ritz
+    values, as a Krylov solve that found no copies would; the returned
+    list collects how many it dropped per call."""
+    import scipy.sparse.linalg
+    eigs, dropped = scipy.sparse.linalg.eigs, []
+
+    def first_copies(*args, **kwargs):
+        mu, x = eigs(*args, **kwargs)
+        keep = [i for i in range(len(mu)) if not any(
+            abs(mu[i] - mu[j]) <= 1e-8 * abs(mu[i]) for j in range(i))]
+        dropped.append(len(mu) - len(keep))
+        return mu[keep], x[:, keep]
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", first_copies)
+    return dropped
+
+
+# every eigenvalue of these is simple, so one Ritz vector per cube holds them
+@pytest.mark.parametrize("name", ["period3", "period6", "mixed", "cycle60"])
+def test_recovery_needs_one_ritz_vector_per_cube(monkeypatch, name):
+    g = _rotation_case(name)
+    dense = _dense_magnitudes(g, 20)
+    dropped = _one_ritz_pair_per_value(monkeypatch)
+    values, meta = top_eigenvalues(g, 20, dense_nodes=10)
+    assert meta["power"] == 3 and dropped[0] > 0
+    assert values == pytest.approx(dense, rel=1e-9, abs=0)
+
+
+def test_recovery_splits_a_vector_that_mixes_rotated_eigenvectors():
+    from scipy.sparse import csr_matrix
+    size, edges = _layered(random.Random(44), 3, 10, 0.2)
+    a = np.zeros((size, size))
+    for u, v in edges:
+        a[u, v] = 1.0
+    vals, vecs = np.linalg.eig(a)
+    rho = vals[np.argmax(vals.real)].real                  # the Perron root
+    omega = complex(-0.5, math.sqrt(3) / 2)
+    own, rotated = (np.argmin(abs(vals - rho * w)) for w in (1, omega))
+    mu = np.array([rho ** 3 + 0j])
+    mixed = vecs[:, own] + vecs[:, rotated]
+    got = metrics._roots_of_cube(csr_matrix(a), mu,
+                                 (mixed / np.linalg.norm(mixed))[:, None])
+    assert sorted(got, key=lambda z: z.imag) == \
+        pytest.approx([rho, rho * omega], rel=1e-12)
+    got = metrics._roots_of_cube(csr_matrix(a), mu, vecs[:, [rotated]])
+    assert got == pytest.approx([rho * omega], rel=1e-12)
+
+
 def test_eigenvalue_solve_that_does_not_converge_is_a_typed_error(monkeypatch):
     import scipy.sparse.linalg
 
@@ -507,6 +642,13 @@ def test_eigenvalue_solve_that_does_not_converge_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
     g = random_digraph(random.Random(25), 60, 0.1)
     with pytest.raises(D2KError, match="did not converge"):
+        top_eigenvalues(g, k=3, dense_nodes=10)
+
+
+def test_too_few_recovered_eigenvalues_is_a_typed_error(monkeypatch):
+    g = random_digraph(random.Random(25), 60, 0.1)
+    monkeypatch.setattr(metrics, "_roots_of_cube", lambda b, mu, x: [1.0] * 2)
+    with pytest.raises(D2KError, match="power = 3.*2 eigenvalues recovered"):
         top_eigenvalues(g, k=3, dense_nodes=10)
 
 
