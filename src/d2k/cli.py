@@ -73,20 +73,29 @@ def _generate_one(target_path: str, model: str, seed: int, out_path: str,
     return out_path
 
 
-def cmd_generate(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    workers = _worker_count()
+def _checked_model(args) -> str | None:
+    """The target's model, or None once the report of an unrealizable
+    d2k/d2km target is on stderr.  Each job loads the target again, so
+    this copy is freed before the first job runs."""
     t = files.load_targets(args.target)
-    model = t.model
-    if args.swap_rounds is not None and model != "d1k":
+    if args.swap_rounds is not None and t.model != "d1k":
         raise ValueError(f"--swap-rounds applies to d1k targets only, "
-                         f"not to a {model} target")
+                         f"not to a {t.model} target")
     if isinstance(t, targets.D2KTargets):
         report = check(t)
         if not report.realizable:
             print(report.to_text(), file=sys.stderr)
-            return EXIT_UNREALIZABLE
+            return None
+    return t.model
+
+
+def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    workers = _worker_count()
+    model = _checked_model(args)
+    if model is None:
+        return EXIT_UNREALIZABLE
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(args.target), model, args.seed + i,

@@ -9,9 +9,9 @@ report metadata.
 Shared partners, shortest paths, strongly connected components and the
 spectrum run on one sparse adjacency matrix (scipy, imported inside those
 functions only, so loading the package for extraction or generation does
-not pay for it).  The directed spectrum is solved on the cube of that
-matrix, whose crowded top magnitudes lie three times further apart, and
-the matrix's own eigenvalues are recovered from the Ritz vectors.
+not pay for it).  The spectrum is solved on the cube of that matrix,
+whose crowded top magnitudes lie three times further apart, and the
+matrix's own eigenvalues are recovered from the Ritz vectors.
 Betweenness, the triad census and neighbour degrees are numpy kernels over
 flat arc arrays; expansion and core numbers walk the adjacency lists.
 """
@@ -436,26 +436,25 @@ _RESIDUAL = 1e-10       # ||b q - theta q|| allowed, relative to max(|theta|, 1)
 # code, which stays in census-compare's peak RSS.
 
 
-def _times(b, y: np.ndarray) -> np.ndarray:
-    """b @ y for a complex y, through b's real product."""
-    return b @ y.real + 1j * (b @ y.imag)
-
-
 def _norm(y: np.ndarray):
-    """Euclidean norm of y, per column when y is a matrix."""
-    return np.sqrt((y.real ** 2 + y.imag ** 2).sum(axis=0))
+    """Euclidean norm of a complex y, per row when y is a matrix."""
+    y = y.view(np.float64)
+    return np.sqrt((y * y).sum(axis=-1))
 
 
-def _orthonormal(columns: np.ndarray, floors) -> list[np.ndarray]:
-    """Gram-Schmidt over the columns, dropping each one whose remainder's
-    norm is at most its floor."""
-    basis: list[np.ndarray] = []
-    for y, floor in zip(columns.T, floors):
-        for q in basis:
-            y = y - (q.conj() * y).sum() * q
+def _orthonormal(vectors: np.ndarray, images: np.ndarray, floors) \
+        -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gram-Schmidt over the rows of vectors, dropping each one whose
+    remainder's norm is at most its floor; each basis vector comes with the
+    same combination of the rows of images."""
+    basis: list[tuple[np.ndarray, np.ndarray]] = []
+    for y, image, floor in zip(vectors, images, floors):
+        for q, bq in basis:
+            c = (q.conj() * y).sum()
+            y, image = y - c * q, image - c * bq
         norm = _norm(y)
         if norm > floor:
-            basis.append(y / norm)
+            basis.append((y / norm, image / norm))
     return basis
 
 
@@ -474,30 +473,38 @@ def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
     vectors mix the eigenvectors of the rotated values.  Since b**3 x = mu x,
     the columns of x, b x and b**2 x span a b-invariant subspace, and
     lam**2 x + lam b x + b**2 x is 3 lam**2 times x's part in the
-    eigenspace of the root lam.  The Ritz vectors of coinciding values are
-    projected together; each vector q of an orthonormal basis of a
-    projection (a column is dropped at _RANK_CUT of its terms' norms) gives
-    theta = q^H b q, kept when ||b q - theta q|| is at most _RESIDUAL.
+    eigenspace of the root lam; its image under b is lam**2 b x +
+    lam b**2 x + b**3 x, so x, b x, b**2 x and b**3 x, taken once, give
+    every projection and its image.  The Ritz vectors of coinciding values
+    are projected together; each vector q of an orthonormal basis of a
+    projection (a vector is dropped at _RANK_CUT of its terms' norms) gives
+    theta = q^H b q, kept when ||b q - theta q|| is at most _RESIDUAL.  A
+    real spectrum (the symmetrized operator's) keeps the real root alone:
+    the other two project to about 0.
     b is real, so each conjugate pair is solved from its member with
     Im mu > 0 and gives the conjugate values too (a lone Im mu < 0, which
     eigs leaves at the bottom when it splits the last pair, is dropped).
     """
+    upper = mu.imag >= 0
+    mu, y = mu[upper], x[:, upper]
+    powers = [y.T.copy()]              # row i: b**p times mu[i]'s vector
+    for _ in range(3):
+        y = b @ y.real + 1j * (b @ y.imag)
+        powers.append(y.T.copy())
+    norms = [_norm(z) for z in powers[:3]]
     thetas: list[complex] = []
-    left = mu.imag >= 0
+    left = np.ones(len(mu), dtype=bool)
     for i in range(len(mu)):
         if not left[i]:
             continue
         group = left & (abs(mu - mu[i]) <= _COINCIDE * abs(mu[i]))
         left &= ~group
-        x0 = x[:, group]
-        x1 = _times(b, x0)
-        x2 = _times(b, x1)
-        norms = _norm(x0), _norm(x1), _norm(x2)
+        x0, x1, x2, x3 = (z[group] for z in powers)
+        n0, n1, n2 = (z[group] for z in norms)
         for lam in _cube_roots(complex(mu[i])):
-            floors = _RANK_CUT * (abs(lam) ** 2 * norms[0]
-                                  + abs(lam) * norms[1] + norms[2])
-            for q in _orthonormal(lam * lam * x0 + lam * x1 + x2, floors):
-                bq = _times(b, q)
+            floors = _RANK_CUT * (abs(lam) ** 2 * n0 + abs(lam) * n1 + n2)
+            for q, bq in _orthonormal((lam * x0 + x1) * lam + x2,
+                                      (lam * x1 + x2) * lam + x3, floors):
                 theta = (q.conj() * bq).sum()
                 if _norm(bq - theta * q) <= _RESIDUAL * max(abs(theta), 1):
                     thetas += [theta, theta.conjugate()] if mu[i].imag \
@@ -519,14 +526,16 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     the top k are kept, since the magnitudes near the k-th lie close
     together in a sparse digraph's bulk.
 
-    Under the directed operator the Arnoldi solve runs on b**3 (power 3):
-    cubing maps |lambda| to |lambda|**3, which triples every relative gap
-    between the crowded magnitudes and cut the Arnoldi steps 2- to 3.5-fold
-    on the census-compare strong cores.  _roots_of_cube then recovers b's own
-    eigenvalues from the Ritz vectors; recovering fewer than k of them is
-    a solve that did not converge.  The symmetrized operator keeps its
-    solve on b (power 1).  meta records what ran: method, solved_k, ncv,
-    tol, power and nodes (= m).
+    The Arnoldi solve runs on b**3 (meta's power = 3): cubing maps |lambda|
+    to |lambda|**3, which triples every relative gap between the crowded
+    magnitudes and cut the Arnoldi steps 2- to 3.5-fold on the
+    census-compare strong cores of the directed operator.  _roots_of_cube
+    then recovers b's own eigenvalues from the Ritz vectors; recovering
+    fewer than k of them is a solve that did not converge.  The
+    symmetrized operator's spectrum is real and its top values lie further
+    apart, but its solve and recovery on the cube still took less time
+    than the solve on b on the census-compare graphs.  meta records what
+    ran: method, solved_k, ncv, tol, power and nodes (= m).
     """
     if operator not in EIGEN_OPERATORS:
         raise ValueError(f"unknown eigenvalue operator {operator!r}")
@@ -552,22 +561,19 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
         vals = np.linalg.eigvalsh(b) if symmetrize else np.linalg.eigvals(b)
     else:
         import scipy.sparse.linalg
-        power = 1 if symmetrize else 3
         v0 = np.random.default_rng(seed).standard_normal(m)
         failure = f"eigenvalue solve did not converge on {m} of {n} nodes " \
-                  f"(k = {solved}, ncv = {ncv}, power = {power})"
+                  f"(k = {solved}, ncv = {ncv}, power = 3)"
         try:
-            found = scipy.sparse.linalg.eigs(
-                scipy.sparse.linalg.aslinearoperator(b) ** power, k=solved,
-                ncv=ncv, tol=0, which="LM", v0=v0,
-                return_eigenvectors=power > 1)
+            mu, x = scipy.sparse.linalg.eigs(
+                scipy.sparse.linalg.aslinearoperator(b) ** 3, k=solved,
+                ncv=ncv, tol=0, which="LM", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise D2KError(f"{failure}: {exc}") from exc
-        vals = _roots_of_cube(b, *found) if power > 1 else found
+        vals = _roots_of_cube(b, mu, x)
         if len(vals) < k:
             raise D2KError(f"{failure}: {len(vals)} eigenvalues recovered")
-        meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0,
-                    power=power)
+        meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0, power=3)
     mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
     return mags + [0.0] * (k - len(mags)), meta
 

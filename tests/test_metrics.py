@@ -469,8 +469,7 @@ def test_spectrum_is_the_union_of_the_strong_components(operator):
         for dense_nodes, method in ((1000, "dense"), (10, "arpack")):
             values, meta = top_eigenvalues(g, 8, operator, dense_nodes)
             assert (meta["method"], meta["nodes"]) == (method, nodes)
-            power = {"directed": 3, "symmetrized": 1}[operator]
-            assert meta["power"] == (power if method == "arpack" else None)
+            assert meta["power"] == (3 if method == "arpack" else None)
             assert values == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
@@ -587,16 +586,17 @@ def test_arpack_on_the_cube_recovers_rotated_spectra(name, k):
 
 
 def _one_ritz_pair_per_value(monkeypatch) -> list[int]:
-    """Make eigs return only the first of each set of coinciding Ritz
-    values, as a Krylov solve that found no copies would; the returned
-    list collects how many it dropped per call."""
+    """Make eigs return only the first of each set of Ritz values that the
+    recovery takes as one, as a Krylov solve that found no copies would;
+    the returned list collects how many it dropped per call."""
     import scipy.sparse.linalg
     eigs, dropped = scipy.sparse.linalg.eigs, []
 
     def first_copies(*args, **kwargs):
         mu, x = eigs(*args, **kwargs)
         keep = [i for i in range(len(mu)) if not any(
-            abs(mu[i] - mu[j]) <= 1e-8 * abs(mu[i]) for j in range(i))]
+            abs(mu[i] - mu[j]) <= metrics._COINCIDE * abs(mu[i])
+            for j in range(i))]
         dropped.append(len(mu) - len(keep))
         return mu[keep], x[:, keep]
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", first_copies)
@@ -632,6 +632,29 @@ def test_recovery_splits_a_vector_that_mixes_rotated_eigenvectors():
         pytest.approx([rho, rho * omega], rel=1e-12)
     got = metrics._roots_of_cube(csr_matrix(a), mu, vecs[:, [rotated]])
     assert got == pytest.approx([rho * omega], rel=1e-12)
+
+
+def test_recovery_takes_close_copies_of_a_cube_as_one():
+    # two Ritz values of one cube that are not bitwise equal, within
+    # _COINCIDE of each other: their vectors are projected together, so
+    # each eigenvalue comes out once, and a repeated vector adds nothing
+    from scipy.sparse import csr_matrix
+    size, edges = _layered(random.Random(44), 3, 10, 0.2)
+    a = np.zeros((size, size))
+    for u, v in edges:
+        a[u, v] = 1.0
+    vals, vecs = np.linalg.eig(a)
+    rho = vals[np.argmax(vals.real)].real
+    omega = complex(-0.5, math.sqrt(3) / 2)
+    own, rotated = (np.argmin(abs(vals - rho * w)) for w in (1, omega))
+    mu = rho ** 3 * np.array([1, 1 + metrics._COINCIDE / 3]) + 0j
+    assert mu[0] != mu[1]
+    mixed = vecs[:, own] + vecs[:, rotated]
+    for x, want in (([vecs[:, own], vecs[:, own]], [rho]),
+                    ([mixed, vecs[:, own]], [rho, rho * omega])):
+        got = metrics._roots_of_cube(csr_matrix(a), mu, np.array(x).T)
+        assert sorted(got, key=lambda z: z.imag) == \
+            pytest.approx(want, rel=1e-12)
 
 
 def test_eigenvalue_solve_that_does_not_converge_is_a_typed_error(monkeypatch):
