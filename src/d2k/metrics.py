@@ -9,9 +9,9 @@ report metadata.
 Shared partners, shortest paths, strongly connected components and the
 spectrum run on one sparse adjacency matrix (scipy, imported inside those
 functions only, so loading the package for extraction or generation does
-not pay for it).  The spectrum is solved on the cube of that matrix,
-whose crowded top magnitudes lie three times further apart, and the
-matrix's own eigenvalues are recovered from the Ritz vectors.
+not pay for it).  The directed spectrum is solved on the cube of that
+matrix, whose crowded top magnitudes lie three times further apart, and
+the matrix's own eigenvalues are recovered from the Ritz vectors.
 Betweenness, the triad census and neighbour degrees are numpy kernels over
 flat arc arrays; expansion and core numbers walk the adjacency lists.
 """
@@ -478,9 +478,7 @@ def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
     every projection and its image.  The Ritz vectors of coinciding values
     are projected together; each vector q of an orthonormal basis of a
     projection (a vector is dropped at _RANK_CUT of its terms' norms) gives
-    theta = q^H b q, kept when ||b q - theta q|| is at most _RESIDUAL.  A
-    real spectrum (the symmetrized operator's) keeps the real root alone:
-    the other two project to about 0.
+    theta = q^H b q, kept when ||b q - theta q|| is at most _RESIDUAL.
     b is real, so each conjugate pair is solved from its member with
     Im mu > 0 and gives the conjugate values too (a lone Im mu < 0, which
     eigs leaves at the bottom when it splits the last pair, is dropped).
@@ -526,16 +524,16 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     the top k are kept, since the magnitudes near the k-th lie close
     together in a sparse digraph's bulk.
 
-    The Arnoldi solve runs on b**3 (meta's power = 3): cubing maps |lambda|
-    to |lambda|**3, which triples every relative gap between the crowded
-    magnitudes and cut the Arnoldi steps 2- to 3.5-fold on the
-    census-compare strong cores of the directed operator.  _roots_of_cube
-    then recovers b's own eigenvalues from the Ritz vectors; recovering
-    fewer than k of them is a solve that did not converge.  The
-    symmetrized operator's spectrum is real and its top values lie further
-    apart, but its solve and recovery on the cube still took less time
-    than the solve on b on the census-compare graphs.  meta records what
-    ran: method, solved_k, ncv, tol, power and nodes (= m).
+    Under the directed operator the Arnoldi solve runs on b**3 (power 3):
+    cubing maps |lambda| to |lambda|**3, which triples every relative gap
+    between the crowded magnitudes and cut the Arnoldi steps 2- to
+    3.5-fold on the census-compare strong cores.  _roots_of_cube then
+    recovers b's own eigenvalues from the Ritz vectors; recovering fewer
+    than k of them is a solve that did not converge.  The symmetrized
+    operator keeps its solve on b (power 1): its top values lie further
+    apart, and on the census-compare graphs the cube solve with Ritz
+    vectors and recovery took about 8% longer.  meta records what ran:
+    method, solved_k, ncv, tol, power and nodes (= m).
     """
     if operator not in EIGEN_OPERATORS:
         raise ValueError(f"unknown eigenvalue operator {operator!r}")
@@ -561,19 +559,22 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
         vals = np.linalg.eigvalsh(b) if symmetrize else np.linalg.eigvals(b)
     else:
         import scipy.sparse.linalg
+        power = 1 if symmetrize else 3
         v0 = np.random.default_rng(seed).standard_normal(m)
         failure = f"eigenvalue solve did not converge on {m} of {n} nodes " \
-                  f"(k = {solved}, ncv = {ncv}, power = 3)"
+                  f"(k = {solved}, ncv = {ncv}, power = {power})"
         try:
-            mu, x = scipy.sparse.linalg.eigs(
-                scipy.sparse.linalg.aslinearoperator(b) ** 3, k=solved,
-                ncv=ncv, tol=0, which="LM", v0=v0)
+            found = scipy.sparse.linalg.eigs(
+                scipy.sparse.linalg.aslinearoperator(b) ** power, k=solved,
+                ncv=ncv, tol=0, which="LM", v0=v0,
+                return_eigenvectors=power > 1)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise D2KError(f"{failure}: {exc}") from exc
-        vals = _roots_of_cube(b, mu, x)
+        vals = _roots_of_cube(b, *found) if power > 1 else found
         if len(vals) < k:
             raise D2KError(f"{failure}: {len(vals)} eigenvalues recovered")
-        meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0, power=3)
+        meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0,
+                    power=power)
     mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
     return mags + [0.0] * (k - len(mags)), meta
 
