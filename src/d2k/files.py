@@ -41,11 +41,16 @@ def read_edge_list(path, stats: dict | None = None) -> DirectedGraph:
                     f"line {lineno}: expected 'source target', got {text!r}",
                     position=lineno)
             try:
-                pairs.append((int(fields[0]), int(fields[1])))
+                u, v = int(fields[0]), int(fields[1])
             except ValueError:
                 raise EdgeListFormatError(
                     f"line {lineno}: non-integer ids in {text!r}",
                     position=lineno) from None
+            if u < 0 or v < 0:
+                raise EdgeListFormatError(
+                    f"line {lineno}: negative ids in {text!r}",
+                    position=lineno)
+            pairs.append((u, v))
     return from_edge_list(pairs, stats)
 
 

@@ -53,6 +53,11 @@ class DirectedGraph:
                    edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         out_adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
+            # a negative tail would index out_adj from its end
+            if not 0 <= u < n:
+                raise ValueError(
+                    f"tail {u} of edge ({u}, {v}) is not a node id in "
+                    f"0..{n - 1}")
             out_adj[u].append(v)
         return cls(n, out_adj)
 

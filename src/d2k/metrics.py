@@ -94,11 +94,6 @@ _WEDGE_CHUNK = 1 << 14          # wedges classified per triad-census step
 DYAD_ORDER = ("mutual", "asymmetric", "null")
 
 
-def _neighbours(g: DirectedGraph) -> list[set[int]]:
-    """Per node, its neighbours in the symmetrized simple graph."""
-    return [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(g.n)]
-
-
 def dyad_census(g: DirectedGraph) -> dict[str, int]:
     t = extract_uman(g)
     return {"mutual": t.mutual, "asymmetric": t.asymmetric, "null": t.null}
@@ -302,7 +297,7 @@ def core_numbers(g: DirectedGraph) -> list[int]:
     k-core is not uniquely defined; symmetrization is the conventional
     reading and is recorded in report metadata)."""
     n = g.n
-    und = _neighbours(g)
+    und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
     deg = [len(und[v]) for v in range(n)]
     if n == 0:
         return []
@@ -811,7 +806,7 @@ METRICS = (
                g, *combo.split("_")).items()}),
     Metric("degree_correlation", Counts(str, joint=True),
            "degree_correlation", None,
-           lambda g, c: {_cell_pair_label(a, b): count
+           lambda g, c: {f"{a.side}:{a.label}|{b.side}:{b.label}": count
                          for a, b, count in extract_d2k(g).jdam_entries()}),
     Metric("dyad_census", Counts(str, DYAD_ORDER), "dyads", "dyad_census",
            lambda g, c: dyad_census(g)),
@@ -841,14 +836,6 @@ METRICS = (
            note="second hop excludes the origin and all first-hop nodes"),
 )
 METRIC_NAMES = tuple(row.name for row in METRICS)
-
-
-def _cell_pair_label(a, b) -> str:
-    def one(c):
-        label = c.label if not isinstance(c.label, tuple) \
-            else ",".join(map(str, c.label))
-        return f"{c.side}:{label}"
-    return f"{one(a)}|{one(b)}"
 
 
 # ---------------------------------------------------------------------------

@@ -24,29 +24,30 @@ class SwapGraph:
     """A simple digraph on nodes 0..n-1 as mutable arrays.
 
     Edge i is (src[i], dst[i]) and keeps its index when a move rewires it;
-    out[u] holds u's out-neighbours and pos maps u * n + v to the index of
-    (u, v).  The out-sets' iteration order, which reverse_random_cycle draws
-    from, depends on their add/discard order, so each move keeps that order.
+    out[u] maps each out-neighbour v of u to the index of edge (u, v), and is
+    the only index of u's out-edges.  reverse_random_cycle lists closers in
+    the maps' insertion order, which the moves made so far set, so each
+    move keeps the order of its deletes and inserts.
     """
 
-    __slots__ = ("n", "src", "dst", "out", "pos")
+    __slots__ = ("n", "src", "dst", "out")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         self.n = n
         self.src = [u for u, _ in edges]
         self.dst = [v for _, v in edges]
-        self.pos = {u * n + v: i for i, (u, v) in enumerate(edges)}
-        if len(self.pos) != len(edges) or not all(
-                0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+        self.out: list[dict[int, int]] = [{} for _ in range(n)]
+        # an edge out of range leaves the maps empty, a parallel edge makes
+        # them one entry short
+        if all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+            for i, (u, v) in enumerate(edges):
+                self.out[u][v] = i
+        if sum(map(len, self.out)) != len(edges):
             raise SwapError(f"edges do not form a simple digraph on {n} nodes")
-        self.out: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self.out[u].add(v)
 
     def graph(self) -> DirectedGraph:
         """The current edge set as a DirectedGraph, edges in sorted order."""
-        return DirectedGraph.from_edges(self.n,
-                                        sorted(zip(self.src, self.dst)))
+        return DirectedGraph(self.n, [sorted(heads) for heads in self.out])
 
     def cross(self, i: int, j: int) -> bool:
         """Rewire edges i = (a,b) and j = (c,d) into (a,d) and (c,b).
@@ -62,14 +63,9 @@ class SwapGraph:
         out_a, out_c = self.out[a], self.out[c]
         if d in out_a or b in out_c:
             return False
-        n, pos = self.n, self.pos
         dst[i], dst[j] = d, b
-        del pos[a * n + b], pos[c * n + d]
-        pos[a * n + d], pos[c * n + b] = i, j
-        out_a.discard(b)
-        out_a.add(d)
-        out_c.discard(d)
-        out_c.add(b)
+        del out_a[b], out_c[d]
+        out_a[d], out_c[b] = i, j
         return True
 
     def reverse(self, i: int, w: int) -> bool:
@@ -86,26 +82,19 @@ class SwapGraph:
             raise SwapError(f"{w} does not close a 3-cycle through ({a}, {b})")
         if a in out_b or b in out_w or w in out_a:
             return False
-        n, pos = self.n, self.pos
-        j, h = pos.pop(b * n + w), pos.pop(w * n + a)
-        del pos[a * n + b]
-        pos[b * n + a], pos[w * n + b], pos[a * n + w] = i, j, h
+        j, h = out_b.pop(w), out_w.pop(a)
+        del out_a[b]
+        out_b[a], out_w[b], out_a[w] = i, j, h
         src[i], dst[i] = b, a
         src[j], dst[j] = w, b
         src[h], dst[h] = a, w
-        out_a.discard(b)
-        out_b.add(a)
-        out_b.discard(w)
-        out_w.add(b)
-        out_w.discard(a)
-        out_a.add(w)
         return True
 
     def reverse_random_cycle(self, rng: random.Random) -> bool:
         """Reverse one random directed 3-cycle, if 5 probes find one.
 
         Each probe draws an edge (a, b), then a closer w of b->w->a from
-        the closers in out[b] iteration order, both uniformly by inlined
+        the closers in out[b]'s insertion order, both uniformly by inlined
         getrandbits rejection (the draws of randrange(m) and
         choice(closers)), and tries reverse.
         """

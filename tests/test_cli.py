@@ -95,6 +95,15 @@ def test_exit_1_on_malformed_input(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
 
 
+def test_negative_id_error_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# c\n\n1 2\n-1 3\n")
+    assert main(["extract", str(bad), "--model", "d2k",
+                 "-o", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 4: negative ids in '-1 3'\n"
+
+
 def test_baseline_models_via_cli(tmp_path):
     graph_path, g = write_graph(tmp_path)
     for model in ("d0k", "uman", "d1k"):

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import all_digraphs, random_digraph
 from d2k import (CellKey, ConstructionInvariantError, ConstructionState,
-                 D2KTargets, NotRealizableError, check, extract_d2k,
-                 from_edge_list, generate)
+                 D2KTargets, NotRealizableError, TargetStructureError, check,
+                 extract_d2k, from_edge_list, generate)
 
 
 def three_cycle_targets():
@@ -79,6 +79,14 @@ def test_unrealizable_rejected_up_front():
     with pytest.raises(NotRealizableError) as exc:
         generate(t, 1)
     assert not exc.value.report.realizable
+
+
+def test_same_side_jdam_entry_cannot_be_constructed():
+    # the constructor only builds out-cell -> in-cell edges
+    a = CellKey("in", 1)
+    t = D2KTargets("d2k", [(1, 1), (1, 1)], {(a, a): 2})
+    with pytest.raises(TargetStructureError, match="same-side jdam entry"):
+        ConstructionState(t)
 
 
 def test_progress_and_switch_budget():

@@ -9,6 +9,7 @@ from conftest import random_digraph
 from d2k import (EdgeListFormatError, MetricsConfig, TargetStructureError,
                  extract_d2k, extract_dds, extract_size, extract_uman,
                  load_targets, read_edge_list, save_targets, write_edge_list)
+from d2k.cli import main
 from d2k.files import (build_compare_report, load_metrics_report,
                        report_to_json_dict, save_metrics_report,
                        write_metric_csvs)
@@ -47,6 +48,16 @@ def test_edge_list_reports_line_numbers(tmp_path):
     assert exc.value.position == 1
 
 
+def test_edge_list_negative_id_reports_its_line(tmp_path):
+    # the fourth line holds the second pair; the line is what a reader sees
+    path = tmp_path / "bad.txt"
+    path.write_text("# c\n\n1 2\n-1 3\n", encoding="utf-8")
+    with pytest.raises(EdgeListFormatError,
+                       match="^line 4: negative ids in '-1 3'$") as exc:
+        read_edge_list(path)
+    assert exc.value.position == 4
+
+
 def test_target_round_trips_all_models(tmp_path):
     rng = random.Random(31)
     g = random_digraph(rng, 20, 0.2)
@@ -68,7 +79,7 @@ def test_target_files_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_malformed_target_files(tmp_path):
+def test_malformed_target_files(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(TargetStructureError):
@@ -94,10 +105,15 @@ def test_malformed_target_files(tmp_path):
     for good in _three_cycle_targets().values():
         path.write_text(json.dumps(good), encoding="utf-8")
         assert load_targets(path).n == 3
-    for bad in _wrong_json_types():
+    # through the CLI, each bad file exits 1 with one error line
+    for bad in _malformed_variants():
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(TargetStructureError):
             load_targets(path)
+        capsys.readouterr()
+        assert main(["generate", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _three_cycle_targets() -> dict[str, dict]:
@@ -114,7 +130,7 @@ def _three_cycle_targets() -> dict[str, dict]:
     return targets
 
 
-def _wrong_json_types() -> list[dict]:
+def _malformed_variants() -> list[dict]:
     good = _three_cycle_targets()
     bad = []
 
@@ -147,6 +163,17 @@ def _wrong_json_types() -> list[dict]:
     variant("uman", lambda t: t["dyads"].update(mutual=False))
     variant("d0k", lambda t: t.update(m=3.5))
     variant("d0k", lambda t: t.update(m="3"))
+    # a missing field, a wrong shape or an unknown model
+    for model, key in [("d2k", "dds"), ("d2km", "jdam"), ("uman", "dyads"),
+                       ("d0k", "m"), ("d1k", "dds")]:
+        variant(model, lambda t: t.pop(key))
+    variant("d2k", lambda t: t["jdam"][0].pop("count"))
+    for model in ("d2k", "d1k"):
+        variant(model, lambda t: t.update(dds=[[1, 1], [1, 1], [1, 1, 1]]))
+    for row in ([1, 1, 3], 3, "row"):
+        variant("d2k", lambda t: t.update(jdam=[row]))
+    variant("d2k", lambda t: t.update(model="d3k"))
+    variant("d2k", lambda t: t.pop("model"))
     return bad
 
 

@@ -106,3 +106,18 @@ def test_constructor_rejects_heads_that_are_not_node_ids():
             DirectedGraph(3, [[1], [0], [0, bad]])
     with pytest.raises(ValueError, match=r"head 1 of node 0 .* in 0\.\.0"):
         DirectedGraph.from_edges(1, [(0, 1)])
+
+
+def test_from_edges_rejects_tails_that_are_not_node_ids():
+    # -1 would index the last out-list and build the edge 2->0
+    n = 3
+    for bad in (-1, -7, n, n + 3):
+        match = rf"tail {bad} of edge \({bad}, 0\) .* in 0\.\.2"
+        with pytest.raises(ValueError, match=match):
+            DirectedGraph.from_edges(n, [(1, 2), (bad, 0)])
+
+
+def test_constructor_rejects_an_adjacency_of_the_wrong_length():
+    with pytest.raises(ValueError,
+                       match="adjacency length does not match node count"):
+        DirectedGraph(2, [[1]])

@@ -14,7 +14,7 @@ def engine(g: DirectedGraph) -> SwapGraph:
 
 
 def index(sg: SwapGraph, u: int, v: int) -> int:
-    return sg.pos[u * sg.n + v]
+    return sg.out[u][v]
 
 
 def test_same_cell_double_swap_preserves_jdam():
@@ -142,7 +142,7 @@ def test_crossing_twice_restores_edges_and_positions():
     rng = random.Random(16)
     g = random_digraph(rng, 10, 0.3)
     sg = engine(g)
-    pos = dict(sg.pos)
+    out = [dict(heads) for heads in sg.out]
     crossed = 0
     for i in range(g.m):
         for j in range(g.m):
@@ -151,7 +151,7 @@ def test_crossing_twice_restores_edges_and_positions():
                 assert sg.graph() != g
                 assert sg.cross(i, j)
             assert sg.graph() == g
-            assert sg.pos == pos
+            assert sg.out == out
     assert crossed
 
 
@@ -160,14 +160,14 @@ def test_reversal_undone_by_its_inverse():
     g = from_edge_list([(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
     for w in (2, 3):
         sg = engine(g)
-        pos = dict(sg.pos)
+        out = [dict(heads) for heads in sg.out]
         i = index(sg, 0, 1)
         assert sg.reverse(i, w)
         assert (1, 0) in sg.graph().edge_set()
         assert extract_dds(sg.graph()) == extract_dds(g)
         assert sg.reverse(i, w)
         assert sg.graph() == g
-        assert sg.pos == pos
+        assert sg.out == out
 
 
 def test_reversal_onto_an_existing_arc_is_rejected():
@@ -176,6 +176,10 @@ def test_reversal_onto_an_existing_arc_is_rejected():
     sg = engine(g)
     assert not sg.reverse(index(sg, 0, 1), 2)
     assert sg.graph() == g
+
+
+def test_random_cycle_on_an_empty_graph_is_no_move():
+    assert not SwapGraph(3, []).reverse_random_cycle(random.Random(18))
 
 
 def test_random_moves_keep_degrees_and_simplicity():
@@ -196,8 +200,9 @@ def test_random_moves_keep_degrees_and_simplicity():
         # parallel edge
         out = sg.graph()
         assert out.degree_pairs() == g.degree_pairs()
-        assert len(sg.pos) == g.m
-        assert all(sg.pos[u * n + v] == i
+        assert sum(map(len, sg.out)) == g.m
+        assert all(sg.out[u][v] == i
                    for i, (u, v) in enumerate(zip(sg.src, sg.dst)))
-        assert [set(nbrs) for nbrs in out.out_adj] == sg.out
+        assert [set(nbrs) for nbrs in out.out_adj] == \
+            [set(heads) for heads in sg.out]
     assert crossed and reversed_

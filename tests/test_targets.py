@@ -207,6 +207,13 @@ def test_constructor_validates():
             D2KTargets(mode, [(1, 1)] * 3, {(bad, good): 3})
 
 
+def test_edge_count_of_an_odd_stub_total_raises():
+    b = CellKey("out", 1)
+    t = D2KTargets("d2k", [(1, 1)] * 3, {(b, b): 3})
+    with pytest.raises(TargetStructureError, match="odd stub count"):
+        t.m
+
+
 @pytest.mark.parametrize("cls, args", [
     (SizeTargets, (-1, 0)), (SizeTargets, (3, 7)), (SizeTargets, (3, -1)),
     (UmanTargets, (-1, 0, 0, 1)), (UmanTargets, (3, 1, 1, 4)),
