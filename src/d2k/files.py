@@ -12,8 +12,10 @@ import math
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EdgeListFormatError, TargetStructureError
-from .graph import DirectedGraph, from_edge_list
+from .graph import ID_LIMIT, DirectedGraph, from_id_arrays
 from .metrics import METRICS, CensusReport, MetricsConfig
 from .targets import (CellKey, D2KTargets, DdsTargets, SizeTargets,
                       UmanTargets, MODE_DEGREE, MODE_PAIR, cell_from_json,
@@ -26,40 +28,95 @@ _JSON_SLICE = 1 << 13          # JSON tokens joined per write by save_json
 # ---------------------------------------------------------------------------
 # edge lists
 
+_BLANKS = b" \t\n\v\f\r"    # what bytes.split() splits on
+_INK = np.ones(256, dtype=bool)            # bytes that are not blank
+_INK[list(_BLANKS)] = False
+_ID_BYTE = ~_INK                           # bytes an id line may hold
+_ID_BYTE[ord("0"):ord("9") + 1] = True
+_SHORT_ID = 18                 # digits that always fit below graph.ID_LIMIT
+
+
 def read_edge_list(path, stats: dict | None = None) -> DirectedGraph:
-    """Read a SNAP-style edge list ('#' comments, whitespace-separated ids),
-    cleaning self-loops and duplicate edges."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) != 2:
-                raise EdgeListFormatError(
-                    f"line {lineno}: expected 'source target', got {text!r}",
-                    position=lineno)
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"line {lineno}: non-integer ids in {text!r}",
-                    position=lineno) from None
-            if u < 0 or v < 0:
-                raise EdgeListFormatError(
-                    f"line {lineno}: negative ids in {text!r}",
-                    position=lineno)
-            pairs.append((u, v))
-    return from_edge_list(pairs, stats)
+    """Read a SNAP-style edge list, cleaning self-loops and duplicate edges.
+
+    A line is blank, a comment (its first non-blank byte is '#') or two
+    ASCII decimal ids below 2**63 separated by blanks (space, tab, \\v, \\f);
+    CRLF and a lone CR end a line as LF does.  The whole file is checked
+    by array scans before numpy parses the ids; a failed check raises
+    EdgeListFormatError naming the first offending line.
+    """
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    ids = _edge_ids(data)
+    return from_id_arrays(ids[0::2], ids[1::2], stats)
+
+
+def _edge_ids(data: bytes) -> np.ndarray:
+    """The ids of an edge list whose lines end in LF, in file order."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(a == ord("\n"))    # line i ends at breaks[i]
+    ink = _INK[a]
+    starts = np.flatnonzero(ink & ~np.r_[False, ink[:-1]])   # of fields
+    ends = np.flatnonzero(ink & ~np.r_[ink[1:], False])
+    del ink
+    line = np.searchsorted(breaks, starts)
+    lead = np.diff(line, prepend=-1) != 0      # first field of its line
+    comment = np.zeros(len(breaks) + 1, dtype=bool)
+    comment[line[lead & (a[starts] == ord("#"))]] = True
+    keep = ~comment[line]
+    starts, ends, line = starts[keep], ends[keep], line[keep]
+
+    bad_lines = np.searchsorted(breaks, np.flatnonzero(~_ID_BYTE[a]))
+    fields = np.bincount(line, minlength=len(comment))
+    offending = [bad_lines[~comment[bad_lines]][:1],
+                 np.flatnonzero((fields != 0) & (fields != 2))[:1]]
+    for i in np.flatnonzero(ends - starts >= _SHORT_ID).tolist():
+        digits = data[starts[i]:ends[i] + 1]
+        if digits.isdigit() and int(digits) >= ID_LIMIT:
+            offending.append(line[i:i + 1])
+            break
+    first = min((int(x[0]) for x in offending if len(x)), default=None)
+    if first is not None:
+        raise _line_error(first + 1, data.split(b"\n")[first])
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    if comment.any():
+        # blank the comment lines, their line breaks kept
+        edge = np.zeros(len(a) + 1, dtype=np.int8)
+        edge[np.r_[0, breaks + 1][comment]] = 1
+        edge[np.r_[breaks, len(a)][comment]] = -1
+        covered = np.cumsum(edge[:-1], dtype=np.int8).astype(bool)
+        data = np.where(covered, ord(" "), a).astype(np.uint8).tobytes()
+    return np.fromstring(data, dtype=np.int64, sep=" ")
+
+
+def _line_error(lineno: int, raw: bytes) -> EdgeListFormatError:
+    """The error for line lineno, raw, which is not blank, a comment or
+    two ids below 2**63."""
+    text = raw.decode("utf-8", "replace").strip()
+    fields = raw.split()
+    if len(fields) != 2:
+        what = "expected 'source target', got"
+    elif not all(f.isdigit() for f in fields):
+        signed = all(f.removeprefix(b"-").isdigit() for f in fields)
+        what = "negative ids in" if signed else "non-integer ids in"
+    else:
+        what = "ids of 2**63 or more in"
+    return EdgeListFormatError(f"line {lineno}: {what} {text!r}",
+                               position=lineno)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Write g in the same format, under its original ids where retained."""
+    names = list(map(str, range(g.n) if g.orig_ids is None else g.orig_ids))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# directed edge list: {g.n} nodes, {g.m} edges\n")
-        for u, v in g.edges():
-            fh.write(f"{g.original_id(u)}\t{g.original_id(v)}\n")
+        for u, nbrs in enumerate(g.out_adj):
+            if nbrs:
+                tail = names[u] + "\t"
+                heads = map(names.__getitem__, nbrs)
+                fh.write(tail + ("\n" + tail).join(heads) + "\n")
 
 
 # ---------------------------------------------------------------------------

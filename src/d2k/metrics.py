@@ -7,13 +7,15 @@ above configurable size thresholds, with the switch recorded in the
 report metadata.
 
 Shared partners, shortest paths, strongly connected components and the
-spectrum run on one sparse adjacency matrix (scipy, imported inside those
-functions only, so loading the package for extraction or generation does
-not pay for it).  The directed spectrum is solved on the cube of that
-matrix, whose crowded top magnitudes lie three times further apart, and
-the matrix's own eigenvalues are recovered from the Ritz vectors.
+spectrum run on one sparse adjacency matrix, built once per graph (scipy,
+imported inside those functions only, so loading the package for
+extraction or generation does not pay for it).  The directed spectrum is
+solved on the cube of that matrix, whose crowded top magnitudes lie three
+times further apart, and the matrix's own eigenvalues are recovered from
+the Ritz vectors.
 Betweenness, the triad census and neighbour degrees are numpy kernels over
-flat arc arrays; expansion and core numbers walk the adjacency lists.
+the graph's CSR arrays; expansion and core numbers walk the adjacency
+lists.
 """
 from __future__ import annotations
 
@@ -31,26 +33,20 @@ from .graph import DirectedGraph
 from .targets import extract_d2k, extract_uman
 
 
-def _out_arcs(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of g's out-arcs in CSR form, each row in the
-    order of its adjacency list."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum([len(nbrs) for nbrs in g.out_adj], out=indptr[1:])
-    indices = np.fromiter((v for nbrs in g.out_adj for v in nbrs),
-                          dtype=np.int64, count=g.m)
-    return indptr, indices
-
-
 def _adjacency(g: DirectedGraph):
     """g's adjacency matrix as an int64 CSR matrix with sorted column
     indices: ARPACK's matvec sums each row in index order, so the order
-    reaches the last bits of the eigenvalues."""
-    from scipy.sparse import csr_matrix
-    indptr, indices = _out_arcs(g)
-    a = csr_matrix((np.ones(g.m, dtype=np.int64), indices, indptr),
-                   shape=(g.n, g.n))
-    a.sort_indices()
-    return a
+    reaches the last bits of the eigenvalues.  Built once per graph, from
+    copies of its CSR arrays, and kept with it; callers must not change
+    it."""
+    if g._adjacency is None:
+        from scipy.sparse import csr_matrix
+        indptr, indices = g.csr()
+        a = csr_matrix((np.ones(g.m, dtype=np.int64), indices.copy(),
+                        indptr.copy()), shape=(g.n, g.n))
+        a.sort_indices()
+        g._adjacency = a
+    return g._adjacency
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) \
@@ -112,7 +108,7 @@ def triad_census(g: DirectedGraph) -> dict[str, int]:
     is left.
     """
     n = g.n
-    indptr, indices = _out_arcs(g)
+    indptr, indices = g.csr()
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     arcs = np.sort(src * n + indices)
     und = np.unique(np.concatenate([arcs, indices * n + src]))
@@ -225,7 +221,7 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
     """
     if node_side not in ("in", "out") or neighbor_side not in ("in", "out"):
         raise ValueError("sides must be 'in' or 'out'")
-    indptr, heads = _out_arcs(g)
+    indptr, heads = g.csr()
     degree = {"out": np.diff(indptr),
               "in": np.bincount(heads, minlength=g.n)}
     tails = np.repeat(np.arange(g.n), degree["out"])
@@ -406,7 +402,7 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     sources = _sources(n, exact_nodes, pivots, seed)
     exact = n <= exact_nodes
     scale = 1.0 if exact else n / len(sources)
-    indptr, indices = _out_arcs(g)
+    indptr, indices = g.csr()
     bc = np.zeros(n)
     step = max(1, _BETWEENNESS_BLOCK // max(n, 1))
     for i in range(0, len(sources), step):

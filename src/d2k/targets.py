@@ -15,9 +15,13 @@ cell labelling, not the code path.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import ClassVar, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import TargetStructureError
 from .graph import DirectedGraph
@@ -52,10 +56,12 @@ def json_int(x, what: str) -> int:
 
 
 def _degree_pairs(dds) -> tuple[tuple[int, int], ...]:
-    """dds as a tuple of int pairs; a non-int or negative degree raises."""
+    """dds as a tuple of int pairs; the first non-int or negative degree
+    raises."""
     pairs = tuple((d_in, d_out) for d_in, d_out in dds)
-    for pair in pairs:
-        for d in pair:
+    degrees = list(chain.from_iterable(pairs))
+    if set(map(type, degrees)) - {int} or min(degrees, default=0) < 0:
+        for d in degrees:
             if json_int(d, "dds entry") < 0:
                 raise TargetStructureError("negative degree in dds")
     return pairs
@@ -157,15 +163,19 @@ class D2KTargets:
         jdam = _normalize_jdam(self.mode, self.jdam)
         # Node v puts one member in each of its nonzero cells, and one
         # non-chord (v_in, v_out) between them when both degrees are positive.
+        # Nodes are taken a degree pair at a time, pairs in order of their
+        # first node, so the cells enter both mappings in node order.
         f: dict[tuple[CellKey, CellKey], int] = {}
         sizes: dict[CellKey, int] = {}
-        for a, b in zip(*node_cells(dds, self.mode)):
+        nodes = Counter(dds)
+        for (a, b), k in zip(zip(*node_cells(list(nodes), self.mode)),
+                             nodes.values()):
             for cell in (a, b):
                 if cell is not None:
-                    sizes[cell] = sizes.get(cell, 0) + 1
+                    sizes[cell] = sizes.get(cell, 0) + k
             if a is not None and b is not None:
-                f[(a, b)] = f.get((a, b), 0) + 1
-                f[(b, a)] = f.get((b, a), 0) + 1
+                f[(a, b)] = f.get((a, b), 0) + k
+                f[(b, a)] = f.get((b, a), 0) + k
         object.__setattr__(self, "dds", dds)
         object.__setattr__(self, "jdam", MappingProxyType(jdam))
         object.__setattr__(self, "n", len(dds))
@@ -277,17 +287,43 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
     jdam(k, l) counts bipartite edges between cells k and l, i.e. directed
     edges between the corresponding node groups; zero-degree cells never
-    appear as keys.  It is counted in the (out, in) orientation only; the
-    constructor stores both.
+    appear as keys.  It is counted in the (out, in) orientation only, as
+    one np.unique over the edges' (out-cell, in-cell) codes, its entries
+    in order of first appearance along g.edges(); the constructor stores
+    both orientations.
     """
-    dds = g.degree_pairs()
-    in_cells, out_cells = node_cells(dds, mode)
-    jdam: dict[tuple[CellKey, CellKey], int] = {}
-    for u, v in g.edges():
-        a = out_cells[u]
-        b = in_cells[v]
-        jdam[(a, b)] = jdam.get((a, b), 0) + 1
-    return D2KTargets(mode, dds, jdam)
+    if mode not in (MODE_DEGREE, MODE_PAIR):
+        raise ValueError(f"unknown mode {mode!r}")
+    indptr, heads = g.csr()
+    d_out = np.diff(indptr)
+    d_in = np.bincount(heads, minlength=g.n)
+    if mode == MODE_DEGREE:
+        out_label, in_label = d_out, d_in
+    else:
+        span = int(max(d_in.max(initial=0), d_out.max(initial=0))) + 1
+        out_label = in_label = d_in * span + d_out
+    # each edge's cell labels, as indices into the sorted distinct labels
+    out_cells, out_of = np.unique(out_label[np.repeat(np.arange(g.n), d_out)],
+                                  return_inverse=True)
+    in_cells, in_of = np.unique(in_label[heads], return_inverse=True)
+    codes, first, counts = np.unique(out_of * len(in_cells) + in_of,
+                                     return_index=True, return_counts=True)
+    seen = np.argsort(first)
+    codes, counts = codes[seen], counts[seen]
+
+    def cell_keys(side: str, cells: np.ndarray) -> list[CellKey]:
+        # one CellKey per cell, shared by every jdam key naming it
+        labels = cells.tolist()
+        if mode == MODE_PAIR:
+            labels = [divmod(x, span) for x in labels]
+        return [CellKey(side, x) for x in labels]
+
+    out_keys, in_keys = cell_keys("out", out_cells), cell_keys("in", in_cells)
+    jdam = {(out_keys[a], in_keys[b]): c
+            for a, b, c in zip((codes // len(in_cells)).tolist(),
+                               (codes % len(in_cells)).tolist(),
+                               counts.tolist())}
+    return D2KTargets(mode, list(zip(d_in.tolist(), d_out.tolist())), jdam)
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:
@@ -306,4 +342,6 @@ def extract_size(g: DirectedGraph) -> SizeTargets:
 
 
 def extract_dds(g: DirectedGraph) -> DdsTargets:
-    return DdsTargets(g.n, g.degree_pairs())
+    indptr, heads = g.csr()
+    return DdsTargets(g.n, list(zip(np.bincount(heads, minlength=g.n).tolist(),
+                                    np.diff(indptr).tolist())))

@@ -1,5 +1,6 @@
 """Shared helpers: random graph makers, exhaustive enumerations, and the
-brute-force oracles the fast metric implementations are checked against.
+brute-force oracles the fast metric implementations, the edge-list reader
+and target extraction are checked against.
 
 The oracles deliberately take the dumb route (triple loops, distance
 matrices, structural classification) so they stay independent of the
@@ -12,7 +13,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from d2k import DirectedGraph
+from d2k import D2KTargets, DirectedGraph, EdgeListFormatError
+from d2k.targets import node_cells
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DirectedGraph:
@@ -173,6 +175,89 @@ def avg_neighbor_degree_loop(g: DirectedGraph, node_side: str,
         sums[key] = sums.get(key, 0) + val
         cnts[key] = cnts.get(key, 0) + 1
     return {k: Fraction(sums[k], cnts[k]) for k in sums}
+
+
+# ---------------------------------------------------------------------------
+# oracle: edge lists read line by line, targets counted edge by edge
+
+def read_edge_list_lines(path, stats: dict | None = None) -> DirectedGraph:
+    """The per-line reader: text mode (any line end), str.split and int(),
+    then the graph built pair by pair as from_pairs_loop builds it."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = text.split()
+            if len(fields) != 2:
+                raise EdgeListFormatError(
+                    f"line {lineno}: expected 'source target', got {text!r}",
+                    position=lineno)
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"line {lineno}: non-integer ids in {text!r}",
+                    position=lineno) from None
+            if u < 0 or v < 0:
+                raise EdgeListFormatError(
+                    f"line {lineno}: negative ids in {text!r}",
+                    position=lineno)
+            pairs.append((u, v))
+    return from_pairs_loop(pairs, stats)
+
+
+def from_pairs_loop(pairs, stats: dict | None = None) -> DirectedGraph:
+    """Valid id pairs cleaned one at a time: self-loops dropped before an
+    id is registered, ids numbered on first sight, first copies kept."""
+    remap: dict[int, int] = {}
+    out_adj: list[list[int]] = []
+    loops = 0
+    for u, v in pairs:
+        if u == v:
+            loops += 1
+            continue
+        for orig in (u, v):
+            if orig not in remap:
+                remap[orig] = len(remap)
+                out_adj.append([])
+        out_adj[remap[u]].append(remap[v])
+    dups = 0
+    for u, nbrs in enumerate(out_adj):
+        heads = list(dict.fromkeys(nbrs))
+        dups += len(nbrs) - len(heads)
+        out_adj[u] = heads
+    if stats is not None:
+        stats.update({"pairs": loops + dups + sum(map(len, out_adj)),
+                      "self_loops": loops, "duplicates": dups})
+    return DirectedGraph(len(out_adj), out_adj, list(remap) or None)
+
+
+def extract_d2k_loop(g: DirectedGraph, mode: str) -> D2KTargets:
+    """dds from the adjacency lists, the jdam counted in a dict edge by
+    edge in g.edges() order."""
+    dds = g.degree_pairs()
+    in_cells, out_cells = node_cells(dds, mode)
+    jdam: dict = {}
+    for u, v in g.edges():
+        key = (out_cells[u], in_cells[v])
+        jdam[key] = jdam.get(key, 0) + 1
+    return D2KTargets(mode, dds, jdam)
+
+
+def cell_counts_loop(dds, mode: str) -> tuple[dict, dict]:
+    """(cell_sizes, f) of a target, node by node in node order."""
+    sizes: dict = {}
+    f: dict = {}
+    for a, b in zip(*node_cells(dds, mode)):
+        for cell in (a, b):
+            if cell is not None:
+                sizes[cell] = sizes.get(cell, 0) + 1
+        if a is not None and b is not None:
+            f[(a, b)] = f.get((a, b), 0) + 1
+            f[(b, a)] = f.get((b, a), 0) + 1
+    return sizes, f
 
 
 # ---------------------------------------------------------------------------
