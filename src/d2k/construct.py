@@ -337,6 +337,6 @@ def generate(t: D2KTargets, seed: int = 1) -> DirectedGraph:
     report = check(t)
     if not report.realizable:
         raise NotRealizableError(report)
-    # The DirectedGraph constructor re-audits simplicity edge by edge: a
-    # violated non-chord surfaces as a self-loop there.
+    # The DirectedGraph constructor re-audits simplicity with array scans:
+    # a violated non-chord surfaces as a self-loop there.
     return DirectedGraph(t.n, ConstructionState(t, seed).run())

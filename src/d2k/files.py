@@ -112,11 +112,13 @@ def write_edge_list(g: DirectedGraph, path) -> None:
     names = list(map(str, range(g.n) if g.orig_ids is None else g.orig_ids))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# directed edge list: {g.n} nodes, {g.m} edges\n")
-        for u, nbrs in enumerate(g.out_adj):
-            if nbrs:
+        indptr, heads = g.csr()
+        bounds = indptr.tolist()
+        heads = list(map(names.__getitem__, heads.tolist()))
+        for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:
                 tail = names[u] + "\t"
-                heads = map(names.__getitem__, nbrs)
-                fh.write(tail + ("\n" + tail).join(heads) + "\n")
+                fh.write(tail + ("\n" + tail).join(heads[a:b]) + "\n")
 
 
 # ---------------------------------------------------------------------------

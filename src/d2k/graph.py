@@ -1,9 +1,7 @@
 """Simple directed graphs.
 
-A directed graph over dense integer ids 0..n-1 is stored as out- and
-in-adjacency lists, and its out-arcs once more as read-only CSR arrays
-(built on first use for a graph made from lists); its edge set is built on
-demand.
+A directed graph over dense integer ids 0..n-1 holds each of its out-arcs
+once, in read-only int64 CSR arrays; its edge set is built on demand.
 """
 from __future__ import annotations
 
@@ -21,83 +19,59 @@ class DirectedGraph:
     """Immutable-by-convention simple digraph.
 
     Build instances through :func:`from_edge_list`, :func:`from_id_arrays`
-    or :meth:`DirectedGraph.from_edges`; the constructor trusts its input
-    and only asserts that every head is a node id and that the graph is
-    simple.
+    or :meth:`DirectedGraph.from_edges`.  The constructor takes
+    out-adjacency lists and checks that every head is an int node id and
+    that the graph is simple.
     Graphs compare by node count and edge set and are not hashable.
     """
 
-    # _csr caches csr(); _adjacency caches the sorted sparse matrix that
-    # metrics builds from it, once per graph
-    __slots__ = ("n", "m", "out_adj", "in_adj", "orig_ids", "_csr",
-                 "_adjacency")
+    # _adjacency caches the sorted sparse matrix that metrics builds from
+    # the CSR arrays, once per graph
+    __slots__ = ("n", "m", "orig_ids", "_csr", "_adjacency")
 
-    def __init__(self, n: int, out_adj: list[list[int]],
+    def __init__(self, n: int, out_adj: Sequence[Sequence[int]],
                  orig_ids: list[int] | None = None):
         if len(out_adj) != n:
             raise ValueError("adjacency length does not match node count")
-        # a negative head would index in_adj from its end; one >= n raises
-        # IndexError there
-        if min(chain.from_iterable(out_adj), default=0) < 0:
-            _raise_not_a_node(n, out_adj)
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        m = 0
-        for u, nbrs in enumerate(out_adj):
-            heads = set(nbrs)
-            if u in heads or len(heads) != len(nbrs):
-                _raise_not_simple(u, nbrs)
-            try:
-                for v in nbrs:
-                    in_adj[v].append(u)
-            except IndexError:
-                _raise_not_a_node(n, out_adj)
-            m += len(nbrs)
-        self.n = n
-        self.m = m
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.orig_ids = orig_ids
-        self._csr = None
-        self._adjacency = None
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(nbrs) for nbrs in out_adj], out=indptr[1:])
+        flat = list(chain.from_iterable(out_adj))
+        heads = np.array(flat) if flat else indptr[:0].copy()
+        # a float, a huge int or another object makes a non-int array,
+        # which is not cast: that would truncate 1.7 to 1
+        if heads.dtype.kind != "i" or heads.ndim != 1 \
+                or not ((heads >= 0) & (heads < n)).all():
+            _check_heads(n, indptr, flat)
+        heads = heads.astype(np.int64, copy=False)
+        tails = _tails(indptr)
+        keys = np.sort(tails * n + heads)
+        if (tails == heads).any() or (keys[1:] == keys[:-1]).any():
+            _raise_not_simple(indptr, heads)
+        self._init(indptr, heads, orig_ids)
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, heads: np.ndarray,
                   orig_ids: list[int] | None) -> "DirectedGraph":
         """The graph of int64 CSR arrays that hold no self-loop, no repeated
-        head and only heads in 0..n-1; the lists are sliced from them."""
-        n = len(indptr) - 1
-        tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=in_ptr[1:])
+        head and only heads in 0..n-1."""
         g = cls.__new__(cls)
-        g.n = n
-        g.m = len(heads)
-        # one int object per node, shared by every list entry naming it
-        node = np.arange(n).astype(object)
-        g.out_adj = _slices(node[heads].tolist(), indptr.tolist())
-        # CSR order is tail order, so each in-list lists its tails in
-        # ascending order, as __init__ builds it
-        g.in_adj = _slices(node[tails[_stable_order(heads)]].tolist(),
-                           in_ptr.tolist())
-        g.orig_ids = orig_ids
-        g._adjacency = None
-        g._set_csr(indptr, heads)
+        g._init(indptr, heads, orig_ids)
         return g
 
-    def _set_csr(self, indptr: np.ndarray, heads: np.ndarray) -> None:
+    def _init(self, indptr: np.ndarray, heads: np.ndarray,
+              orig_ids: list[int] | None) -> None:
         indptr.flags.writeable = False
         heads.flags.writeable = False
+        self.n = len(indptr) - 1
+        self.m = len(heads)
+        self.orig_ids = orig_ids
         self._csr = (indptr, heads)
+        self._adjacency = None
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, heads) of the out-arcs, int64 and read-only, each row in
-        the order of its adjacency list; built once per graph."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(nbrs) for nbrs in self.out_adj], out=indptr[1:])
-            self._set_csr(indptr, np.fromiter(
-                chain.from_iterable(self.out_adj), dtype=np.int64,
-                count=self.m))
+        """(indptr, heads) of the out-arcs, int64 and read-only: the heads
+        of node u are heads[indptr[u]:indptr[u + 1]], in the order they
+        were given."""
         return self._csr
 
     @classmethod
@@ -114,20 +88,14 @@ class DirectedGraph:
         return cls(n, out_adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self.out_adj):
-            for v in nbrs:
-                yield u, v
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
+        indptr, heads = self._csr
+        return zip(_tails(indptr).tolist(), heads.tolist())
 
     def degree_pairs(self) -> list[tuple[int, int]]:
         """Per-node (in-degree, out-degree) pairs in node order."""
-        return [(len(self.in_adj[v]), len(self.out_adj[v]))
-                for v in range(self.n)]
+        indptr, heads = self._csr
+        return list(zip(np.bincount(heads, minlength=self.n).tolist(),
+                        np.diff(indptr).tolist()))
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """The (u, v) edges as a new frozenset, built on each call."""
@@ -145,27 +113,47 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
-def _raise_not_a_node(n: int, out_adj: list[list[int]]) -> None:
-    """Raise for the first head outside 0..n-1, in node order."""
-    u, v = next((u, v) for u, nbrs in enumerate(out_adj) for v in nbrs
-                if not 0 <= v < n)
-    raise ValueError(f"head {v} of node {u} is not a node id in 0..{n - 1}")
+def _tails(indptr: np.ndarray) -> np.ndarray:
+    """The tail of each arc of a CSR row pointer."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                     np.diff(indptr))
 
 
-def _raise_not_simple(u: int, nbrs: list[int]) -> None:
-    """Raise for the first self-loop or repeated head in u's list."""
-    seen: set[int] = set()
-    for v in nbrs:
-        if v == u:
-            raise ValueError(f"self-loop at node {u}")
-        if v in seen:
-            raise ValueError(f"parallel edge {u}->{v}")
-        seen.add(v)
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of keys occur in the sorted array sorted_keys."""
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
-def _slices(flat: list, indptr: list[int]) -> list[list]:
-    """flat cut into the rows indptr delimits."""
-    return [flat[a:b] for a, b in zip(indptr, indptr[1:])]
+def _row(indptr: np.ndarray, p: int) -> int:
+    """The node whose row holds arc position p."""
+    return int(np.searchsorted(indptr, p, side="right")) - 1
+
+
+def _check_heads(n: int, indptr: np.ndarray, flat: list) -> None:
+    """Raise for the first head, in node order, that is not an int or not
+    in 0..n-1 (an array of another int type passes)."""
+    for p, v in enumerate(flat):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"head {v!r} of node {_row(indptr, p)} is not "
+                            f"an int")
+        if not 0 <= v < n:
+            raise ValueError(f"head {v} of node {_row(indptr, p)} is not a "
+                             f"node id in 0..{n - 1}")
+
+
+def _raise_not_simple(indptr: np.ndarray, heads: np.ndarray) -> None:
+    """Raise for the first self-loop or repeated head, in node order and
+    then in list order."""
+    bounds = indptr.tolist()
+    for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        seen: set[int] = set()
+        for v in heads[a:b].tolist():
+            if v == u:
+                raise ValueError(f"self-loop at node {u}")
+            if v in seen:
+                raise ValueError(f"parallel edge {u}->{v}")
+            seen.add(v)
 
 
 def _first_copies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

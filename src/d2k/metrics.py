@@ -13,9 +13,10 @@ extraction or generation does not pay for it).  The directed spectrum is
 solved on the cube of that matrix, whose crowded top magnitudes lie three
 times further apart, and the matrix's own eigenvalues are recovered from
 the Ritz vectors.
-Betweenness, the triad census and neighbour degrees are numpy kernels over
-the graph's CSR arrays; expansion and core numbers walk the adjacency
-lists.
+Expansion counts the second hop on the same matrix's square.  Betweenness,
+the triad census, neighbour degrees and degree histograms are numpy
+kernels over the graph's CSR arrays; core numbers peel, in Python, the
+symmetrized graph that the triad census also builds from those arrays.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import D2KError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _contains, _tails
 from .targets import extract_d2k, extract_uman
 
 
@@ -60,10 +61,13 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) \
         np.repeat(starts - ends + counts, counts), counts
 
 
-def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of keys occur in the sorted array sorted_keys."""
-    at = np.searchsorted(sorted_keys, keys)
-    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+def _undirected(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(arcs, und): the sorted keys u * n + v of g's arcs, and those of the
+    symmetrized simple graph, both orientations of each connected pair."""
+    indptr, heads = g.csr()
+    tails = _tails(indptr)
+    arcs = np.sort(tails * g.n + heads)
+    return arcs, np.unique(np.concatenate([arcs, heads * g.n + tails]))
 
 
 def _histogram(values) -> dict[int, int]:
@@ -108,10 +112,7 @@ def triad_census(g: DirectedGraph) -> dict[str, int]:
     is left.
     """
     n = g.n
-    indptr, indices = g.csr()
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    arcs = np.sort(src * n + indices)
-    und = np.unique(np.concatenate([arcs, indices * n + src]))
+    arcs, und = _undirected(g)
     owner, nbr = und // n, und % n
     deg = np.bincount(owner, minlength=n)
     # entry e of row c makes a wedge with each later entry of row c
@@ -187,25 +188,20 @@ def expansion(g: DirectedGraph, direction: str) -> list[float]:
     excludes the origin and every first-hop node, so mutual edges and
     edges inside the first hop never inflate it.
     """
-    if direction == "out":
-        adj = g.out_adj
-    elif direction == "in":
-        adj = g.in_adj
-    else:
+    if direction not in ("out", "in"):
         raise ValueError(f"unknown direction {direction!r}")
-    ratios: list[float] = []
-    for v in range(g.n):
-        first = adj[v]
-        if not first:
-            continue
-        h1 = set(first)
-        h2: set[int] = set()
-        for u in first:
-            h2.update(adj[u])
-        h2.discard(v)
-        h2 -= h1
-        ratios.append(len(h2) / len(h1))
-    return ratios
+    a = _adjacency(g)
+    if direction == "in":
+        a = a.T.tocsr()
+    # reach: pairs joined by a two-step walk, less the first hop and the
+    # origin
+    reach = a @ a
+    reach -= reach.multiply(a)
+    reach.setdiag(0)
+    reach.eliminate_zeros()
+    first = np.diff(a.indptr)
+    has = first > 0
+    return (np.diff(reach.indptr)[has] / first[has]).tolist()
 
 
 def avg_neighbor_degree(g: DirectedGraph, node_side: str,
@@ -224,7 +220,7 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
     indptr, heads = g.csr()
     degree = {"out": np.diff(indptr),
               "in": np.bincount(heads, minlength=g.n)}
-    tails = np.repeat(np.arange(g.n), degree["out"])
+    tails = _tails(indptr)
     node, nb = (tails, heads) if node_side == "out" else (heads, tails)
     key = degree[node_side][node]
     sums = np.bincount(key, weights=degree[neighbor_side][nb]).tolist()
@@ -235,8 +231,9 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
 
 
 def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
-    adj = g.in_adj if side == "in" else g.out_adj
-    return _histogram([len(nbrs) for nbrs in adj])
+    indptr, heads = g.csr()
+    return _histogram(np.bincount(heads, minlength=g.n) if side == "in"
+                      else np.diff(indptr))
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +290,22 @@ def core_numbers(g: DirectedGraph) -> list[int]:
     k-core is not uniquely defined; symmetrization is the conventional
     reading and is recorded in report metadata)."""
     n = g.n
-    und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
-    deg = [len(und[v]) for v in range(n)]
     if n == 0:
         return []
-    max_deg = max(deg)
-    bins = [0] * (max_deg + 1)
-    for d in deg:
-        bins[d] += 1
-    start = 0
-    for d in range(max_deg + 1):
-        bins[d], start = start, start + bins[d]
-    pos = [0] * n
-    vert = [0] * n
-    for v in range(n):
-        pos[v] = bins[deg[v]]
-        vert[pos[v]] = v
-        bins[deg[v]] += 1
-    for d in range(max_deg, 0, -1):
-        bins[d] = bins[d - 1]
-    bins[0] = 0
-    core = list(deg)
+    und = _undirected(g)[1]
+    nbrs = (und % n).tolist()
+    deg = np.bincount(und // n, minlength=n)
+    start = np.concatenate([[0], deg.cumsum()]).tolist()
+    # Batagelj and Zaversnik's peel: vert lists the nodes by current core,
+    # pos is each node's place in it and bins[d] the start of core d there
+    vert = np.argsort(deg, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[vert] = np.arange(n)
+    bins = np.searchsorted(deg[vert], np.arange(deg.max() + 1)).tolist()
+    vert, pos, core = vert.tolist(), pos.tolist(), deg.tolist()
     for i in range(n):
         v = vert[i]
-        for u in und[v]:
+        for u in nbrs[start[v]:start[v + 1]]:
             if core[u] > core[v]:
                 du = core[u]
                 pu = pos[u]
@@ -853,6 +842,8 @@ class MetricsConfig:
                    if m != "all" and m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric name(s): {', '.join(unknown)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.sample_sources < 1:
             raise ValueError(
                 f"sample_sources must be at least 1, got {self.sample_sources}")

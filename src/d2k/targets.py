@@ -24,7 +24,7 @@ from typing import ClassVar, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import TargetStructureError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _contains, _tails
 
 MODE_DEGREE = "d2k"
 MODE_PAIR = "d2km"
@@ -303,7 +303,7 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
         span = int(max(d_in.max(initial=0), d_out.max(initial=0))) + 1
         out_label = in_label = d_in * span + d_out
     # each edge's cell labels, as indices into the sorted distinct labels
-    out_cells, out_of = np.unique(out_label[np.repeat(np.arange(g.n), d_out)],
+    out_cells, out_of = np.unique(out_label[_tails(indptr)],
                                   return_inverse=True)
     in_cells, in_of = np.unique(in_label[heads], return_inverse=True)
     codes, first, counts = np.unique(out_of * len(in_cells) + in_of,
@@ -327,10 +327,12 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:
-    """Dyad census: an arc u->v is reciprocated when v is also an in-neighbour
-    of u, counted per node against the set of its out-neighbours."""
-    reciprocated = sum(len(set(outs).intersection(ins))
-                       for outs, ins in zip(g.out_adj, g.in_adj))
+    """Dyad census: an arc u->v is reciprocated when its reverse v->u is
+    among the sorted arc keys."""
+    indptr, heads = g.csr()
+    tails = _tails(indptr)
+    keys = np.sort(tails * g.n + heads)
+    reciprocated = int(_contains(keys, heads * g.n + tails).sum())
     mutual = reciprocated // 2
     asymmetric = g.m - reciprocated
     null = g.n * (g.n - 1) // 2 - mutual - asymmetric
@@ -342,6 +344,4 @@ def extract_size(g: DirectedGraph) -> SizeTargets:
 
 
 def extract_dds(g: DirectedGraph) -> DdsTargets:
-    indptr, heads = g.csr()
-    return DdsTargets(g.n, list(zip(np.bincount(heads, minlength=g.n).tolist(),
-                                    np.diff(indptr).tolist())))
+    return DdsTargets(g.n, g.degree_pairs())

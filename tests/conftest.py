@@ -23,6 +23,13 @@ def random_digraph(rng: random.Random, n: int, p: float) -> DirectedGraph:
     return DirectedGraph.from_edges(n, edges)
 
 
+def out_lists(g: DirectedGraph) -> list[list[int]]:
+    """g's out-neighbour lists, cut from its CSR arrays."""
+    indptr, heads = g.csr()
+    bounds = indptr.tolist()
+    return [heads[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+
+
 def ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
@@ -166,12 +173,13 @@ def avg_neighbor_degree_loop(g: DirectedGraph, node_side: str,
     of the neighbour's degree over the edges with that key."""
     sums: dict[int, int] = {}
     cnts: dict[int, int] = {}
+    in_deg, out_deg = zip(*g.degree_pairs()) if g.n else ((), ())
     for u, v in g.edges():
         if node_side == "out":
-            key, nb = g.out_degree(u), v
+            key, nb = out_deg[u], v
         else:
-            key, nb = g.in_degree(v), u
-        val = g.out_degree(nb) if neighbor_side == "out" else g.in_degree(nb)
+            key, nb = in_deg[v], u
+        val = out_deg[nb] if neighbor_side == "out" else in_deg[nb]
         sums[key] = sums.get(key, 0) + val
         cnts[key] = cnts.get(key, 0) + 1
     return {k: Fraction(sums[k], cnts[k]) for k in sums}
@@ -264,6 +272,7 @@ def cell_counts_loop(dds, mode: str) -> tuple[dict, dict]:
 # oracle: betweenness from distance and path-count matrices
 
 def _bfs_all(g: DirectedGraph, s: int) -> tuple[list[int], list[int]]:
+    out = out_lists(g)
     dist = [-1] * g.n
     sigma = [0] * g.n
     dist[s] = 0
@@ -274,7 +283,7 @@ def _bfs_all(g: DirectedGraph, s: int) -> tuple[list[int], list[int]]:
         d += 1
         nxt = []
         for v in frontier:
-            for w in g.out_adj[v]:
+            for w in out[v]:
                 if dist[w] == -1:
                     dist[w] = d
                     nxt.append(w)
@@ -316,6 +325,7 @@ def betweenness_stack_walk(g: DirectedGraph, sources, scale: float) \
     Brandes's stack order with exact integer path counts: the order, and
     below 2**53 the arithmetic, that betweenness_values must reproduce."""
     n = g.n
+    out = out_lists(g)
     bc = [0.0] * n
     for s in sources:
         sigma, dist = [0] * n, [-1] * n
@@ -326,7 +336,7 @@ def betweenness_stack_walk(g: DirectedGraph, sources, scale: float) \
             stack.extend(frontier)
             nxt = []
             for v in frontier:
-                for w in g.out_adj[v]:
+                for w in out[v]:
                     if dist[w] == -1:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
@@ -366,11 +376,12 @@ def scc_bruteforce(g: DirectedGraph) -> dict[int, int]:
 
 
 def _reachable(g: DirectedGraph, s: int):
+    out = out_lists(g)
     seen = {s}
     stack = [s]
     while stack:
         v = stack.pop()
-        for w in g.out_adj[v]:
+        for w in out[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

@@ -270,6 +270,22 @@ def test_zero_sample_sources_exit_1_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_negative_seed_exit_1_without_traceback(tmp_path, capsys):
+    # an 18-node graph (dense spectrum) and a 2001-node ring (above the
+    # 2000-node dense eigenvalue threshold, where the seed starts ARPACK)
+    small, _ = write_graph(tmp_path)
+    ring = tmp_path / "ring.txt"
+    ring.write_text("".join(f"{v} {(v + 1) % 2001}\n" for v in range(2001)),
+                    encoding="utf-8")
+    for graph_path in (small, ring):
+        out = tmp_path / "m.json"
+        assert main(["measure", str(graph_path), "--seed", "-1",
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must not be negative, got -1\n"
+        assert not out.exists()
+
+
 def test_eigenvalue_solve_that_does_not_converge_exit_1(tmp_path, capsys,
                                                         monkeypatch):
     import scipy.sparse.linalg

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_digraph
+from conftest import out_lists, random_digraph
 from d2k import DirectedGraph, EdgeListFormatError, from_edge_list
 
 
@@ -21,7 +21,7 @@ def test_loop_and_duplicate_removal():
     g = from_edge_list([(5, 7), (5, 9), (7, 5), (9, 7), (5, 2), (7, 9),
                         (5, 7)], stats)
     assert g.orig_ids == [5, 7, 9, 2]
-    assert g.out_adj == [[1, 2, 3], [0, 2], [1], []]
+    assert out_lists(g) == [[1, 2, 3], [0, 2], [1], []]
     assert stats == {"pairs": 7, "self_loops": 0, "duplicates": 1}
 
 
@@ -80,8 +80,8 @@ def test_degree_conservation():
     rng = random.Random(6)
     for _ in range(20):
         g = random_digraph(rng, rng.randint(1, 40), 0.2)
-        assert sum(g.in_degree(v) for v in range(g.n)) == g.m
-        assert sum(g.out_degree(v) for v in range(g.n)) == g.m
+        assert sum(d_in for d_in, _ in g.degree_pairs()) == g.m
+        assert sum(d_out for _, d_out in g.degree_pairs()) == g.m
 
 
 def test_constructor_rejects_nonsimple():
@@ -106,6 +106,41 @@ def test_constructor_rejects_heads_that_are_not_node_ids():
             DirectedGraph(3, [[1], [0], [0, bad]])
     with pytest.raises(ValueError, match=r"head 1 of node 0 .* in 0\.\.0"):
         DirectedGraph.from_edges(1, [(0, 1)])
+
+
+def test_constructor_names_the_one_fault_of_a_random_graph():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        out = out_lists(random_digraph(rng, n, 0.3))
+        u = rng.randrange(n)
+        kind = rng.choice(["self-loop", "parallel", "range"])
+        if kind == "parallel" and not out[u]:
+            kind = "self-loop"
+        lo = 0                  # the fault goes at lo or later in out[u]
+        if kind == "self-loop":
+            bad, match = u, f"self-loop at node {u}$"
+        elif kind == "parallel":
+            lo = rng.randrange(len(out[u])) + 1
+            bad = out[u][lo - 1]
+            match = f"parallel edge {u}->{bad}$"
+        else:
+            bad = rng.choice([-1, -n, n, n + 5])
+            match = rf"head {bad} of node {u} is not a node id in 0\.\.{n - 1}$"
+        out[u].insert(rng.randint(lo, len(out[u])), bad)
+        with pytest.raises(ValueError, match=match):
+            DirectedGraph(n, out)
+
+
+def test_float_ids_are_rejected_not_truncated():
+    with pytest.raises((TypeError, ValueError)):
+        DirectedGraph(2, [[1.0], []])
+    with pytest.raises((TypeError, ValueError)):
+        DirectedGraph(3, [[1.7], [], []])
+    with pytest.raises((TypeError, ValueError)):
+        DirectedGraph.from_edges(2, [(0, 1.5)])
+    with pytest.raises((TypeError, ValueError)):
+        DirectedGraph.from_edges(2, [(1.0, 0)])
 
 
 def test_from_edges_rejects_tails_that_are_not_node_ids():

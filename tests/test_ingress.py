@@ -13,7 +13,7 @@ import random
 import pytest
 
 from conftest import (cell_counts_loop, extract_d2k_loop, from_pairs_loop,
-                      random_digraph, read_edge_list_lines)
+                      out_lists, random_digraph, read_edge_list_lines)
 from d2k import (DirectedGraph, EdgeListFormatError, MODE_DEGREE, MODE_PAIR,
                  extract_d2k, extract_dds, from_edge_list, read_edge_list,
                  save_targets)
@@ -75,7 +75,11 @@ def _outcome(read, path):
         g = read(path, stats)
     except EdgeListFormatError as exc:
         return "error", exc.position, str(exc)
-    return g.n, g.out_adj, g.in_adj, g.orig_ids, stats
+    return g.n, _csr_lists(g), g.orig_ids, stats
+
+
+def _csr_lists(g) -> list[list[int]]:
+    return [a.tolist() for a in g.csr()]
 
 
 def test_reader_matches_the_per_line_oracle(tmp_path):
@@ -99,8 +103,7 @@ def test_reader_keeps_file_order_and_the_first_copy(tmp_path):
     stats: dict = {}
     g = read_edge_list(path, stats)
     assert g.orig_ids == [5, 7, 9, 2]
-    assert g.out_adj == [[1, 2, 3], [0, 2], [1], []]
-    assert g.in_adj == [[1], [0, 2], [0, 1], [0]]
+    assert g.degree_pairs() == [(1, 3), (2, 2), (2, 1), (1, 0)]
     assert stats == {"pairs": 8, "self_loops": 1, "duplicates": 1}
     indptr, heads = g.csr()
     assert indptr.tolist() == [0, 3, 5, 6, 6]
@@ -138,7 +141,7 @@ def test_largest_ids_and_leading_zeros_are_read(tmp_path):
     path.write_text(f"{top} 0007\n000{top} 0\n", encoding="utf-8")
     g = read_edge_list(path)
     assert g.orig_ids == [top, 7, 0]
-    assert g.out_adj == [[1, 2], [], []]
+    assert out_lists(g) == [[1, 2], [], []]
 
 
 @pytest.mark.parametrize("text", ["", "# only\n  # comments\r\n\t#\n",
@@ -162,8 +165,8 @@ def test_from_edge_list_matches_the_pair_loop():
                  for _ in range(rng.randint(0, 60))]
         got, want = {}, {}
         g, h = from_edge_list(pairs, got), from_pairs_loop(pairs, want)
-        assert (g.n, g.out_adj, g.in_adj, g.orig_ids, got) == \
-            (h.n, h.out_adj, h.in_adj, h.orig_ids, want)
+        assert (g.n, _csr_lists(g), g.orig_ids, got) == \
+            (h.n, _csr_lists(h), h.orig_ids, want)
     with pytest.raises(EdgeListFormatError,
                        match=r"position 1 has ids of 2\*\*63 or more") as exc:
         from_edge_list([(0, 1), (2 ** 63, 1)])

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (avg_neighbor_degree_loop, betweenness_bruteforce,
                       betweenness_stack_walk, core_numbers_bruteforce,
-                      dsp_bruteforce, expansion_bruteforce, random_digraph,
-                      scc_bruteforce, triad_census_bruteforce)
+                      dsp_bruteforce, expansion_bruteforce, out_lists,
+                      random_digraph, scc_bruteforce, triad_census_bruteforce)
 from d2k import (D2KError, DirectedGraph, MetricsConfig, UmanTargets,
                  avg_neighbor_degree, dsp, dyad_census, expansion,
                  extract_uman, from_edge_list, metrics, structural_suite,
@@ -300,6 +300,7 @@ def test_paths_match_bruteforce():
 
 
 def _bfs_histogram(g, sources) -> dict[int, int]:
+    out = out_lists(g)
     hist: dict[int, int] = {}
     for s in sources:
         d, seen, frontier = 0, {s}, [s]
@@ -307,7 +308,7 @@ def _bfs_histogram(g, sources) -> dict[int, int]:
             d += 1
             nxt = []
             for v in frontier:
-                for w in g.out_adj[v]:
+                for w in out[v]:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)

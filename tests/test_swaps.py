@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_digraph
+from conftest import out_lists, random_digraph
 from d2k import (DirectedGraph, SwapError, SwapGraph, enumerate_jdam_swaps,
                  extract_d2k, extract_dds, from_edge_list)
 
@@ -203,6 +203,6 @@ def test_random_moves_keep_degrees_and_simplicity():
         assert sum(map(len, sg.out)) == g.m
         assert all(sg.out[u][v] == i
                    for i, (u, v) in enumerate(zip(sg.src, sg.dst)))
-        assert [set(nbrs) for nbrs in out.out_adj] == \
+        assert [set(nbrs) for nbrs in out_lists(out)] == \
             [set(heads) for heads in sg.out]
     assert crossed and reversed_
