@@ -124,6 +124,29 @@ def assert_one_error_line(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["d0k", "uman"])
+def test_generate_huge_node_count_exit_1(tmp_path, capsys, monkeypatch,
+                                         model):
+    # n = 2^31 with m = 10: the target is rejected when it is loaded, so
+    # no graph of 2^31 nodes is ever started
+    import d2k.baselines
+
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+    monkeypatch.setattr(d2k.baselines.DirectedGraph, "from_edges", no_graph)
+    n = 1 << 31
+    body = ({"m": 10} if model == "d0k" else
+            {"dyads": {"mutual": 0, "asymmetric": 10,
+                       "null": n * (n - 1) // 2 - 10}})
+    target_path = tmp_path / "t.json"
+    target_path.write_text(json.dumps({"v": 1, "model": model, "n": n,
+                                       **body}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "-o", str(out_dir)]) == 1
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()
+
+
 def test_negative_swap_rounds_exit_1(tmp_path, capsys):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "d1k.json"
