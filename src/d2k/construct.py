@@ -1,25 +1,33 @@
 """Edge-by-edge construction of a bipartite realization of a D2K target.
 
 The builder works on the bipartite split: node v of the eventual digraph
-appears as out-side stub holder v and in-side stub holder n+v.  Every
-iteration adds exactly one edge for some cell pair whose joint-matrix count
-has not reached its target.  Candidate pairs live in per-cell-pair pools
-that contain only pairs which are neither edges nor non-chords, so a pick
-is always addable in principle; when a picked endpoint has no free stub,
-one JDAM-preserving neighbor switch (or a substitute endpoint from the same
-cell) makes progress.  On a realizable target the loop can never get stuck:
-the case analysis guarantees a valid edge every iteration, and the one
-impossible configuration (both substitutes forming a non-chord) is guarded
-by a runtime check that stays enabled in optimized runs.
+appears as out-side stub holder v and in-side stub holder n+v.  The cell
+pairs with a joint-matrix entry are filled one after another, and every
+iteration adds exactly one edge to the pair being filled.
 
-Each cell pair is filled by one flat loop (`_fill`) over int lists indexed
-by node id and by pair id; the random draws inline the `getrandbits`
-rejection behind `random.Random.randrange`, so a seed gives the same graph
-as a plain `randrange` would.
+Each edge first comes from free-stub draws, a configuration model inside
+the cell pair: one endpoint is drawn uniformly from the nodes of the out
+cell that have a free stub, one from those of the in cell, and the pair is
+added unless it is already an edge or a non-chord (v, n+v).  After
+DRAW_RETRIES rejected draws the edge falls back to the constructive proof's
+path.  A per-cell-pair candidate pool, built the first time the pair needs
+it, holds only pairs that are neither edges nor non-chords, so a pick is
+always addable in principle; when a picked endpoint has no free stub, one
+JDAM-preserving neighbor switch (or a substitute endpoint from the same
+cell) makes progress.  On a realizable target the fallback can never get
+stuck: the case analysis guarantees a valid edge every iteration, and the
+one impossible configuration (both substitutes forming a non-chord) is
+guarded by a runtime check that stays enabled in optimized runs.
 
-Cost per edge: O(1) pool and stub bookkeeping plus at most two neighbor
-switches, each scanning one adjacency list, so the whole run is
-O(m * d_max).
+The random draws inline the `getrandbits` rejection behind
+`random.Random.randrange`, so a seed gives the same graph as a plain
+`randrange` would.
+
+Cost per edge: at most DRAW_RETRIES pairs of O(1) draws, and on the
+fallback O(1) pool and stub bookkeeping plus at most two neighbor
+switches, each scanning one adjacency list.  A node left without free
+stubs leaves its roster once per time it fills, and a pool is built once
+with O(target + cell size) work, so the whole run is O(m * d_max).
 """
 from __future__ import annotations
 
@@ -30,17 +38,26 @@ from .graph import DirectedGraph
 from .realizability import check
 from .targets import D2KTargets, node_cells
 
+# Rejected draw pairs (edge or non-chord) before an edge takes the pool path.
+DRAW_RETRIES = 8
+
 
 class ConstructionState:
     """Mutable state of one construction run.
 
-    Out-side stub holder of node v is bipartite id v, in-side is n + v.
-    The cell pairs with a joint-matrix entry are numbered 0..P-1 in (out
-    cell, in cell) order; `pair_id` maps ko * C + ki (C cells) to that
-    number, and `target`, `current` and the candidate pools are lists
-    indexed by it, so memory grows with P and not with C * C.  A pool is a
-    list of pair codes (out-id * span + in-id) and a dict from code to list
-    position, for O(1) add, discard and random pick.
+    Out-side stub holder of node v is bipartite id v, in-side is n + v, so
+    x and y are non-chord partners exactly when they differ by n.  The cell
+    pairs with a joint-matrix entry are numbered 0..P-1 in (out cell, in
+    cell) order; `pair_id` maps ko * C + ki (C cells) to that number, and
+    `target`, `current` and the candidate pools are lists indexed by it, so
+    memory grows with P and not with C * C.  A pool, None until the pair
+    first falls back, is a list of pair codes (out-id * span + in-id) and a
+    dict from code to list position, for O(1) add, discard and random pick.
+    The roster of a cell lists its nodes that may hold a free stub; a node
+    without one leaves it when a draw or a peek meets it.  `adj` holds the
+    neighbors of every out-side id; the in-side entries are filled from
+    them the first time the pool path or a neighbor switch runs, and kept
+    from then on, so a run that never falls back touches one map per edge.
     Confined to a single thread; independent runs are independent objects.
     """
 
@@ -60,7 +77,6 @@ class ConstructionState:
 
         self.cell_of = [-1] * (2 * n)       # bipartite id -> cell index
         self.free = [0] * (2 * n)           # unconnected stubs
-        self.ncp = [-1] * (2 * n)           # non-chord partner or -1
         self.members: list[list[int]] = [[] for _ in cell_list]
 
         for v, (d_in, d_out) in enumerate(t.dds):
@@ -74,9 +90,6 @@ class ConstructionState:
                 self.cell_of[n + v] = ci
                 self.free[n + v] = d_in
                 self.members[ci].append(n + v)
-            if d_in > 0 and d_out > 0:
-                self.ncp[v] = n + v
-                self.ncp[n + v] = v
 
         # Shuffled member order decorrelates the pool scan from node ids.
         for mem in self.members:
@@ -84,12 +97,9 @@ class ConstructionState:
 
         self.adj: list[dict[int, None]] = [{} for _ in range(2 * n)]
 
-        # Free-stub rosters, one lazy stack per cell.
+        # Free-stub rosters, one per cell, cleaned lazily.
         self.rosters: list[list[int]] = [list(mem) for mem in self.members]
-        self.in_roster = [False] * (2 * n)
-        for roster in self.rosters:
-            for x in roster:
-                self.in_roster[x] = True
+        self.in_roster = [x >= 0 for x in self.cell_of]
 
         target: dict[int, int] = {}         # ko * C + ki -> count
         for a, b, count in t.jdam_entries():
@@ -103,34 +113,45 @@ class ConstructionState:
         self.pair_id = {key: pid for pid, key in enumerate(self.pair_keys)}
         self.target = [target[key] for key in self.pair_keys]
         self.current = [0] * len(self.pair_keys)
-        self.pool_items: list[list[int]] = []
-        self.pool_pos: list[dict[int, int]] = []
-        for pid in range(len(self.pair_keys)):
-            self._init_pool(pid)
+        self.pool_items: list[list[int] | None] = [None] * len(self.pair_keys)
+        self.pool_pos: list[dict[int, int] | None] = [None] * len(self.pair_keys)
 
+        self.in_adj_built = False
         self.edges_added = 0
         self.switch_count = 0
+        self.fallback_count = 0
 
-    def _init_pool(self, pid: int) -> None:
-        """Seed the pool of pair pid with its first target[pid] addable
-        pairs of the cell product.
+    def _build_in_adj(self) -> None:
+        """Fill the in-side maps of adj from the out-side ones, once."""
+        if not self.in_adj_built:
+            adj = self.adj
+            for u in range(self.n):
+                for w in adj[u]:
+                    adj[w][u] = None
+            self.in_adj_built = True
 
-        Only non-chords can be skipped, so at most count + f pairs are
-        scanned; condition II guarantees the product is large enough.
+    def _init_pool(self, pid: int, added: int) -> None:
+        """Seed the pool of pair pid with its first target - current - added
+        addable pairs of the cell product, `added` being the edges the
+        current fill has added to the pair and not yet counted.
+
+        Only edges of the pair and non-chords can be skipped, so at most
+        target + f pairs are scanned; condition II guarantees the product
+        is large enough.
         """
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-        span = self.span
-        ncp = self.ncp
+        span, n, adj = self.span, self.n, self.adj
         items: list[int] = []
-        need = self.target[pid]
+        need = self.target[pid] - self.current[pid] - added
         mem_in = self.members[ki]
         for u in self.members[ko]:
             if need == 0:
                 break
             base = u * span
-            blocked = ncp[u]
+            blocked = u + n
+            u_adj = adj[u]
             for w in mem_in:
-                if w == blocked:
+                if w == blocked or w in u_adj:
                     continue
                 items.append(base + w)
                 need -= 1
@@ -139,11 +160,11 @@ class ConstructionState:
         if need > 0:
             raise ConstructionInvariantError(
                 f"cell product exhausted while seeding pool for pair {(ko, ki)}")
-        self.pool_items.append(items)
-        self.pool_pos.append({code: i for i, code in enumerate(items)})
+        self.pool_items[pid] = items
+        self.pool_pos[pid] = {code: i for i, code in enumerate(items)}
 
     def _peek_free(self, ci: int) -> int:
-        """Head of the free-stub roster of cell ci (lazy cleanup)."""
+        """Last node of the free-stub roster of cell ci (lazy cleanup)."""
         roster = self.rosters[ci]
         free = self.free
         while roster:
@@ -166,15 +187,16 @@ class ConstructionState:
         qualifies (then x_sub mirrors x's neighborhood except for its
         non-chord partner, which is the case-4 substitute situation).
         """
-        cell_of, free, adj = self.cell_of, self.free, self.adj
+        cell_of, free, adj, n = self.cell_of, self.free, self.adj, self.n
         if cell_of[x] != cell_of[x_sub]:
             raise ValueError("switch endpoints must share a cell")
         if free[x] != 0:
             raise ValueError("switch source must have no free stubs")
         if free[x_sub] < 1:
             raise ValueError("switch substitute must have a free stub")
+        self._build_in_adj()
         x_adj, sub_adj = adj[x], adj[x_sub]
-        blocked = self.ncp[x_sub]
+        blocked = x_sub + n if x_sub < n else x_sub - n
         feasible = [t for t in x_adj if t not in sub_adj and t != blocked]
         k = len(feasible)
         if not k:
@@ -194,24 +216,24 @@ class ConstructionState:
         t_adj[x_sub] = None
         free[x] += 1
         free[x_sub] -= 1
-        span = self.span
-        if x < self.n:
+        if x < n:
             key = cell_of[x] * len(self.cells) + cell_of[t]
-            gone, taken = x * span + t, x_sub * span + t
+            gone, taken = x * self.span + t, x_sub * self.span + t
         else:
             key = cell_of[t] * len(self.cells) + cell_of[x]
-            gone, taken = t * span + x, t * span + x_sub
+            gone, taken = t * self.span + x, t * self.span + x_sub
         pid = self.pair_id[key]
         items, pos = self.pool_items[pid], self.pool_pos[pid]
-        if gone not in pos:             # no longer an edge, never a non-chord
-            pos[gone] = len(items)
-            items.append(gone)
-        i = pos.pop(taken, None)
-        if i is not None:
-            last = items.pop()
-            if i < len(items):
-                items[i] = last
-                pos[last] = i
+        if pos is not None:
+            if gone not in pos:         # no longer an edge, never a non-chord
+                pos[gone] = len(items)
+                items.append(gone)
+            i = pos.pop(taken, None)
+            if i is not None:
+                last = items.pop()
+                if i < len(items):
+                    items[i] = last
+                    pos[last] = i
         in_roster = self.in_roster
         if not in_roster[x]:
             in_roster[x] = True
@@ -229,8 +251,8 @@ class ConstructionState:
         Adds exactly one edge between the two cells and returns it; the
         endpoints may differ from the picked pair when a saturated node's
         switch is infeasible and a same-cell substitute takes its place.
-        `pick` overrides the random pool pick (used by tests to script
-        specific case shapes).
+        `pick` replaces the draws and the pool pick with a given pair (used
+        by tests to script specific case shapes).
         """
         ko, ki = pair
         pid = self.pair_id.get(ko * len(self.cells) + ki)
@@ -245,65 +267,116 @@ class ConstructionState:
               pick: tuple[int, int] | None = None) -> tuple[int, int]:
         """Add `count` edges to cell pair pid; return the last one added.
 
-        Each edge starts from a random pool pair (or from `pick`).  A
-        saturated endpoint first hands one neighbor to a same-cell node
-        with a free stub (a neighbor switch); when no neighbor can move,
-        that node takes its place (case 4).
+        Each edge starts from free-stub draws.  When DRAW_RETRIES draws in
+        a row are rejected, it starts from a random pool pair instead (or
+        from `pick`, which skips the draws).  A saturated endpoint of that
+        pair first hands one neighbor to a same-cell node with a free stub
+        (a neighbor switch); when no neighbor can move, that node takes its
+        place (case 4).
         """
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-        items, pos = self.pool_items[pid], self.pool_pos[pid]
-        adj, free, ncp, span = self.adj, self.free, self.ncp, self.span
+        adj, free, in_roster = self.adj, self.free, self.in_roster
+        n, span = self.n, self.span
+        out_roster, in_list = self.rosters[ko], self.rosters[ki]
         getrandbits = self.rng.getrandbits
-        switch, peek_free = self.neighbor_switch, self._peek_free
-        for _ in range(count):
-            if pick is None:
-                k = len(items)
+
+        def draw(roster: list[int], ci: int) -> int:
+            """A uniform node of the roster with a free stub; the nodes
+            without one that the draw meets leave the roster."""
+            while True:
+                k = len(roster)
                 if not k:
                     raise ConstructionInvariantError(
-                        f"candidate pool of pair {(ko, ki)} is empty")
+                        f"no free stubs left in cell {self.cells[ci]}")
                 bits = k.bit_length()
                 r = getrandbits(bits)
                 while r >= k:
                     r = getrandbits(bits)
-                uo, vi = divmod(items[r], span)
-            else:
-                uo, vi = pick
-            u_adj = adj[uo]
-            if vi in u_adj or ncp[uo] == vi:
-                raise ConstructionInvariantError(
-                    f"candidate pool returned an invalid pair ({uo},{vi})")
-            if free[uo] == 0:
-                u_sub = peek_free(ko)
-                if switch(uo, u_sub) is None:
-                    uo = u_sub
-                    u_adj = adj[uo]
-            if free[vi] == 0:
-                v_sub = peek_free(ki)
-                if switch(vi, v_sub) is None:
-                    vi = v_sub
+                x = roster[r]
+                if free[x] > 0:
+                    return x
+                last = roster.pop()
+                if r < k - 1:
+                    roster[r] = last
+                in_roster[x] = False
 
-            # The impossible configuration of the constructive proof (both
-            # substitutes forming a non-chord, "case 5b"); kept as a hard check.
-            if ncp[uo] == vi:
-                raise ConstructionInvariantError(
-                    "substituted endpoints form a non-chord (case 5b)")
+        for added in range(count):
+            if pick is None:
+                for _ in range(DRAW_RETRIES):
+                    uo = draw(out_roster, ko)
+                    vi = draw(in_list, ki)
+                    if vi - uo != n and vi not in adj[uo]:
+                        break
+                else:
+                    uo, vi = self._fallback(pid, added)
+            else:
+                uo, vi = self._repair(pid, *pick)
+            u_adj = adj[uo]
             if vi in u_adj:
                 raise ConstructionInvariantError(
                     "substituted endpoints are already adjacent")
             u_adj[vi] = None
-            adj[vi][uo] = None
+            if self.in_adj_built:
+                adj[vi][uo] = None
             free[uo] -= 1
             free[vi] -= 1
             if free[uo] < 0 or free[vi] < 0:
                 raise ConstructionInvariantError("stub count went negative")
-            i = pos.pop(uo * span + vi, None)
-            if i is not None:
-                last = items.pop()
-                if i < len(items):
-                    items[i] = last
-                    pos[last] = i
+            pos = self.pool_pos[pid]
+            if pos is not None:
+                i = pos.pop(uo * span + vi, None)
+                if i is not None:
+                    items = self.pool_items[pid]
+                    last = items.pop()
+                    if i < len(items):
+                        items[i] = last
+                        pos[last] = i
         self.current[pid] += count
         self.edges_added += count
+        return uo, vi
+
+    def _fallback(self, pid: int, added: int) -> tuple[int, int]:
+        """The endpoints of an edge of pair pid from its candidate pool,
+        repaired; `added` edges of this fill are not yet in current[pid]."""
+        self.fallback_count += 1
+        if self.pool_pos[pid] is None:
+            self._init_pool(pid, added)
+        items = self.pool_items[pid]
+        k = len(items)
+        if not k:
+            ko, ki = divmod(self.pair_keys[pid], len(self.cells))
+            raise ConstructionInvariantError(
+                f"candidate pool of pair {(ko, ki)} is empty")
+        getrandbits = self.rng.getrandbits
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        return self._repair(pid, *divmod(items[r], self.span))
+
+    def _repair(self, pid: int, uo: int, vi: int) -> tuple[int, int]:
+        """The endpoints that take the addable pair (uo, vi): a saturated
+        endpoint is freed by a neighbor switch, or replaced by its
+        same-cell substitute when no neighbor can move."""
+        self._build_in_adj()
+        adj, free, n = self.adj, self.free, self.n
+        if vi in adj[uo] or vi - uo == n:
+            raise ConstructionInvariantError(
+                f"candidate pool returned an invalid pair ({uo},{vi})")
+        ko, ki = divmod(self.pair_keys[pid], len(self.cells))
+        if free[uo] == 0:
+            u_sub = self._peek_free(ko)
+            if self.neighbor_switch(uo, u_sub) is None:
+                uo = u_sub
+        if free[vi] == 0:
+            v_sub = self._peek_free(ki)
+            if self.neighbor_switch(vi, v_sub) is None:
+                vi = v_sub
+        # The impossible configuration of the constructive proof (both
+        # substitutes forming a non-chord, "case 5b"); kept as a hard check.
+        if vi - uo == n:
+            raise ConstructionInvariantError(
+                "substituted endpoints form a non-chord (case 5b)")
         return uo, vi
 
     # -- full run ------------------------------------------------------------

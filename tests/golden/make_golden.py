@@ -24,11 +24,13 @@ samples from the enumerated pairs).
 
 construct_sha256.json holds, for each case of `construct_cases()`, the
 sha256 of the `write_edge_list` output of `generate`, with the run's
-`switch_count`, `edges_added` and the number of case-4 substitutions
-(neighbor switches that found no feasible neighbor): a small regular d2k
-target, a heavy-tailed d2km target with 288 cells, a dense n = 200,
-p = 0.9 target, and small random targets at seeds where substitutions
-fire.
+`switch_count`, `edges_added`, `fallback_count` (edges whose draws
+stalled and that came from the pool path) as `fallbacks`, and the number
+of case-4 substitutions (neighbor switches that found no feasible
+neighbor): a small regular d2k target, a heavy-tailed d2km target with 288
+cells, a dense n = 200, p = 0.9 target, and small random targets at seeds
+where draws alone suffice, where the pool path switches and where
+substitutions fire.
 
 swaps_sha256.json holds, for each case of `swap_cases()` and each of the
 `d2k` and `d2km` modes, the number of states one accepted jdam-preserving
@@ -142,8 +144,10 @@ def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
     """Case name -> (target, construction seed) for construct_sha256.json.
 
     The `random*` digraphs (n <= 27) and seeds were picked by a search over
-    small random digraphs: every one but `random10_s0` makes at least one
-    case-4 substitution.
+    small random digraphs.  `random10_s0` and `random10_d2km_s3` are built
+    by draws alone; `random6_s3`, `random7_s3`, `random8_s0` and
+    `random12_s0` each fall back to the pool and make one case-4
+    substitution; the others fall back and switch without one.
     """
     rng = random.Random(11)
     perms = [list(range(60)) for _ in range(3)]
@@ -157,11 +161,13 @@ def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
     for name, (seed, n, p, mode, build_seed) in {
             "random27_s1": (101, 27, 0.17, "d2k", 1),
             "random10_s0": (103, 10, 0.2, "d2k", 0),
-            "random10_s2": (103, 10, 0.2, "d2k", 2),
             "random10_d2km_s3": (103, 10, 0.2, "d2km", 3),
             "random25_s3": (116, 25, 0.1, "d2k", 3),
             "random13_s2": (125, 13, 0.48, "d2k", 2),
-            "random9_s0": (153, 9, 0.23, "d2k", 0)}.items():
+            "random6_s3": (396, 6, 0.44, "d2k", 3),
+            "random7_s3": (203, 7, 0.32, "d2k", 3),
+            "random8_s0": (339, 8, 0.72, "d2k", 0),
+            "random12_s0": (204, 12, 0.73, "d2k", 0)}.items():
         cases[name] = (extract_d2k(random_digraph(seed, n, p), mode),
                        build_seed)
     return cases
@@ -185,7 +191,8 @@ def construct_digest(t: D2KTargets, seed: int) -> dict:
     state.neighbor_switch = counting_switch
     state.run()
     return {"sha256": digest, "switch_count": state.switch_count,
-            "edges_added": state.edges_added, "substitutions": substitutions}
+            "edges_added": state.edges_added, "substitutions": substitutions,
+            "fallbacks": state.fallback_count}
 
 
 def swap_cases() -> dict[str, tuple[DirectedGraph, str]]:

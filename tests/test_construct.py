@@ -6,8 +6,9 @@ import pytest
 
 from conftest import all_digraphs, random_digraph
 from d2k import (CellKey, ConstructionInvariantError, ConstructionState,
-                 D2KTargets, NotRealizableError, TargetStructureError, check,
-                 extract_d2k, from_edge_list, generate)
+                 D2KTargets, DirectedGraph, NotRealizableError,
+                 TargetStructureError, check, extract_d2k, from_edge_list,
+                 generate)
 
 
 def three_cycle_targets():
@@ -281,27 +282,53 @@ def test_add_next_edge_rejects_bad_pair_and_pick():
 # the invariant checks stay live in the flat loop
 
 
-def test_planted_edge_in_pool_raises_invariant_error():
+def stalled_gadget():
+    """switch_gadget with edge (2, n+0) added and the rosters cut down to
+    its two endpoints, so every draw is rejected and the next edge of the
+    pair comes from the pool path (the other nodes' stubs are hidden, so
+    the run cannot finish)."""
     state = switch_gadget()
     n = state.n
     pair = _pair(state, 2, 2)
     _add(state, pair, 2, n + 0)
-    # The pool of the pair now offers nothing but the edge just added.
-    pid = _pid(state, pair)
-    code = 2 * state.span + n + 0
-    state.pool_items[pid][:] = [code]
-    state.pool_pos[pid].clear()
-    state.pool_pos[pid][code] = 0
+    ko, ki = pair
+    state.rosters[ko][:] = [2]
+    state.rosters[ki][:] = [n + 0]
+    return state, _pid(state, pair)
+
+
+def test_planted_edge_in_pool_raises_invariant_error():
+    state, pid = stalled_gadget()
+    # The pool of the pair offers nothing but the edge already added.
+    code = 2 * state.span + state.n + 0
+    state.pool_items[pid] = [code]
+    state.pool_pos[pid] = {code: 0}
     with pytest.raises(ConstructionInvariantError, match="invalid pair"):
         state.run()
 
 
 def test_empty_pool_raises_invariant_error():
-    state = switch_gadget()
-    pair = _pair(state, 2, 2)
-    state.pool_items[_pid(state, pair)].clear()
+    state, pid = stalled_gadget()
+    state.pool_items[pid] = []
+    state.pool_pos[pid] = {}
     with pytest.raises(ConstructionInvariantError, match="empty"):
         state.run()
+
+
+def test_dense_targets_fall_back_mid_fill_and_stay_exact():
+    # Near-complete digraphs leave few addable pairs, so draws stall after
+    # some edges of a fill; the pool built then must count those edges.
+    rng = random.Random(4)
+    fallbacks = 0
+    for _ in range(6):
+        g = random_digraph(rng, rng.randint(8, 16), 0.85)
+        t = extract_d2k(g)
+        for seed in range(3):
+            state = ConstructionState(t, seed)
+            out = DirectedGraph(t.n, state.run())
+            assert extract_d2k(out) == t
+            fallbacks += state.fallback_count
+    assert fallbacks > 0
 
 
 @pytest.mark.parametrize("delta", [1, -1, -3])
