@@ -8,16 +8,21 @@ iteration adds exactly one edge to the pair being filled.
 Each edge first comes from free-stub draws, a configuration model inside
 the cell pair: one endpoint is drawn uniformly from the nodes of the out
 cell that have a free stub, one from those of the in cell, and the pair is
-added unless it is already an edge or a non-chord (v, n+v).  After
-DRAW_RETRIES rejected draws the edge falls back to the constructive proof's
-path.  A per-cell-pair candidate pool, built the first time the pair needs
-it, holds only pairs that are neither edges nor non-chords, so a pick is
-always addable in principle; when a picked endpoint has no free stub, one
-JDAM-preserving neighbor switch (or a substitute endpoint from the same
-cell) makes progress.  On a realizable target the fallback can never get
-stuck: the case analysis guarantees a valid edge every iteration, and the
-one impossible configuration (both substitutes forming a non-chord) is
-guarded by a runtime check that stays enabled in optimized runs.
+added unless it is a non-chord (v, n+v) or already an edge.  While a pair
+is first filled, the draws are tested for repeats in bulk: a round of
+draws for all its edges, one sort of their codes, and every repeat gives
+its stubs back and is drawn again in a second round.  What is still
+missing then is drawn one edge at a time against per-node neighbor maps.
+After DRAW_RETRIES rejected draws an edge falls back to the constructive
+proof's path.  A per-cell-pair candidate pool, built the first time the
+pair needs it, holds only pairs that are neither edges nor non-chords, so
+a pick is always addable in principle; when a picked endpoint has no free
+stub, one JDAM-preserving neighbor switch (or a substitute endpoint from
+the same cell) makes progress.  On a realizable target the fallback can
+never get stuck: the case analysis guarantees a valid edge every
+iteration, and the one impossible configuration (both substitutes forming
+a non-chord) is guarded by a runtime check that stays enabled in optimized
+runs.
 
 The random draws inline the `getrandbits` rejection behind
 `random.Random.randrange`, so a seed gives the same graph as a plain
@@ -26,12 +31,17 @@ The random draws inline the `getrandbits` rejection behind
 Cost per edge: at most DRAW_RETRIES pairs of O(1) draws, and on the
 fallback O(1) pool and stub bookkeeping plus at most two neighbor
 switches, each scanning one adjacency list.  A node left without free
-stubs leaves its roster once per time it fills, and a pool is built once
-with O(target + cell size) work, so the whole run is O(m * d_max).
+stubs leaves its roster once per time it fills, a pool is built once with
+O(target + cell size) work, and the neighbor maps once with O(m) work, so
+the whole run is O(m * d_max), plus the two numpy sorts per pair of the
+bulk repeat test.
 """
 from __future__ import annotations
 
 import random
+from array import array
+
+import numpy as np
 
 from .errors import ConstructionInvariantError, NotRealizableError, TargetStructureError
 from .graph import DirectedGraph
@@ -40,6 +50,23 @@ from .targets import D2KTargets, node_cells
 
 # Rejected draw pairs (edge or non-chord) before an edge takes the pool path.
 DRAW_RETRIES = 8
+# Rounds of draws a pair takes before the draws test each edge as it goes.
+BLIND_ROUNDS = 2
+
+
+def _repeats(codes: list[int], start: int, mark: int) -> list[int]:
+    """The positions at or after `mark` of codes[start:] whose value
+    occurs earlier in it; -1 marks a given-back draw and never repeats."""
+    pair = np.array(codes[start:], dtype=np.int64)
+    ordered = np.sort(pair)
+    same = (ordered[1:] == ordered[:-1]) & (ordered[1:] >= 0)
+    values = np.unique(ordered[1:][same])
+    if not len(values):
+        return []
+    at = np.flatnonzero(np.isin(pair, values))
+    first = np.unique(pair[at], return_index=True)[1]
+    later = np.delete(at, first) + start
+    return later[later >= mark].tolist()
 
 
 class ConstructionState:
@@ -54,10 +81,13 @@ class ConstructionState:
     first falls back, is a list of pair codes (out-id * span + in-id) and a
     dict from code to list position, for O(1) add, discard and random pick.
     The roster of a cell lists its nodes that may hold a free stub; a node
-    without one leaves it when a draw or a peek meets it.  `adj` holds the
-    neighbors of every out-side id; the in-side entries are filled from
-    them the first time the pool path or a neighbor switch runs, and kept
-    from then on, so a run that never falls back touches one map per edge.
+    without one leaves it when a draw or a peek meets it.  Until the first
+    edge that needs a membership test one at a time (a duplicate draw, the
+    pool path, a switch or a scripted pick), the edges are only a flat list
+    of pair codes, `codes`, and `adj` is None; then `adj` becomes one map
+    of neighbors per bipartite id, built from the codes in node order, and
+    is kept from then on.  So the draw loop of a run touches no per-node
+    map, whose random access at a million edges costs more than the draws.
     Confined to a single thread; independent runs are independent objects.
     """
 
@@ -95,10 +125,14 @@ class ConstructionState:
         for mem in self.members:
             self.rng.shuffle(mem)
 
-        self.adj: list[dict[int, None]] = [{} for _ in range(2 * n)]
+        self.codes: list[int] = []
+        self.adj: list[dict[int, None]] | None = None
 
-        # Free-stub rosters, one per cell, cleaned lazily.
-        self.rosters: list[list[int]] = [list(mem) for mem in self.members]
+        # Free-stub rosters, one per cell, cleaned lazily.  They and `free`
+        # are 4-byte int arrays, which the draws read at random: at a
+        # million edges they still fit a core's cache.
+        self.rosters = [array("i", mem) for mem in self.members]
+        self.free = array("i", self.free)
         self.in_roster = [x >= 0 for x in self.cell_of]
 
         target: dict[int, int] = {}         # ko * C + ki -> count
@@ -116,19 +150,25 @@ class ConstructionState:
         self.pool_items: list[list[int] | None] = [None] * len(self.pair_keys)
         self.pool_pos: list[dict[int, int] | None] = [None] * len(self.pair_keys)
 
-        self.in_adj_built = False
         self.edges_added = 0
         self.switch_count = 0
         self.fallback_count = 0
 
-    def _build_in_adj(self) -> None:
-        """Fill the in-side maps of adj from the out-side ones, once."""
-        if not self.in_adj_built:
-            adj = self.adj
-            for u in range(self.n):
-                for w in adj[u]:
-                    adj[w][u] = None
-            self.in_adj_built = True
+    def _index(self) -> list[dict[int, None]]:
+        """The per-id neighbor maps, built from `codes` on first use."""
+        if self.adj is None:
+            span = self.span
+            adj: list[dict[int, None]] = [{} for _ in range(span)]
+            codes = np.sort(np.array(self.codes, dtype=np.int64))
+            codes = codes[np.searchsorted(codes, 0):]
+            outs, ins = codes // span, codes % span
+            for u, w in zip(outs.tolist(), ins.tolist()):
+                adj[u][w] = None
+            order = np.argsort(ins, kind="stable")
+            for w, u in zip(ins[order].tolist(), outs[order].tolist()):
+                adj[w][u] = None
+            self.adj, self.codes = adj, []
+        return self.adj
 
     def _init_pool(self, pid: int, added: int) -> None:
         """Seed the pool of pair pid with its first target - current - added
@@ -140,7 +180,7 @@ class ConstructionState:
         is large enough.
         """
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-        span, n, adj = self.span, self.n, self.adj
+        span, n, adj = self.span, self.n, self._index()
         items: list[int] = []
         need = self.target[pid] - self.current[pid] - added
         mem_in = self.members[ki]
@@ -187,14 +227,13 @@ class ConstructionState:
         qualifies (then x_sub mirrors x's neighborhood except for its
         non-chord partner, which is the case-4 substitute situation).
         """
-        cell_of, free, adj, n = self.cell_of, self.free, self.adj, self.n
+        cell_of, free, adj, n = self.cell_of, self.free, self._index(), self.n
         if cell_of[x] != cell_of[x_sub]:
             raise ValueError("switch endpoints must share a cell")
         if free[x] != 0:
             raise ValueError("switch source must have no free stubs")
         if free[x_sub] < 1:
             raise ValueError("switch substitute must have a free stub")
-        self._build_in_adj()
         x_adj, sub_adj = adj[x], adj[x_sub]
         blocked = x_sub + n if x_sub < n else x_sub - n
         feasible = [t for t in x_adj if t not in sub_adj and t != blocked]
@@ -252,7 +291,8 @@ class ConstructionState:
         endpoints may differ from the picked pair when a saturated node's
         switch is infeasible and a same-cell substitute takes its place.
         `pick` replaces the draws and the pool pick with a given pair (used
-        by tests to script specific case shapes).
+        by tests to script specific case shapes).  A single step always
+        works on the per-node maps, so it tests each draw as it goes.
         """
         ko, ki = pair
         pid = self.pair_id.get(ko * len(self.cells) + ki)
@@ -261,26 +301,31 @@ class ConstructionState:
         if pick is not None and (self.cell_of[pick[0]] != ko
                                  or self.cell_of[pick[1]] != ki):
             raise ValueError("pick does not belong to the cell pair")
+        self._index()
         return self._fill(pid, 1, pick)
 
     def _fill(self, pid: int, count: int,
               pick: tuple[int, int] | None = None) -> tuple[int, int]:
         """Add `count` edges to cell pair pid; return the last one added.
 
-        Each edge starts from free-stub draws.  When DRAW_RETRIES draws in
-        a row are rejected, it starts from a random pool pair instead (or
-        from `pick`, which skips the draws).  A saturated endpoint of that
-        pair first hands one neighbor to a same-cell node with a free stub
-        (a neighbor switch); when no neighbor can move, that node takes its
-        place (case 4).
+        Each edge starts from free-stub draws.  While the pair is empty and
+        no per-node map exists, the draws reject only non-chords, and the
+        repeats among them are found afterwards with one sort: every copy
+        after the first gives its stubs back and is drawn again below.
+        There, with the maps, a draw is also rejected when it is an edge.
+        When DRAW_RETRIES draws in a row are rejected, the edge starts from
+        a random pool pair instead (or from `pick`, which skips the draws).
+        A saturated endpoint of that pair first hands one neighbor to a
+        same-cell node with a free stub (a neighbor switch); when no
+        neighbor can move, that node takes its place (case 4).
         """
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-        adj, free, in_roster = self.adj, self.free, self.in_roster
+        free, in_roster, cell_of = self.free, self.in_roster, self.cell_of
         n, span = self.n, self.span
         out_roster, in_list = self.rosters[ko], self.rosters[ki]
         getrandbits = self.rng.getrandbits
 
-        def draw(roster: list[int], ci: int) -> int:
+        def draw(roster: array, ci: int) -> int:
             """A uniform node of the roster with a free stub; the nodes
             without one that the draw meets leave the roster."""
             while True:
@@ -300,6 +345,39 @@ class ConstructionState:
                     roster[r] = last
                 in_roster[x] = False
 
+        if pick is None and self.adj is None and self.current[pid] == 0:
+            codes = self.codes
+            start = len(codes)
+            for _ in range(BLIND_ROUNDS):
+                mark = len(codes)
+                for _ in range(count):
+                    for _ in range(DRAW_RETRIES):
+                        uo = draw(out_roster, ko)
+                        vi = draw(in_list, ki)
+                        if vi - uo != n:
+                            break
+                    else:
+                        break
+                    free[uo] -= 1
+                    free[vi] -= 1
+                    codes.append(uo * span + vi)
+                done = len(codes) - mark
+                for i in _repeats(codes, start, mark):
+                    for x in divmod(codes[i], span):
+                        free[x] += 1
+                        if not in_roster[x]:
+                            in_roster[x] = True
+                            self.rosters[cell_of[x]].append(x)
+                    codes[i] = -1
+                    done -= 1
+                self.current[pid] += done
+                self.edges_added += done
+                count -= done
+                if not count:
+                    return divmod(next(c for c in reversed(codes) if c >= 0),
+                                  span)
+
+        adj = self._index()
         for added in range(count):
             if pick is None:
                 for _ in range(DRAW_RETRIES):
@@ -316,8 +394,7 @@ class ConstructionState:
                 raise ConstructionInvariantError(
                     "substituted endpoints are already adjacent")
             u_adj[vi] = None
-            if self.in_adj_built:
-                adj[vi][uo] = None
+            adj[vi][uo] = None
             free[uo] -= 1
             free[vi] -= 1
             if free[uo] < 0 or free[vi] < 0:
@@ -358,8 +435,7 @@ class ConstructionState:
         """The endpoints that take the addable pair (uo, vi): a saturated
         endpoint is freed by a neighbor switch, or replaced by its
         same-cell substitute when no neighbor can move."""
-        self._build_in_adj()
-        adj, free, n = self.adj, self.free, self.n
+        adj, free, n = self._index(), self.free, self.n
         if vi in adj[uo] or vi - uo == n:
             raise ConstructionInvariantError(
                 f"candidate pool returned an invalid pair ({uo},{vi})")
@@ -391,7 +467,14 @@ class ConstructionState:
             if count > 0:
                 self._fill(pid, count)
         n = self.n
-        out_adj = [[w - n for w in self.adj[v]] for v in range(n)]
+        if self.adj is None:
+            codes = np.sort(np.array(self.codes, dtype=np.int64))
+            bounds = np.searchsorted(codes, np.arange(n + 1) * self.span)
+            heads = (codes % self.span - n).tolist()
+            out_adj = [heads[a:b] for a, b in
+                       zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        else:
+            out_adj = [[w - n for w in self.adj[v]] for v in range(n)]
         built = sum(map(len, out_adj))
         if built != self.t.m:
             raise ConstructionInvariantError(

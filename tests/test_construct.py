@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -292,8 +293,8 @@ def stalled_gadget():
     pair = _pair(state, 2, 2)
     _add(state, pair, 2, n + 0)
     ko, ki = pair
-    state.rosters[ko][:] = [2]
-    state.rosters[ki][:] = [n + 0]
+    state.rosters[ko] = array("i", [2])
+    state.rosters[ki] = array("i", [n + 0])
     return state, _pid(state, pair)
 
 
