@@ -10,8 +10,9 @@ the cell pair: one endpoint is drawn uniformly from the nodes of the out
 cell that have a free stub, one from those of the in cell, and the pair is
 added unless it is a non-chord (v, n+v) or already an edge.  While a pair
 is first filled, the draws are tested for repeats in bulk: a round of
-draws for all its edges, one sort of their codes, and every repeat gives
-its stubs back and is drawn again in a second round.  What is still
+draws for all its edges, one pass over their codes (a set for a small
+pair, a numpy sort for a large one), and every repeat gives its stubs back
+and is drawn again in a second round.  What is still
 missing then is drawn one edge at a time against per-node neighbor maps.
 After DRAW_RETRIES rejected draws an edge falls back to the constructive
 proof's path.  A per-cell-pair candidate pool, built the first time the
@@ -33,8 +34,8 @@ fallback O(1) pool and stub bookkeeping plus at most two neighbor
 switches, each scanning one adjacency list.  A node left without free
 stubs leaves its roster once per time it fills, a pool is built once with
 O(target + cell size) work, and the neighbor maps once with O(m) work, so
-the whole run is O(m * d_max), plus the two numpy sorts per pair of the
-bulk repeat test.
+the whole run is O(m * d_max), plus at most two numpy sorts per large
+pair for the bulk repeat test.
 """
 from __future__ import annotations
 
@@ -52,11 +53,26 @@ from .targets import D2KTargets, node_cells
 DRAW_RETRIES = 8
 # Rounds of draws a pair takes before the draws test each edge as it goes.
 BLIND_ROUNDS = 2
+# Largest pair whose draws `_repeats` tests with a set instead of a sort.
+SMALL_PAIR = 4096
 
 
 def _repeats(codes: list[int], start: int, mark: int) -> list[int]:
     """The positions at or after `mark` of codes[start:] whose value
-    occurs earlier in it; -1 marks a given-back draw and never repeats."""
+    occurs earlier in it; -1 marks a given-back draw and never repeats.
+
+    Codes before `mark` hold no repeat.  A small pair is tested with a set,
+    where numpy's per-call cost would dominate; a large one with one sort,
+    where a set's random access would."""
+    if len(codes) - start <= SMALL_PAIR:
+        seen = set(codes[start:mark])
+        later = []
+        for i in range(mark, len(codes)):
+            if codes[i] in seen:
+                later.append(i)
+            else:
+                seen.add(codes[i])
+        return later
     pair = np.array(codes[start:], dtype=np.int64)
     ordered = np.sort(pair)
     same = (ordered[1:] == ordered[:-1]) & (ordered[1:] >= 0)
@@ -81,13 +97,14 @@ class ConstructionState:
     first falls back, is a list of pair codes (out-id * span + in-id) and a
     dict from code to list position, for O(1) add, discard and random pick.
     The roster of a cell lists its nodes that may hold a free stub; a node
-    without one leaves it when a draw or a peek meets it.  Until the first
-    edge that needs a membership test one at a time (a duplicate draw, the
-    pool path, a switch or a scripted pick), the edges are only a flat list
-    of pair codes, `codes`, and `adj` is None; then `adj` becomes one map
-    of neighbors per bipartite id, built from the codes in node order, and
-    is kept from then on.  So the draw loop of a run touches no per-node
-    map, whose random access at a million edges costs more than the draws.
+    without one leaves it when a draw or a peek meets it.  Until an edge
+    needs a membership test of its own (draws still repeating after the
+    bulk rounds, the pool path, a switch or a scripted pick), the edges are
+    only a flat list of pair codes, `codes`, where -1 marks a repeat that
+    gave its stubs back, and `adj` is None.  Then `adj` becomes one map of
+    neighbors per bipartite id, built from the codes in node order, and is
+    kept from then on.  So the draw loop touches no per-node map, whose
+    random access at a million edges costs more than the draws.
     Confined to a single thread; independent runs are independent objects.
     """
 
@@ -106,7 +123,7 @@ class ConstructionState:
         cell_index = {c: i for i, c in enumerate(cell_list)}
 
         self.cell_of = [-1] * (2 * n)       # bipartite id -> cell index
-        self.free = [0] * (2 * n)           # unconnected stubs
+        self.free = array("i", [0]) * (2 * n)   # unconnected stubs
         self.members: list[list[int]] = [[] for _ in cell_list]
 
         for v, (d_in, d_out) in enumerate(t.dds):
@@ -132,7 +149,6 @@ class ConstructionState:
         # are 4-byte int arrays, which the draws read at random: at a
         # million edges they still fit a core's cache.
         self.rosters = [array("i", mem) for mem in self.members]
-        self.free = array("i", self.free)
         self.in_roster = [x >= 0 for x in self.cell_of]
 
         target: dict[int, int] = {}         # ko * C + ki -> count
