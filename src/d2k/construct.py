@@ -324,10 +324,12 @@ class ConstructionState:
               pick: tuple[int, int] | None = None) -> tuple[int, int]:
         """Add `count` edges to cell pair pid; return the last one added.
 
-        Each edge starts from free-stub draws.  While the pair is empty and
-        no per-node map exists, the draws reject only non-chords, and the
-        repeats among them are found afterwards with one sort: every copy
-        after the first gives its stubs back and is drawn again below.
+        Each edge starts from free-stub draws.  While no per-node map
+        exists (so every pair filled so far is complete and this one is
+        empty), the draws reject only non-chords, and `_repeats` finds the
+        repeats among them afterwards: every copy after the first gives
+        its stubs back and is drawn again in the next round, and what is
+        still missing after BLIND_ROUNDS is drawn below.
         There, with the maps, a draw is also rejected when it is an edge.
         When DRAW_RETRIES draws in a row are rejected, the edge starts from
         a random pool pair instead (or from `pick`, which skips the draws).
@@ -361,7 +363,7 @@ class ConstructionState:
                     roster[r] = last
                 in_roster[x] = False
 
-        if pick is None and self.adj is None and self.current[pid] == 0:
+        if self.adj is None:
             codes = self.codes
             start = len(codes)
             for _ in range(BLIND_ROUNDS):
