@@ -16,6 +16,19 @@ from .targets import DdsTargets, SizeTargets, UmanTargets
 
 # Above this pair-universe size the dense sampling path is not attempted.
 _ENUMERATION_CAP = 1 << 22
+# Most nodes a d0k or uman graph is built with.  Their targets do not list
+# the nodes, yet the graph holds every one, and building it peaks at about
+# 90 bytes per node (the row lists of `DirectedGraph.from_edges`), so this
+# bound keeps a target's n from asking for more than about 1.5 GiB.
+# Extraction reads an existing graph and is not bounded.
+NODE_LIMIT = 1 << 24
+
+
+def _bound_nodes(n: int) -> None:
+    """Raise ValueError, before anything is allocated, when n > NODE_LIMIT."""
+    if n > NODE_LIMIT:
+        raise ValueError(f"n = {n} is above the {NODE_LIMIT} nodes a d0k "
+                         f"or uman graph is built with")
 
 
 def gen_d0k(t: SizeTargets, seed: int = 1) -> DirectedGraph:
@@ -23,9 +36,11 @@ def gen_d0k(t: SizeTargets, seed: int = 1) -> DirectedGraph:
 
     Rejection-samples ordered pairs in the sparse regime and samples the
     complement when more than half of all pairs are edges, which keeps the
-    expected time near-linear at any density.
+    expected time near-linear at any density.  Raises ValueError when
+    t.n > NODE_LIMIT.
     """
     n, m = t.n, t.m
+    _bound_nodes(n)
     universe = n * (n - 1)
     rng = random.Random(seed)
     if m > universe // 2:
@@ -54,9 +69,10 @@ def gen_uman(t: UmanTargets, seed: int = 1) -> DirectedGraph:
 
     Samples mutual+asymmetric distinct unordered pairs, then assigns states
     by a random partition of the sample; asymmetric dyads get a uniformly
-    random orientation.
+    random orientation.  Raises ValueError when t.n > NODE_LIMIT.
     """
     n = t.n
+    _bound_nodes(n)
     total = n * (n - 1) // 2
     rng = random.Random(seed)
     wanted = t.mutual + t.asymmetric

@@ -28,10 +28,6 @@ from .graph import DirectedGraph, _contains, _tails
 
 MODE_DEGREE = "d2k"
 MODE_PAIR = "d2km"
-# Largest n of a size or dyad-census target.  Their files do not list the
-# nodes, so n alone sets the size of the graph a baseline builds, which
-# holds every node; past this bound that graph would not fit in memory.
-NODE_LIMIT = 1 << 22
 MODELS = ("d0k", "uman", "d1k", MODE_DEGREE, MODE_PAIR)
 
 
@@ -224,15 +220,6 @@ class D2KTargets:
                 and self.jdam == other.jdam)
 
 
-def _node_count(n) -> None:
-    """Raise unless n is an int in 0..NODE_LIMIT."""
-    json_int(n, "n")
-    if not 0 <= n <= NODE_LIMIT:
-        raise TargetStructureError(
-            f"n must be in 0..{NODE_LIMIT} for a target that does not list "
-            f"its nodes, got {n}")
-
-
 @dataclass(frozen=True)
 class UmanTargets:
     """Dyad-census target: counts of mutual, asymmetric, null dyads."""
@@ -244,9 +231,11 @@ class UmanTargets:
     null: int
 
     def __post_init__(self):
-        _node_count(self.n)
+        json_int(self.n, "n")
         for name in ("mutual", "asymmetric", "null"):
             json_int(getattr(self, name), f"{name} dyad count")
+        if self.n < 0:
+            raise TargetStructureError(f"n must be non-negative, got {self.n}")
         if min(self.mutual, self.asymmetric, self.null) < 0 \
                 or self.total() != self.n * (self.n - 1) // 2:
             raise TargetStructureError("dyad counts do not sum to C(n,2)")
@@ -264,8 +253,10 @@ class SizeTargets:
     m: int
 
     def __post_init__(self):
-        _node_count(self.n)
+        json_int(self.n, "n")
         json_int(self.m, "m")
+        if self.n < 0:
+            raise TargetStructureError(f"n must be non-negative, got {self.n}")
         if not 0 <= self.m <= self.n * (self.n - 1):
             raise TargetStructureError("edge count out of range")
 

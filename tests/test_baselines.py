@@ -6,8 +6,10 @@ from collections import Counter
 import pytest
 
 from conftest import random_digraph
+import d2k.baselines
 from d2k import (DdsTargets, NotGraphicalError, SizeTargets, UmanTargets,
-                 extract_dds, extract_uman, gen_d0k, gen_d1k, gen_uman)
+                 extract_dds, extract_size, extract_uman, gen_d0k, gen_d1k,
+                 gen_uman)
 
 
 # -- fixed edge count --------------------------------------------------------
@@ -26,6 +28,20 @@ def test_d0k_empty():
 def test_d0k_rejects_oversized():
     with pytest.raises(ValueError):
         gen_d0k(SizeTargets(3, 7), seed=1)
+
+
+def test_node_bound_applies_to_generation_not_extraction(monkeypatch):
+    # a 5-node graph stands in for one above the bound, so nothing large
+    # is allocated; extraction of a measured graph takes any n
+    monkeypatch.setattr(d2k.baselines, "NODE_LIMIT", 4)
+    g = random_digraph(random.Random(3), 5, 0.4)
+    size, dyads = extract_size(g), extract_uman(g)
+    assert (size.n, dyads.n) == (5, 5)
+    for gen, t in ((gen_d0k, size), (gen_uman, dyads)):
+        with pytest.raises(ValueError, match="above the 4 nodes"):
+            gen(t, seed=1)
+    assert gen_d0k(SizeTargets(4, 3), seed=1).n == 4
+    assert gen_uman(UmanTargets(4, 1, 1, 4), seed=1).n == 4
 
 
 def test_d0k_dense_complement_path():

@@ -11,7 +11,6 @@ from d2k import (CellKey, D2KTargets, DdsTargets, SizeTargets,
                  TargetStructureError, UmanTargets, check, extract_d2k,
                  extract_dds, extract_size, extract_uman, from_edge_list,
                  generate)
-from d2k.targets import NODE_LIMIT
 
 
 def three_cycle():
@@ -226,19 +225,6 @@ def test_size_and_dyad_targets_validate(cls, args):
     # passes every range check but the integer rule
     with pytest.raises(TargetStructureError):
         cls(*args)
-
-
-def test_size_and_dyad_targets_bound_n():
-    # the files of these two models do not list their nodes, so n is
-    # bounded; construction allocates nothing per node
-    k = NODE_LIMIT * (NODE_LIMIT - 1) // 2
-    assert SizeTargets(NODE_LIMIT, 10).n == NODE_LIMIT
-    assert UmanTargets(NODE_LIMIT, 0, 10, k - 10).n == NODE_LIMIT
-    k = (NODE_LIMIT + 1) * NODE_LIMIT // 2
-    for cls, args in ((SizeTargets, (NODE_LIMIT + 1, 10)),
-                      (UmanTargets, (NODE_LIMIT + 1, 0, 10, k - 10))):
-        with pytest.raises(TargetStructureError, match="must be in 0.."):
-            cls(*args)
 
 
 def test_extraction_always_graphical_n3():
