@@ -9,11 +9,11 @@ Each edge first comes from free-stub draws, a configuration model inside
 the cell pair: one endpoint is drawn uniformly from the nodes of the out
 cell that have a free stub, one from those of the in cell, and the pair is
 added unless it is a non-chord (v, n+v) or already an edge.  While a pair
-is first filled, the draws are tested for repeats in bulk: a round of
-draws for all its edges, one pass over their codes (a set for a small
-pair, a numpy sort for a large one), and every repeat gives its stubs back
-and is drawn again in a second round.  What is still
-missing then is drawn one edge at a time against per-node neighbor maps.
+is first filled, the draws are tested for repeats in bulk: one draw for
+each of its edges, then one pass over their codes (a set for a small
+pair, a numpy sort for a large one), where every repeat gives its stubs
+back.  What is still missing then is drawn one edge at a time against
+per-node neighbor maps.
 After DRAW_RETRIES rejected draws an edge falls back to the constructive
 proof's path.  A per-cell-pair candidate pool, built the first time the
 pair needs it, holds only pairs that are neither edges nor non-chords, so
@@ -34,8 +34,8 @@ fallback O(1) pool and stub bookkeeping plus at most two neighbor
 switches, each scanning one adjacency list.  A node left without free
 stubs leaves its roster once per time it fills, a pool is built once with
 O(target + cell size) work, and the neighbor maps once with O(m) work, so
-the whole run is O(m * d_max), plus at most two numpy sorts per large
-pair for the bulk repeat test.
+the whole run is O(m * d_max), plus one numpy sort per large pair for the
+bulk repeat test.
 """
 from __future__ import annotations
 
@@ -51,23 +51,22 @@ from .targets import D2KTargets, node_cells
 
 # Rejected draw pairs (edge or non-chord) before an edge takes the pool path.
 DRAW_RETRIES = 8
-# Rounds of draws a pair takes before the draws test each edge as it goes.
-BLIND_ROUNDS = 2
 # Largest pair whose draws `_repeats` tests with a set instead of a sort.
 SMALL_PAIR = 4096
 
 
-def _repeats(codes: list[int], start: int, mark: int) -> list[int]:
-    """The positions at or after `mark` of codes[start:] whose value
-    occurs earlier in it; -1 marks a given-back draw and never repeats.
+def _repeats(codes: list[int], start: int) -> list[int]:
+    """The positions of codes[start:] whose value occurs earlier in it.
 
-    Codes before `mark` hold no repeat.  A small pair is tested with a set,
-    where numpy's per-call cost would dominate; a large one with one sort,
-    where a set's random access would."""
+    A small pair is tested with a set, a large one with one numpy sort.
+    Alone on one pair's draws, the set takes 1 us at 16 codes where the
+    sort's fixed cost is 40 us, the two tie from 4,096 to 65,536 codes, and
+    at 1M codes the set's random access takes 3.4 times the sort's time
+    (BENCH_construct_draws.json, `repeat_test`)."""
     if len(codes) - start <= SMALL_PAIR:
-        seen = set(codes[start:mark])
+        seen: set[int] = set()
         later = []
-        for i in range(mark, len(codes)):
+        for i in range(start, len(codes)):
             if codes[i] in seen:
                 later.append(i)
             else:
@@ -75,14 +74,12 @@ def _repeats(codes: list[int], start: int, mark: int) -> list[int]:
         return later
     pair = np.array(codes[start:], dtype=np.int64)
     ordered = np.sort(pair)
-    same = (ordered[1:] == ordered[:-1]) & (ordered[1:] >= 0)
-    values = np.unique(ordered[1:][same])
+    values = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
     if not len(values):
         return []
     at = np.flatnonzero(np.isin(pair, values))
     first = np.unique(pair[at], return_index=True)[1]
-    later = np.delete(at, first) + start
-    return later[later >= mark].tolist()
+    return (np.delete(at, first) + start).tolist()
 
 
 class ConstructionState:
@@ -98,8 +95,8 @@ class ConstructionState:
     dict from code to list position, for O(1) add, discard and random pick.
     The roster of a cell lists its nodes that may hold a free stub; a node
     without one leaves it when a draw or a peek meets it.  Until an edge
-    needs a membership test of its own (draws still repeating after the
-    bulk rounds, the pool path, a switch or a scripted pick), the edges are
+    needs a membership test of its own (a repeat among the bulk draws, the
+    pool path, a switch or a scripted pick), the edges are
     only a flat list of pair codes, `codes`, where -1 marks a repeat that
     gave its stubs back, and `adj` is None.  Then `adj` becomes one map of
     neighbors per bipartite id, built from the codes in node order, and is
@@ -328,9 +325,8 @@ class ConstructionState:
         exists (so every pair filled so far is complete and this one is
         empty), the draws reject only non-chords, and `_repeats` finds the
         repeats among them afterwards: every copy after the first gives
-        its stubs back and is drawn again in the next round, and what is
-        still missing after BLIND_ROUNDS is drawn below.
-        There, with the maps, a draw is also rejected when it is an edge.
+        its stubs back and is drawn again below.  There, with the maps, a
+        draw is also rejected when it is an edge.
         When DRAW_RETRIES draws in a row are rejected, the edge starts from
         a random pool pair instead (or from `pick`, which skips the draws).
         A saturated endpoint of that pair first hands one neighbor to a
@@ -366,34 +362,31 @@ class ConstructionState:
         if self.adj is None:
             codes = self.codes
             start = len(codes)
-            for _ in range(BLIND_ROUNDS):
-                mark = len(codes)
-                for _ in range(count):
-                    for _ in range(DRAW_RETRIES):
-                        uo = draw(out_roster, ko)
-                        vi = draw(in_list, ki)
-                        if vi - uo != n:
-                            break
-                    else:
+            for _ in range(count):
+                for _ in range(DRAW_RETRIES):
+                    uo = draw(out_roster, ko)
+                    vi = draw(in_list, ki)
+                    if vi - uo != n:
                         break
-                    free[uo] -= 1
-                    free[vi] -= 1
-                    codes.append(uo * span + vi)
-                done = len(codes) - mark
-                for i in _repeats(codes, start, mark):
-                    for x in divmod(codes[i], span):
-                        free[x] += 1
-                        if not in_roster[x]:
-                            in_roster[x] = True
-                            self.rosters[cell_of[x]].append(x)
-                    codes[i] = -1
-                    done -= 1
-                self.current[pid] += done
-                self.edges_added += done
-                count -= done
-                if not count:
-                    return divmod(next(c for c in reversed(codes) if c >= 0),
-                                  span)
+                else:
+                    break
+                free[uo] -= 1
+                free[vi] -= 1
+                codes.append(uo * span + vi)
+            done = len(codes) - start
+            for i in _repeats(codes, start):
+                for x in divmod(codes[i], span):
+                    free[x] += 1
+                    if not in_roster[x]:
+                        in_roster[x] = True
+                        self.rosters[cell_of[x]].append(x)
+                codes[i] = -1
+                done -= 1
+            self.current[pid] += done
+            self.edges_added += done
+            count -= done
+            if not count:
+                return divmod(codes[-1], span)
 
         adj = self._index()
         for added in range(count):

@@ -144,8 +144,8 @@ def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
     """Case name -> (target, construction seed) for construct_sha256.json.
 
     The `random*` digraphs (n <= 27) and seeds were picked by a search over
-    small random digraphs.  `random10_s0` and `random10_d2km_s3` are built
-    by draws alone; `random6_s3`, `random7_s3`, `random8_s0` and
+    small random digraphs.  `regular_s1`, `random10_s0` and
+    `random10_d2km_s3` are built by draws alone; `random6_s3`, `random7_s3`, `random8_s0` and
     `random12_s0` each fall back to the pool and make one case-4
     substitution; the others fall back and switch without one.
     """

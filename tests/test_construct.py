@@ -351,16 +351,10 @@ def test_repeat_test_by_set_and_by_sort_agree(monkeypatch):
     # _repeats tests small pairs with a set and large ones with a sort
     rng = random.Random(3)
     for _ in range(300):
-        start, new = rng.randint(0, 5), rng.randint(1, 60)
-        old = list(dict.fromkeys(rng.randint(0, 30)
-                                 for _ in range(rng.randint(0, 20))))
-        old += [-1] * rng.randint(0, 3)          # repeats given back earlier
-        rng.shuffle(old)
-        codes = [rng.randint(0, 30) for _ in range(start)] + old
-        mark = len(codes)
-        codes += [rng.randint(0, 30) for _ in range(new)]
-        expected = [i for i in range(mark, len(codes))
+        start = rng.randint(0, 5)
+        codes = [rng.randint(0, 30) for _ in range(start + rng.randint(1, 60))]
+        expected = [i for i in range(start, len(codes))
                     if codes[i] in codes[start:i]]
         for small in (4096, 0):
             monkeypatch.setattr(construct, "SMALL_PAIR", small)
-            assert construct._repeats(codes, start, mark) == expected
+            assert construct._repeats(codes, start) == expected
