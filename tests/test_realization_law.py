@@ -3,14 +3,19 @@
 Every simple digraph on 4 labeled nodes (2^12 of them) is grouped by its
 labeled target: the (in, out) degree pair of each node and the joint
 matrix of the mode.  For every target with at least two realizations, the
-constructor runs from each seed of a fixed budget.  Every realization must
-be reached (coverage), and the total-variation distance of the seed
-histogram from uniform is summarized by its median and maximum over the
-targets (bias).  The summary is pinned as an upper bound: a constructor
-change may lower it, and then the pins move down with it.
+constructor runs from a fixed budget of seeds of its own, so the targets'
+histograms are independent samples.  Every realization must be reached
+(coverage).  The bias of a target is the total-variation distance of its
+seed histogram from uniform, less the distance that independent uniform
+draws would show on average at this budget (the sampling noise), so an
+unbiased constructor scores about zero whatever its seed -> graph
+mapping.  Its median and maximum over the targets are pinned as upper
+bounds: a constructor change may lower them, and then the pins move down
+with it.
 """
 from __future__ import annotations
 
+import math
 import statistics
 
 import numpy as np
@@ -23,10 +28,10 @@ N = 4
 PAIRS = [(u, v) for u in range(N) for v in range(N) if u != v]
 SEEDS = 100
 
-# mode -> (targets with >= 2 realizations, median TV, max TV) at SEEDS seeds,
-# TVs to four places
-PINNED = {MODE_DEGREE: (782, 0.0500, 0.2233),
-          MODE_PAIR: (614, 0.0400, 0.1467)}
+# mode -> (targets with >= 2 realizations, median bias, max bias) at SEEDS
+# seeds, biases to four places
+PINNED = {MODE_DEGREE: (782, 0.0002, 0.1502),
+          MODE_PAIR: (614, -0.0093, 0.1202)}
 
 
 def realization_groups(mode: str) -> list[np.ndarray]:
@@ -63,25 +68,42 @@ def built_mask(out_adj: list[list[int]]) -> int:
                for u, heads in enumerate(out_adj) for v in heads)
 
 
+def noise_tv(k: int, draws: int) -> float:
+    """Expected TV from uniform of `draws` independent uniform draws over k
+    outcomes: k/2 times E|X/draws - 1/k| for X ~ Binomial(draws, 1/k)."""
+    p = 1 / k
+    return k / 2 * sum(math.comb(draws, x) * p ** x * (1 - p) ** (draws - x)
+                       * abs(x / draws - p) for x in range(draws + 1))
+
+
+def test_noise_tv_matches_closed_forms():
+    assert noise_tv(2, 1) == 0.5
+    # two draws over two outcomes: TV 0.5 when they agree (probability 1/2)
+    assert noise_tv(2, 2) == 0.25
+    assert noise_tv(3, 1) == pytest.approx(2 / 3)
+
+
 @pytest.mark.parametrize("mode", [MODE_DEGREE, MODE_PAIR])
 def test_every_realization_reached_with_pinned_bias(mode):
     groups = realization_groups(mode)
-    tvs = []
-    for members in groups:
+    noise = {k: noise_tv(k, SEEDS) for k in set(map(len, groups))}
+    biases = []
+    for g_index, members in enumerate(groups):
         first = int(members[0])
         g = DirectedGraph.from_edges(
             N, [e for i, e in enumerate(PAIRS) if first >> i & 1])
         t = extract_d2k(g, mode)
         index = {int(mask): i for i, mask in enumerate(members)}
         hits = np.zeros(len(members))
-        for seed in range(SEEDS):
+        for seed in range(g_index * SEEDS, (g_index + 1) * SEEDS):
             hits[index[built_mask(ConstructionState(t, seed).run())]] += 1
         assert hits.all(), f"target of {g.edge_set()} not covered: {hits}"
-        tvs.append(0.5 * np.abs(hits / SEEDS - 1 / len(members)).sum())
-    median, worst = statistics.median(tvs), max(tvs)
-    print(f"\n  [{mode} n=4 law] {len(tvs)} targets, {SEEDS} seeds: "
-          f"TV median {median:.4f}, max {worst:.4f}")
+        tv = 0.5 * np.abs(hits / SEEDS - 1 / len(members)).sum()
+        biases.append(tv - noise[len(members)])
+    median, worst = statistics.median(biases), max(biases)
+    print(f"\n  [{mode} n=4 law] {len(biases)} targets, {SEEDS} seeds each: "
+          f"bias (TV less noise) median {median:.4f}, max {worst:.4f}")
     count, pinned_median, pinned_max = PINNED[mode]
-    assert len(tvs) == count
+    assert len(biases) == count
     assert round(median, 4) <= pinned_median
     assert round(worst, 4) <= pinned_max
