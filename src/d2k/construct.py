@@ -60,9 +60,11 @@ def _repeats(codes: list[int], start: int) -> list[int]:
 
     A small pair is tested with a set, a large one with one numpy sort.
     Alone on one pair's draws, the set takes 1 us at 16 codes where the
-    sort's fixed cost is 40 us, the two tie from 4,096 to 65,536 codes, and
-    at 1M codes the set's random access takes 3.4 times the sort's time
-    (BENCH_construct_draws.json, `repeat_test`)."""
+    sort's fixed cost is 40 us, the two are within a third of each other
+    from 4,096 to 65,536 codes, and at 1M codes the set's random access
+    takes 3.4 times the sort's time.  End to end, the sort alone makes the
+    n = 4 law test's builds about 45% slower, and the set alone a 1M-edge
+    build about 9% slower (BENCH_construct_draws.json, `repeat_test`)."""
     if len(codes) - start <= SMALL_PAIR:
         seen: set[int] = set()
         later = []
