@@ -143,11 +143,15 @@ def random_digraph(seed: int, n: int, p: float) -> DirectedGraph:
 def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
     """Case name -> (target, construction seed) for construct_sha256.json.
 
-    The `random*` digraphs (n <= 27) and seeds were picked by a search over
-    small random digraphs.  `regular_s1`, `random10_s0` and
-    `random10_d2km_s3` are built by draws alone; `random6_s3`, `random7_s3`, `random8_s0` and
-    `random12_s0` each fall back to the pool and make one case-4
-    substitution; the others fall back and switch without one.
+    The `random*` digraphs and seeds were picked by a search over small or
+    sparse random digraphs.  `regular_s1`, `random10_s0`,
+    `random10_d2km_s3` and `random103_s3` are built by draws alone, and the
+    last two without a repeat among the bulk draws, so their runs never
+    build the neighbor maps until the output is read (`random103_s3` has
+    242 edges, and 79 of its nodes hold two or more heads);
+    `random6_s3`, `random7_s3`, `random8_s0` and `random12_s0` each fall
+    back to the pool and make one case-4 substitution; the others fall
+    back and switch without one.
     """
     rng = random.Random(11)
     perms = [list(range(60)) for _ in range(3)]
@@ -167,7 +171,8 @@ def construct_cases() -> dict[str, tuple[D2KTargets, int]]:
             "random6_s3": (396, 6, 0.44, "d2k", 3),
             "random7_s3": (203, 7, 0.32, "d2k", 3),
             "random8_s0": (339, 8, 0.72, "d2k", 0),
-            "random12_s0": (204, 12, 0.73, "d2k", 0)}.items():
+            "random12_s0": (204, 12, 0.73, "d2k", 0),
+            "random103_s3": (145, 103, 0.022, "d2k", 3)}.items():
         cases[name] = (extract_d2k(random_digraph(seed, n, p), mode),
                        build_seed)
     return cases
