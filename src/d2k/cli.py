@@ -115,7 +115,9 @@ def _worker_count() -> int:
 
 
 def _run_jobs(fn, jobs, workers: int):
-    if workers == 1 or len(jobs) <= 1:
+    """fn over jobs, in order, on at most one worker process per job."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [fn(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*jobs)))

@@ -13,29 +13,31 @@ is first filled, the draws are tested for repeats in bulk: one draw for
 each of its edges, then one pass over their codes (a set for a small
 pair, a numpy sort for a large one), where every repeat gives its stubs
 back.  What is still missing then is drawn one edge at a time against
-per-node neighbor maps.
+per-node neighbor maps; every run ends by reading its output from them.
 After DRAW_RETRIES rejected draws an edge falls back to the constructive
-proof's path.  A per-cell-pair candidate pool, built the first time the
-pair needs it, holds only pairs that are neither edges nor non-chords, so
-a pick is always addable in principle; when a picked endpoint has no free
-stub, one JDAM-preserving neighbor switch (or a substitute endpoint from
-the same cell) makes progress.  On a realizable target the fallback can
-never get stuck: the case analysis guarantees a valid edge every
-iteration, and the one impossible configuration (both substitutes forming
-a non-chord) is guarded by a runtime check that stays enabled in optimized
-runs.
+proof's path.  The fill of the pair builds a candidate pool at its first
+stall and drops it when the pair is complete; the pool holds only pairs
+that are neither edges nor non-chords, so a pick is always addable in
+principle.  When a picked endpoint has no free stub, one JDAM-preserving
+neighbor switch (or a substitute endpoint from the same cell) makes
+progress; a switch only rewires an edge and its stubs, and the fill keeps
+its pool in step when the moved edge is one of its pair's.  On a
+realizable target the fallback can never get stuck: the case analysis
+guarantees a valid edge every iteration, and the one impossible
+configuration (both substitutes forming a non-chord) is guarded by a
+runtime check that stays enabled in optimized runs.
 
-The random draws inline the `getrandbits` rejection behind
+The free-stub draws inline the `getrandbits` rejection behind
 `random.Random.randrange`, so a seed gives the same graph as a plain
-`randrange` would.
+`randrange` would; the rarer pool and switch picks call `randrange`.
 
 Cost per edge: at most DRAW_RETRIES pairs of O(1) draws, and on the
 fallback O(1) pool and stub bookkeeping plus at most two neighbor
 switches, each scanning one adjacency list.  A node left without free
-stubs leaves its roster once per time it fills, a pool is built once with
-O(target + cell size) work, and the neighbor maps once with O(m) work, so
-the whole run is O(m * d_max), plus one numpy sort per large pair for the
-bulk repeat test.
+stubs leaves its roster once per time it fills, a pool is built at most
+once per pair with O(target + cell size) work, and the neighbor maps once
+with O(m) work, so the whole run is O(m * d_max), plus one numpy sort per
+large pair for the bulk repeat test.
 """
 from __future__ import annotations
 
@@ -84,6 +86,27 @@ def _repeats(codes: list[int], start: int) -> list[int]:
     return (np.delete(at, first) + start).tolist()
 
 
+Pool = tuple[list[int], dict[int, int]]     # pair codes, code -> position
+
+
+def _put(pool: Pool, code: int) -> None:
+    """Add code, not yet in it, to a candidate pool."""
+    pool[1][code] = len(pool[0])
+    pool[0].append(code)
+
+
+def _take(pool: Pool, code: int) -> None:
+    """Remove code from a candidate pool if it holds it; the last entry
+    moves into its place."""
+    items, pos = pool
+    i = pos.pop(code, None)
+    if i is not None:
+        last = items.pop()
+        if i < len(items):
+            items[i] = last
+            pos[last] = i
+
+
 class ConstructionState:
     """Mutable state of one construction run.
 
@@ -91,19 +114,20 @@ class ConstructionState:
     x and y are non-chord partners exactly when they differ by n.  The cell
     pairs with a joint-matrix entry are numbered 0..P-1 in (out cell, in
     cell) order; `pair_id` maps ko * C + ki (C cells) to that number, and
-    `target`, `current` and the candidate pools are lists indexed by it, so
-    memory grows with P and not with C * C.  A pool, None until the pair
-    first falls back, is a list of pair codes (out-id * span + in-id) and a
-    dict from code to list position, for O(1) add, discard and random pick.
+    `target` and `current` are lists indexed by it, so memory grows with P
+    and not with C * C; `current` and `edges_added` count every edge as it
+    is added.  The candidate pool of the pair being filled belongs to its
+    fill: a list of pair codes (out-id * span + in-id) and a dict from code
+    to list position, for O(1) add, discard and random pick.
     The roster of a cell lists its nodes that may hold a free stub; a node
     without one leaves it when a draw or a peek meets it.  Until an edge
     needs a membership test of its own (a repeat among the bulk draws, the
-    pool path, a switch or a scripted pick), the edges are
-    only a flat list of pair codes, `codes`, where -1 marks a repeat that
-    gave its stubs back, and `adj` is None.  Then `adj` becomes one map of
-    neighbors per bipartite id, built from the codes in node order, and is
-    kept from then on.  So the draw loop touches no per-node map, whose
-    random access at a million edges costs more than the draws.
+    pool path, a switch or a scripted pick), the edges are only a flat
+    list of pair codes, `codes`, and `adj` is None.  Then `adj` becomes one
+    map of neighbors per bipartite id, built from the codes in node order,
+    and is kept from then on; the run's output is read from it.  So the
+    draw loop touches no per-node map, whose random access at a million
+    edges costs more than the draws.
     Confined to a single thread; independent runs are independent objects.
     """
 
@@ -162,8 +186,6 @@ class ConstructionState:
         self.pair_id = {key: pid for pid, key in enumerate(self.pair_keys)}
         self.target = [target[key] for key in self.pair_keys]
         self.current = [0] * len(self.pair_keys)
-        self.pool_items: list[list[int] | None] = [None] * len(self.pair_keys)
-        self.pool_pos: list[dict[int, int] | None] = [None] * len(self.pair_keys)
 
         self.edges_added = 0
         self.switch_count = 0
@@ -175,7 +197,6 @@ class ConstructionState:
             span = self.span
             adj: list[dict[int, None]] = [{} for _ in range(span)]
             codes = np.sort(np.array(self.codes, dtype=np.int64))
-            codes = codes[np.searchsorted(codes, 0):]
             outs, ins = codes // span, codes % span
             for u, w in zip(outs.tolist(), ins.tolist()):
                 adj[u][w] = None
@@ -185,10 +206,9 @@ class ConstructionState:
             self.adj, self.codes = adj, []
         return self.adj
 
-    def _init_pool(self, pid: int, added: int) -> None:
-        """Seed the pool of pair pid with its first target - current - added
-        addable pairs of the cell product, `added` being the edges the
-        current fill has added to the pair and not yet counted.
+    def _init_pool(self, pid: int) -> Pool:
+        """A candidate pool for pair pid: its first target - current
+        addable pairs of the cell product, in roster member order.
 
         Only edges of the pair and non-chords can be skipped, so at most
         target + f pairs are scanned; condition II guarantees the product
@@ -197,7 +217,7 @@ class ConstructionState:
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
         span, n, adj = self.span, self.n, self._index()
         items: list[int] = []
-        need = self.target[pid] - self.current[pid] - added
+        need = self.target[pid] - self.current[pid]
         mem_in = self.members[ki]
         for u in self.members[ko]:
             if need == 0:
@@ -215,8 +235,7 @@ class ConstructionState:
         if need > 0:
             raise ConstructionInvariantError(
                 f"cell product exhausted while seeding pool for pair {(ko, ki)}")
-        self.pool_items[pid] = items
-        self.pool_pos[pid] = {code: i for i, code in enumerate(items)}
+        return items, {code: i for i, code in enumerate(items)}
 
     def _peek_free(self, ci: int) -> int:
         """Last node of the free-stub roster of cell ci (lazy cleanup)."""
@@ -230,6 +249,14 @@ class ConstructionState:
             self.in_roster[x] = False
         raise ConstructionInvariantError(
             f"no free stubs left in cell {self.cells[ci]}")
+
+    def _give_back(self, x: int) -> None:
+        """Return one free stub to x, and x to its cell's roster if it has
+        left it."""
+        self.free[x] += 1
+        if not self.in_roster[x]:
+            self.in_roster[x] = True
+            self.rosters[self.cell_of[x]].append(x)
 
     # -- the two moves of the algorithm -------------------------------------
 
@@ -255,12 +282,7 @@ class ConstructionState:
         k = len(feasible)
         if not k:
             return None
-        getrandbits = self.rng.getrandbits
-        bits = k.bit_length()
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        t = feasible[r]
+        t = feasible[self.rng.randrange(k)]
         # Remove (x,t), add (x_sub,t).  Both lie in one cell pair, so its
         # count is unchanged; t gives a stub back and takes it again.
         t_adj = adj[t]
@@ -268,33 +290,10 @@ class ConstructionState:
         del t_adj[x]
         sub_adj[t] = None
         t_adj[x_sub] = None
-        free[x] += 1
         free[x_sub] -= 1
-        if x < n:
-            key = cell_of[x] * len(self.cells) + cell_of[t]
-            gone, taken = x * self.span + t, x_sub * self.span + t
-        else:
-            key = cell_of[t] * len(self.cells) + cell_of[x]
-            gone, taken = t * self.span + x, t * self.span + x_sub
-        pid = self.pair_id[key]
-        items, pos = self.pool_items[pid], self.pool_pos[pid]
-        if pos is not None:
-            if gone not in pos:         # no longer an edge, never a non-chord
-                pos[gone] = len(items)
-                items.append(gone)
-            i = pos.pop(taken, None)
-            if i is not None:
-                last = items.pop()
-                if i < len(items):
-                    items[i] = last
-                    pos[last] = i
-        in_roster = self.in_roster
-        if not in_roster[x]:
-            in_roster[x] = True
-            self.rosters[cell_of[x]].append(x)
-        if not in_roster[t]:
-            in_roster[t] = True
-            self.rosters[cell_of[t]].append(t)
+        self._give_back(x)
+        self._give_back(t)
+        free[t] -= 1
         self.switch_count += 1
         return t
 
@@ -330,13 +329,14 @@ class ConstructionState:
         its stubs back and is drawn again below.  There, with the maps, a
         draw is also rejected when it is an edge.
         When DRAW_RETRIES draws in a row are rejected, the edge starts from
-        a random pool pair instead (or from `pick`, which skips the draws).
-        A saturated endpoint of that pair first hands one neighbor to a
-        same-cell node with a free stub (a neighbor switch); when no
-        neighbor can move, that node takes its place (case 4).
+        a random pair of the fill's candidate pool instead, built at that
+        first stall and dropped when the fill ends (or from `pick`, which
+        skips the draws).  A saturated endpoint of that pair first hands one
+        neighbor to a same-cell node with a free stub (a neighbor switch);
+        when no neighbor can move, that node takes its place (case 4).
         """
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-        free, in_roster, cell_of = self.free, self.in_roster, self.cell_of
+        free, in_roster, current = self.free, self.in_roster, self.current
         n, span = self.n, self.span
         out_roster, in_list = self.rosters[ko], self.rosters[ki]
         getrandbits = self.rng.getrandbits
@@ -375,23 +375,24 @@ class ConstructionState:
                 free[uo] -= 1
                 free[vi] -= 1
                 codes.append(uo * span + vi)
-            done = len(codes) - start
-            for i in _repeats(codes, start):
+            later = _repeats(codes, start)
+            for i in later:
                 for x in divmod(codes[i], span):
-                    free[x] += 1
-                    if not in_roster[x]:
-                        in_roster[x] = True
-                        self.rosters[cell_of[x]].append(x)
-                codes[i] = -1
-                done -= 1
-            self.current[pid] += done
+                    self._give_back(x)
+            for i in reversed(later):
+                last = codes.pop()
+                if i < len(codes):
+                    codes[i] = last
+            done = len(codes) - start
+            current[pid] += done
             self.edges_added += done
             count -= done
             if not count:
                 return divmod(codes[-1], span)
 
         adj = self._index()
-        for added in range(count):
+        pool = None
+        for _ in range(count):
             if pick is None:
                 for _ in range(DRAW_RETRIES):
                     uo = draw(out_roster, ko)
@@ -399,9 +400,11 @@ class ConstructionState:
                     if vi - uo != n and vi not in adj[uo]:
                         break
                 else:
-                    uo, vi = self._fallback(pid, added)
+                    if pool is None:
+                        pool = self._init_pool(pid)
+                    uo, vi = self._fallback(pid, pool)
             else:
-                uo, vi = self._repair(pid, *pick)
+                uo, vi = self._repair(pid, pool, *pick)
             u_adj = adj[uo]
             if vi in u_adj:
                 raise ConstructionInvariantError(
@@ -412,55 +415,53 @@ class ConstructionState:
             free[vi] -= 1
             if free[uo] < 0 or free[vi] < 0:
                 raise ConstructionInvariantError("stub count went negative")
-            pos = self.pool_pos[pid]
-            if pos is not None:
-                i = pos.pop(uo * span + vi, None)
-                if i is not None:
-                    items = self.pool_items[pid]
-                    last = items.pop()
-                    if i < len(items):
-                        items[i] = last
-                        pos[last] = i
-        self.current[pid] += count
-        self.edges_added += count
+            current[pid] += 1
+            self.edges_added += 1
+            if pool is not None:
+                _take(pool, uo * span + vi)
         return uo, vi
 
-    def _fallback(self, pid: int, added: int) -> tuple[int, int]:
-        """The endpoints of an edge of pair pid from its candidate pool,
-        repaired; `added` edges of this fill are not yet in current[pid]."""
+    def _fallback(self, pid: int, pool: Pool) -> tuple[int, int]:
+        """The endpoints of an edge of pair pid from a random pick of its
+        fill's candidate pool, repaired."""
         self.fallback_count += 1
-        if self.pool_pos[pid] is None:
-            self._init_pool(pid, added)
-        items = self.pool_items[pid]
+        items = pool[0]
         k = len(items)
         if not k:
             ko, ki = divmod(self.pair_keys[pid], len(self.cells))
             raise ConstructionInvariantError(
                 f"candidate pool of pair {(ko, ki)} is empty")
-        getrandbits = self.rng.getrandbits
-        bits = k.bit_length()
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        return self._repair(pid, *divmod(items[r], self.span))
+        code = items[self.rng.randrange(k)]
+        return self._repair(pid, pool, *divmod(code, self.span))
 
-    def _repair(self, pid: int, uo: int, vi: int) -> tuple[int, int]:
+    def _repair(self, pid: int, pool: Pool | None,
+                uo: int, vi: int) -> tuple[int, int]:
         """The endpoints that take the addable pair (uo, vi): a saturated
         endpoint is freed by a neighbor switch, or replaced by its
-        same-cell substitute when no neighbor can move."""
-        adj, free, n = self._index(), self.free, self.n
+        same-cell substitute when no neighbor can move.  A switch that
+        moves an edge of pair pid keeps the fill's pool, if any, in step:
+        the old pair becomes a candidate and the new one stops being one."""
+        adj, free, n, span = self._index(), self.free, self.n, self.span
         if vi in adj[uo] or vi - uo == n:
             raise ConstructionInvariantError(
                 f"candidate pool returned an invalid pair ({uo},{vi})")
         ko, ki = divmod(self.pair_keys[pid], len(self.cells))
         if free[uo] == 0:
             u_sub = self._peek_free(ko)
-            if self.neighbor_switch(uo, u_sub) is None:
+            t = self.neighbor_switch(uo, u_sub)
+            if t is None:
                 uo = u_sub
+            elif pool is not None and self.cell_of[t] == ki:
+                _put(pool, uo * span + t)
+                _take(pool, u_sub * span + t)
         if free[vi] == 0:
             v_sub = self._peek_free(ki)
-            if self.neighbor_switch(vi, v_sub) is None:
+            t = self.neighbor_switch(vi, v_sub)
+            if t is None:
                 vi = v_sub
+            elif pool is not None and self.cell_of[t] == ko:
+                _put(pool, t * span + vi)
+                _take(pool, t * span + v_sub)
         # The impossible configuration of the constructive proof (both
         # substitutes forming a non-chord, "case 5b"); kept as a hard check.
         if vi - uo == n:
@@ -472,22 +473,15 @@ class ConstructionState:
 
     def run(self) -> list[list[int]]:
         """Drive every cell pair to its target count; return the digraph's
-        out-adjacency lists (node ids 0..n-1)."""
+        out-adjacency lists (node ids 0..n-1), read from the neighbor maps."""
         pairs = list(range(len(self.target)))
         self.rng.shuffle(pairs)
         for pid in pairs:
             count = self.target[pid] - self.current[pid]
             if count > 0:
                 self._fill(pid, count)
-        n = self.n
-        if self.adj is None:
-            codes = np.sort(np.array(self.codes, dtype=np.int64))
-            bounds = np.searchsorted(codes, np.arange(n + 1) * self.span)
-            heads = (codes % self.span - n).tolist()
-            out_adj = [heads[a:b] for a, b in
-                       zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-        else:
-            out_adj = [[w - n for w in self.adj[v]] for v in range(n)]
+        n, adj = self.n, self._index()
+        out_adj = [[w - n for w in adj[v]] for v in range(n)]
         built = sum(map(len, out_adj))
         if built != self.t.m:
             raise ConstructionInvariantError(

@@ -28,9 +28,10 @@ sha256 of the `write_edge_list` output of `generate`, with the run's
 stalled and that came from the pool path) as `fallbacks`, and the number
 of case-4 substitutions (neighbor switches that found no feasible
 neighbor): a small regular d2k target, a heavy-tailed d2km target with 288
-cells, a dense n = 200, p = 0.9 target, and small random targets at seeds
-where draws alone suffice, where the pool path switches and where
-substitutions fire.
+cells, a dense n = 200, p = 0.9 target, and small or sparse random targets
+at seeds where draws alone suffice (two of them without building the
+neighbor maps before the output is read), where the pool path switches
+and where substitutions fire.
 
 swaps_sha256.json holds, for each case of `swap_cases()` and each of the
 `d2k` and `d2km` modes, the number of states one accepted jdam-preserving

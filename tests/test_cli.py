@@ -366,6 +366,58 @@ def test_parallel_generation_via_env(tmp_path, monkeypatch, model):
             == (parallel_dir / name).read_bytes()
 
 
+def test_worker_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    # A stand-in pool records its size and maps in this process, so the
+    # test starts no worker whatever D2K_THREADS asks for.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("d2k.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("D2K_THREADS", "64")
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "t.json"
+    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "--count", "2",
+                 "-o", str(out_dir)]) == 0
+    assert sizes == [2]
+    instances = [str(p) for p in sorted(out_dir.iterdir())] + [str(graph_path)]
+    assert main(["compare", str(graph_path), *instances, "--metrics",
+                 "degrees", "-o", str(tmp_path / "c.json")]) == 0
+    assert sizes == [2, 3]
+
+
+def test_pooled_compare_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # 18 nodes: every metric is exact and the spectrum dense, so the bytes
+    # do not depend on which process measured an instance
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "t.json"
+    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    out_dir = tmp_path / "ens"
+    assert main(["generate", str(target_path), "--count", "3",
+                 "-o", str(out_dir)]) == 0
+    instances = [str(p) for p in sorted(out_dir.iterdir())]
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert main(["compare", str(graph_path), *instances,
+                 "-o", str(serial)]) == 0
+    monkeypatch.setenv("D2K_THREADS", "2")
+    assert main(["compare", str(graph_path), *instances,
+                 "-o", str(pooled)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
 def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch, threads):
     graph_path, _ = write_graph(tmp_path)

@@ -288,7 +288,8 @@ def stalled_gadget():
     """switch_gadget with edge (2, n+0) added and the rosters cut down to
     its two endpoints, so every draw is rejected and the next edge of the
     pair comes from the pool path (the other nodes' stubs are hidden, so
-    the run cannot finish)."""
+    the run cannot finish).  The tests plant the pool that the fill builds
+    at that stall."""
     state = switch_gadget()
     n = state.n
     pair = _pair(state, 2, 2)
@@ -296,23 +297,21 @@ def stalled_gadget():
     ko, ki = pair
     state.rosters[ko] = array("i", [2])
     state.rosters[ki] = array("i", [n + 0])
-    return state, _pid(state, pair)
+    return state
 
 
 def test_planted_edge_in_pool_raises_invariant_error():
-    state, pid = stalled_gadget()
+    state = stalled_gadget()
     # The pool of the pair offers nothing but the edge already added.
     code = 2 * state.span + state.n + 0
-    state.pool_items[pid] = [code]
-    state.pool_pos[pid] = {code: 0}
+    state._init_pool = lambda pid: ([code], {code: 0})
     with pytest.raises(ConstructionInvariantError, match="invalid pair"):
         state.run()
 
 
 def test_empty_pool_raises_invariant_error():
-    state, pid = stalled_gadget()
-    state.pool_items[pid] = []
-    state.pool_pos[pid] = {}
+    state = stalled_gadget()
+    state._init_pool = lambda pid: ([], {})
     with pytest.raises(ConstructionInvariantError, match="empty"):
         state.run()
 
