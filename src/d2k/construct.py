@@ -279,10 +279,9 @@ class ConstructionState:
         x_adj, sub_adj = adj[x], adj[x_sub]
         blocked = x_sub + n if x_sub < n else x_sub - n
         feasible = [t for t in x_adj if t not in sub_adj and t != blocked]
-        k = len(feasible)
-        if not k:
+        if not feasible:
             return None
-        t = feasible[self.rng.randrange(k)]
+        t = feasible[self.rng.randrange(len(feasible))]
         # Remove (x,t), add (x_sub,t).  Both lie in one cell pair, so its
         # count is unchanged; t gives a stub back and takes it again.
         t_adj = adj[t]
@@ -426,12 +425,11 @@ class ConstructionState:
         fill's candidate pool, repaired."""
         self.fallback_count += 1
         items = pool[0]
-        k = len(items)
-        if not k:
+        if not items:
             ko, ki = divmod(self.pair_keys[pid], len(self.cells))
             raise ConstructionInvariantError(
                 f"candidate pool of pair {(ko, ki)} is empty")
-        code = items[self.rng.randrange(k)]
+        code = items[self.rng.randrange(len(items))]
         return self._repair(pid, pool, *divmod(code, self.span))
 
     def _repair(self, pid: int, pool: Pool | None,
