@@ -14,8 +14,6 @@ from .graph import DirectedGraph
 from .swaps import SwapGraph
 from .targets import DdsTargets, SizeTargets, UmanTargets
 
-# Above this pair-universe size the dense sampling path is not attempted.
-_ENUMERATION_CAP = 1 << 22
 # Most nodes a d0k or uman graph is built with.  Their targets do not list
 # the nodes, yet the graph holds every one, and building it peaks at about
 # 90 bytes per node (the row lists of `DirectedGraph.from_edges`), so this
@@ -32,56 +30,48 @@ def _bound_nodes(n: int) -> None:
 
 
 def gen_d0k(t: SizeTargets, seed: int = 1) -> DirectedGraph:
-    """Uniform simple digraph with exactly t.m edges on t.n nodes.
-
-    Rejection-samples ordered pairs in the sparse regime and samples the
-    complement when more than half of all pairs are edges, which keeps the
-    expected time near-linear at any density.  Raises ValueError when
-    t.n > NODE_LIMIT.
-    """
-    n, m = t.n, t.m
-    _bound_nodes(n)
-    universe = n * (n - 1)
-    rng = random.Random(seed)
-    if m > universe // 2:
-        complement = _sample_pairs(n, universe - m, rng)
-        edges = [(u, v) for u in range(n) for v in range(n)
-                 if u != v and (u, v) not in complement]
-        return DirectedGraph.from_edges(n, edges)
-    return DirectedGraph.from_edges(n, sorted(_sample_pairs(n, m, rng)))
+    """Uniform simple digraph with exactly t.m edges on t.n nodes, drawn
+    by _sample_pairs.  Raises ValueError when t.n > NODE_LIMIT."""
+    _bound_nodes(t.n)
+    return DirectedGraph.from_edges(
+        t.n, _sample_pairs(t.n, t.m, random.Random(seed)))
 
 
 def _sample_pairs(n: int, count: int, rng: random.Random,
-                  ordered: bool = True) -> set[tuple[int, int]]:
-    """count distinct pairs of distinct nodes by rejection, each draw two
-    rng.randrange(n); an unordered pair is kept as (min, max)."""
+                  ordered: bool = True) -> list[tuple[int, int]]:
+    """count distinct pairs of distinct nodes, uniformly, in ascending order;
+    an unordered pair is kept as (min, max).
+
+    Rejection-samples the pairs, each draw two rng.randrange(n), or the
+    pairs left out when count is more than half of all pairs, which keeps
+    the expected time near-linear at any density.
+    """
+    total = n * (n - 1) if ordered else n * (n - 1) // 2
+    dense = count > total // 2
+    draws = total - count if dense else count
     chosen: set[tuple[int, int]] = set()
-    while len(chosen) < count:
+    while len(chosen) < draws:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
             chosen.add((u, v) if ordered or u < v else (v, u))
-    return chosen
+    if not dense:
+        return sorted(chosen)
+    return [(u, v) for u in range(n) for v in range(0 if ordered else u, n)
+            if u != v and (u, v) not in chosen]
 
 
 def gen_uman(t: UmanTargets, seed: int = 1) -> DirectedGraph:
     """Uniform digraph with the exact dyad census (mutual, asymmetric, null).
 
     Samples mutual+asymmetric distinct unordered pairs, then assigns states
-    by a random partition of the sample; asymmetric dyads get a uniformly
-    random orientation.  Raises ValueError when t.n > NODE_LIMIT.
+    by a random partition of the shuffled sample; asymmetric dyads get a
+    uniformly random orientation.  Raises ValueError when t.n > NODE_LIMIT.
     """
-    n = t.n
-    _bound_nodes(n)
-    total = n * (n - 1) // 2
+    _bound_nodes(t.n)
     rng = random.Random(seed)
-    wanted = t.mutual + t.asymmetric
-    if wanted > total // 2 and total <= _ENUMERATION_CAP:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        sample = rng.sample(pairs, wanted)
-    else:
-        sample = sorted(_sample_pairs(n, wanted, rng, ordered=False))
-        rng.shuffle(sample)
+    sample = _sample_pairs(t.n, t.mutual + t.asymmetric, rng, ordered=False)
+    rng.shuffle(sample)
     edges: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(sample):
         if i < t.mutual:
@@ -91,7 +81,7 @@ def gen_uman(t: UmanTargets, seed: int = 1) -> DirectedGraph:
             edges.append((u, v))
         else:
             edges.append((v, u))
-    return DirectedGraph.from_edges(n, edges)
+    return DirectedGraph.from_edges(t.n, edges)
 
 
 def gen_d1k(t: DdsTargets, seed: int = 1,

@@ -226,18 +226,31 @@ def report_to_json_dict(r: CensusReport) -> dict:
 
 
 def report_from_json_dict(obj: dict) -> CensusReport:
+    """The report a metrics file holds.  A file that is not one raises
+    ValueError("not a metrics file"), and one whose n, m, config, metrics
+    or notes is missing or malformed ValueError("malformed metrics file:
+    ...")."""
     if not _is_schema_version(obj) or obj.get("kind") != "metrics":
         raise ValueError("not a metrics file")
-    config = MetricsConfig(**{**obj["config"],
-                              "metrics": tuple(obj["config"]["metrics"])})
-    report = CensusReport(n=obj["n"], m=obj["m"], config=config,
-                          notes=obj.get("notes", {}))
-    for row in METRICS:
-        value, meta = row.from_json(obj["metrics"])
-        if value is not None:
-            report.values[row.name] = value
-        if meta is not None:
-            report.meta[row.name] = meta
+    try:
+        config, entries = obj["config"], obj["metrics"]
+        notes = obj.get("notes", {})
+        if not all(isinstance(x, dict) for x in (config, entries, notes)) \
+                or not isinstance(config.get("metrics"), list):
+            raise TypeError("config, metrics, notes or config.metrics has "
+                            "the wrong JSON type")
+        report = CensusReport(
+            n=json_int(obj["n"], "n"), m=json_int(obj["m"], "m"), notes=notes,
+            config=MetricsConfig(**{**config,
+                                    "metrics": tuple(config["metrics"])}))
+        for row in METRICS:
+            value, meta = row.from_json(entries)
+            if value is not None:
+                report.values[row.name] = value
+            if meta is not None:
+                report.meta[row.name] = meta
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed metrics file: {exc}") from None
     return report
 
 

@@ -842,6 +842,11 @@ class MetricsConfig:
                    if m != "all" and m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metric name(s): {', '.join(unknown)}")
+        for name in ("seed", "sample_sources", "path_exact_nodes",
+                     "betweenness_exact_nodes", "eigen_k", "eigen_dense_nodes"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.sample_sources < 1:

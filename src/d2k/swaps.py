@@ -1,14 +1,17 @@
 """One mutable swap engine, and swap-neighborhood enumeration.
 
 SwapGraph applies each move in place in O(1), and only when the result
-stays simple: cross, the double swap (a,b),(c,d) -> (a,d),(c,b), keeps every
-degree, and the joint degree/side matrix too when the sources share an
-out-cell or the targets an in-cell (a jdam_double swap); reverse turns a
+stays simple.  Every move permutes heads among edges that keep their
+tails, so it keeps every degree: cross, the double swap (a,b),(c,d) ->
+(a,d),(c,b), keeps the joint degree/side matrix too when the sources share
+an out-cell or the targets an in-cell (a jdam_double swap); rotate, the
+3-arc rotation (a,b),(c,d),(e,f) -> (a,d),(c,f),(e,b), also turns a
 directed 3-cycle around, which double swaps cannot do.
 
-jdam_double alone is reducible: at n = 4 it splits the realizations of 94
-d2k and 286 d2km targets into classes no chain of such swaps joins.  The
-smallest is the directed 3-cycle, whose two orientations share one matrix.
+At n = 4 the moves that keep the matrix leave the realizations of 94 d2k
+and 286 d2km targets in more than one class with double swaps alone, 24
+and 168 with 3-cycle reversals added, and none with every 3-arc rotation
+(pinned in tests/test_realization_law.py).
 """
 from __future__ import annotations
 
@@ -23,11 +26,12 @@ from .targets import MODE_DEGREE, node_cells
 class SwapGraph:
     """A simple digraph on nodes 0..n-1 as mutable arrays.
 
-    Edge i is (src[i], dst[i]) and keeps its index when a move rewires it;
-    out[u] maps each out-neighbour v of u to the index of edge (u, v), and is
-    the only index of u's out-edges.  reverse_random_cycle lists closers in
-    the maps' insertion order, which the moves made so far set, so each
-    move keeps the order of its deletes and inserts.
+    Edge i is (src[i], dst[i]) and keeps its index and its tail when a move
+    rewires it, so moves write only dst; out[u] maps each out-neighbour v
+    of u to the index of edge (u, v), and is the only index of u's
+    out-edges.  reverse_random_cycle lists closers in the maps' insertion
+    order, which the moves made so far set, so each move keeps the order
+    of its deletes and inserts.
     """
 
     __slots__ = ("n", "src", "dst", "out")
@@ -68,26 +72,27 @@ class SwapGraph:
         out_a[d], out_c[b] = i, j
         return True
 
-    def reverse(self, i: int, w: int) -> bool:
-        """Reverse the directed 3-cycle a->b->w->a through edge i = (a,b).
+    def rotate(self, i: int, j: int, k: int) -> bool:
+        """Move the heads of edges i = (a,b), j = (c,d), k = (e,f) one place
+        round, into (a,d), (c,f) and (e,b).
 
-        Returns False and changes nothing when a reversed arc already
-        exists; raises SwapError when w does not close such a cycle.
-        Reversing the same edge index and w again undoes the move.
+        Returns False and changes nothing unless the tails are distinct, the
+        heads are distinct and the result is simple.  Rotating i, k, j
+        undoes the move.
         """
         src, dst, out = self.src, self.dst, self.out
-        a, b = src[i], dst[i]
-        out_a, out_b, out_w = out[a], out[b], out[w]
-        if w not in out_b or a not in out_w:
-            raise SwapError(f"{w} does not close a 3-cycle through ({a}, {b})")
-        if a in out_b or b in out_w or w in out_a:
+        a, b, c, d, e, f = src[i], dst[i], src[j], dst[j], src[k], dst[k]
+        if a == d or c == f or e == b:
             return False
-        j, h = out_b.pop(w), out_w.pop(a)
-        del out_a[b]
-        out_b[a], out_w[b], out_a[w] = i, j, h
-        src[i], dst[i] = b, a
-        src[j], dst[j] = w, b
-        src[h], dst[h] = a, w
+        # a shared tail or head makes a new arc one that exists now (a == c:
+        # (a, d) is edge j; b == d: (a, d) is edge i), so these tests
+        # reject it too
+        out_a, out_c, out_e = out[a], out[c], out[e]
+        if d in out_a or f in out_c or b in out_e:
+            return False
+        dst[i], dst[j], dst[k] = d, f, b
+        del out_a[b], out_c[d], out_e[f]
+        out_a[d], out_c[f], out_e[b] = i, j, k
         return True
 
     def reverse_random_cycle(self, rng: random.Random) -> bool:
@@ -96,7 +101,7 @@ class SwapGraph:
         Each probe draws an edge (a, b), then a closer w of b->w->a from
         the closers in out[b]'s insertion order, both uniformly by inlined
         getrandbits rejection (the draws of randrange(m) and
-        choice(closers)), and tries reverse.
+        choice(closers)), and rotates the cycle's three edges.
         """
         src, dst, out = self.src, self.dst, self.out
         m = len(src)
@@ -108,8 +113,8 @@ class SwapGraph:
             i = getrandbits(k)
             while i >= m:
                 i = getrandbits(k)
-            a = src[i]
-            closers = [w for w in out[dst[i]] if a in out[w]]
+            a, out_b = src[i], out[dst[i]]
+            closers = [w for w in out_b if a in out[w]]
             if not closers:
                 continue
             count = len(closers)
@@ -117,7 +122,8 @@ class SwapGraph:
             r = getrandbits(kc)
             while r >= count:
                 r = getrandbits(kc)
-            if self.reverse(i, closers[r]):
+            w = closers[r]
+            if self.rotate(i, out_b[w], out[w][a]):
                 return True
         return False
 

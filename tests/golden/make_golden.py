@@ -18,9 +18,8 @@ listed in reaches the output.
 
 baselines_sha256.json holds the sha256 of the `write_edge_list` output of
 `gen_d0k` and `gen_uman` for each case of `baselines_cases()`, two seeds
-each: a sparse and a dense size target (the dense one samples the
-complement) and a sparse and a dense dyad-census target (the dense one
-samples from the enumerated pairs).
+each: a sparse and a dense size target and a sparse and a dense
+dyad-census target (each dense one samples the pairs left out).
 
 construct_sha256.json holds, for each case of `construct_cases()`, the
 sha256 of the `write_edge_list` output of `generate`, with the run's

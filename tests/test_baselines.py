@@ -106,6 +106,26 @@ def test_uman_determinism():
     assert gen_uman(t, seed=3) == gen_uman(t, seed=3)
 
 
+def test_uman_dyad_state_frequency_on_a_dense_census():
+    # 22 of the 28 pairs are connected, so the pairs left out are drawn;
+    # each pair is mutual, asymmetric or null with probability 10/28,
+    # 12/28 and 6/28, and an asymmetric one points either way with 1/2
+    runs = 2_000
+    states, forward = Counter(), Counter()
+    for seed in range(runs):
+        arcs = set(gen_uman(UmanTargets(8, 10, 12, 6), seed=seed).edges())
+        for u in range(8):
+            for v in range(u + 1, 8):
+                state = ((u, v) in arcs) + ((v, u) in arcs)
+                states[u, v, state] += 1
+                forward[u, v] += state == 1 and (u, v) in arcs
+    for u in range(8):
+        for v in range(u + 1, 8):
+            for state, count in ((2, 10), (1, 12), (0, 6)):
+                assert abs(states[u, v, state] / runs - count / 28) <= 0.05
+            assert abs(forward[u, v] / states[u, v, 1] - 0.5) <= 0.08
+
+
 # -- fixed degree sequence ---------------------------------------------------
 
 def test_d1k_three_cycle_is_forced_up_to_orientation():

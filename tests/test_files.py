@@ -200,6 +200,33 @@ def test_metrics_file_schema_version_is_the_int_1(tmp_path):
             load_metrics_report(path)
 
 
+@pytest.mark.parametrize("fault", [
+    lambda obj: obj["config"].update(bogus=1),
+    lambda obj: obj.pop("config"),
+    lambda obj: obj.update(config=[]),
+    lambda obj: obj["config"].update(metrics="all"),
+    lambda obj: obj["config"].update(seed=1.5),
+    lambda obj: obj.update(metrics=[]),
+    lambda obj: obj.pop("metrics"),
+    lambda obj: obj.update(n="10"),
+    lambda obj: obj.update(m=4.5),
+    lambda obj: obj.update(notes=[1])],
+    ids=["unknown_config_key", "no_config", "config_list", "metrics_string",
+         "float_seed", "metrics_list", "no_metrics", "string_n", "float_m",
+         "notes_list"])
+def test_malformed_metrics_file_raises_one_value_error(tmp_path, fault):
+    rng = random.Random(33)
+    report = structural_suite(random_digraph(rng, 10, 0.2),
+                              MetricsConfig(metrics=("degrees",)))
+    path = tmp_path / "metrics.json"
+    save_metrics_report(report, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    fault(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed metrics file"):
+        load_metrics_report(path)
+
+
 def test_compare_graph_with_itself_is_all_zero():
     # odd ensemble sizes catch float contamination in the exact averaging
     rng = random.Random(34)

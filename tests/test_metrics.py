@@ -709,6 +709,16 @@ def test_unknown_metric_name_rejected():
             MetricsConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", True), ("seed", 1.5), ("sample_sources", True),
+    ("path_exact_nodes", 10.0), ("betweenness_exact_nodes", "5"),
+    ("eigen_k", 2.5), ("eigen_dense_nodes", None)])
+def test_metrics_config_integers_are_ints(field, value):
+    # a bool or a float would reach a slice or path_meta, not an error
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        MetricsConfig(**{field: value})
+
+
 def test_metrics_config_is_immutable():
     # a config is validated once, so no field may change afterwards
     c = MetricsConfig()

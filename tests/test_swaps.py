@@ -45,10 +45,20 @@ def test_swap_creating_self_loop_is_rejected():
 def test_c6_reverse_on_three_cycle():
     g = from_edge_list([(0, 1), (1, 2), (2, 0)])
     sg = engine(g)
-    assert sg.reverse(index(sg, 0, 1), 2)
+    assert sg.rotate(index(sg, 0, 1), index(sg, 1, 2), index(sg, 2, 0))
     res = sg.graph()
     assert res.edge_set() == {(1, 0), (2, 1), (0, 2)}
     assert extract_dds(res) == extract_dds(g)
+    # each index keeps its tail
+    assert sg.src == [0, 1, 2] and sg.dst == [2, 0, 1]
+
+
+def test_rotation_moves_heads_one_place_round():
+    g = DirectedGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    sg = engine(g)
+    assert sg.rotate(0, 1, 2)
+    assert sg.graph().edge_set() == {(0, 3), (2, 5), (4, 1)}
+    assert sg.out == [{3: 0}, {}, {5: 1}, {}, {1: 2}, {}]
 
 
 def test_degree_double_swap_preserves_degrees():
@@ -64,26 +74,16 @@ def test_degree_double_swap_preserves_degrees():
             assert sg.graph().degree_pairs() == g.degree_pairs()
 
 
-def test_nonexistent_removed_edge_raises():
-    # (2, 0) is not an edge, so node 2 does not close a 3-cycle through
-    # (0, 1) -> (1, 2)
-    g = from_edge_list([(0, 1), (1, 2)])
-    sg = engine(g)
-    with pytest.raises(SwapError):
-        sg.reverse(index(sg, 0, 1), 2)
-    assert sg.graph() == g
-
-
 def test_degenerate_proposals_rejected():
-    # two edges with a shared source do not cross; a 3-cycle through
-    # (0, 1) cannot close at one of its own endpoints
-    g = from_edge_list([(0, 1), (0, 2), (1, 0)])
+    # two edges with a shared source do not cross or rotate, nor do three
+    # edges with a shared head or a repeated index
+    g = from_edge_list([(0, 1), (0, 2), (1, 0), (2, 0), (3, 1)])
     sg = engine(g)
     assert not sg.cross(index(sg, 0, 1), index(sg, 0, 2))
     assert not sg.cross(index(sg, 0, 1), index(sg, 0, 1))
-    for w in (0, 1):
-        with pytest.raises(SwapError):
-            sg.reverse(index(sg, 0, 1), w)
+    for edges in ([(0, 1), (0, 2), (3, 1)], [(1, 0), (2, 0), (3, 1)],
+                  [(0, 1), (2, 0), (0, 1)]):
+        assert not sg.rotate(*(index(sg, u, v) for u, v in edges))
     assert sg.graph() == g
 
 
@@ -161,20 +161,22 @@ def test_reversal_undone_by_its_inverse():
     for w in (2, 3):
         sg = engine(g)
         out = [dict(heads) for heads in sg.out]
-        i = index(sg, 0, 1)
-        assert sg.reverse(i, w)
+        i, j, k = index(sg, 0, 1), index(sg, 1, w), index(sg, w, 0)
+        assert sg.rotate(i, j, k)
         assert (1, 0) in sg.graph().edge_set()
         assert extract_dds(sg.graph()) == extract_dds(g)
-        assert sg.reverse(i, w)
+        assert sg.rotate(i, k, j)
         assert sg.graph() == g
         assert sg.out == out
 
 
 def test_reversal_onto_an_existing_arc_is_rejected():
     # reversing 0->1->2->0 would add (1, 0), which already exists
-    g = from_edge_list([(0, 1), (1, 2), (2, 0), (1, 0)])
+    g = from_edge_list([(0, 1), (1, 2), (2, 0), (1, 0), (3, 2)])
     sg = engine(g)
-    assert not sg.reverse(index(sg, 0, 1), 2)
+    assert not sg.rotate(index(sg, 0, 1), index(sg, 1, 2), index(sg, 2, 0))
+    # (0,1),(3,2),(1,0) -> (0,2),(3,0),(1,1): a self-loop
+    assert not sg.rotate(index(sg, 0, 1), index(sg, 3, 2), index(sg, 1, 0))
     assert sg.graph() == g
 
 
@@ -200,6 +202,7 @@ def test_random_moves_keep_degrees_and_simplicity():
         # parallel edge
         out = sg.graph()
         assert out.degree_pairs() == g.degree_pairs()
+        assert sg.src == [u for u, _ in sorted(g.edges())]  # tails stay
         assert sum(map(len, sg.out)) == g.m
         assert all(sg.out[u][v] == i
                    for i, (u, v) in enumerate(zip(sg.src, sg.dst)))
