@@ -58,14 +58,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.realizable else EXIT_UNREALIZABLE
 
 
-def _generate_one(target_path: str, model: str, seed: int, out_path: str,
+def _generate_one(target_path: str, seed: int, out_path: str,
                   swap_rounds: int | None) -> str:
     t = files.load_targets(target_path)
-    if model in (targets.MODE_DEGREE, targets.MODE_PAIR):
+    if t.model in (targets.MODE_DEGREE, targets.MODE_PAIR):
         g = construct.generate(t, seed)
-    elif model == "d1k":
+    elif t.model == "d1k":
         g = baselines.gen_d1k(t, seed, swap_rounds)
-    elif model == "uman":
+    elif t.model == "uman":
         g = baselines.gen_uman(t, seed)
     else:
         g = baselines.gen_d0k(t, seed)
@@ -98,7 +98,7 @@ def cmd_generate(args) -> int:
         return EXIT_UNREALIZABLE
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(str(args.target), model, args.seed + i,
+    jobs = [(str(args.target), args.seed + i,
              str(out_dir / f"{model}_s{args.seed + i}.txt"), args.swap_rounds)
             for i in range(args.count)]
     for path in _run_jobs(_generate_one, jobs, workers):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -113,12 +114,13 @@ class ConstructionState:
     Out-side stub holder of node v is bipartite id v, in-side is n + v, so
     x and y are non-chord partners exactly when they differ by n.  The cell
     pairs with a joint-matrix entry are numbered 0..P-1 in (out cell, in
-    cell) order; `pair_id` maps ko * C + ki (C cells) to that number, and
-    `target` and `current` are lists indexed by it, so memory grows with P
-    and not with C * C; `current` and `edges_added` count every edge as it
-    is added.  The candidate pool of the pair being filled belongs to its
-    fill: a list of pair codes (out-id * span + in-id) and a dict from code
-    to list position, for O(1) add, discard and random pick.
+    cell) order: the key ko * C + ki (C cells) of pair p is `pair_keys[p]`,
+    a sorted list, and `target` and `current` are lists indexed by p, so
+    memory grows with P and not with C * C; `current` counts every edge as
+    it is added, and `edges_added` is its sum.  The candidate pool of the
+    pair being filled belongs to its fill: a list of pair codes
+    (out-id * span + in-id) and a dict from code to list position, for
+    O(1) add, discard and random pick.
     The roster of a cell lists its nodes that may hold a free stub; a node
     without one leaves it when a draw or a peek meets it.  Until an edge
     needs a membership test of its own (a repeat among the bulk draws, the
@@ -183,13 +185,16 @@ class ConstructionState:
             target[cell_index[out_cell] * len(cell_list)
                    + cell_index[in_cell]] = count
         self.pair_keys = sorted(target)
-        self.pair_id = {key: pid for pid, key in enumerate(self.pair_keys)}
         self.target = [target[key] for key in self.pair_keys]
         self.current = [0] * len(self.pair_keys)
 
-        self.edges_added = 0
         self.switch_count = 0
         self.fallback_count = 0
+
+    @property
+    def edges_added(self) -> int:
+        """Edges added so far, over every cell pair."""
+        return sum(self.current)
 
     def _index(self) -> list[dict[int, None]]:
         """The per-id neighbor maps, built from `codes` on first use."""
@@ -308,8 +313,10 @@ class ConstructionState:
         works on the per-node maps, so it tests each draw as it goes.
         """
         ko, ki = pair
-        pid = self.pair_id.get(ko * len(self.cells) + ki)
-        if pid is None or self.current[pid] >= self.target[pid]:
+        key = ko * len(self.cells) + ki
+        pid = bisect_left(self.pair_keys, key)
+        if pid == len(self.pair_keys) or self.pair_keys[pid] != key \
+                or self.current[pid] >= self.target[pid]:
             raise ValueError("cell pair already at its target count")
         if pick is not None and (self.cell_of[pick[0]] != ko
                                  or self.cell_of[pick[1]] != ki):
@@ -384,7 +391,6 @@ class ConstructionState:
                     codes[i] = last
             done = len(codes) - start
             current[pid] += done
-            self.edges_added += done
             count -= done
             if not count:
                 return divmod(codes[-1], span)
@@ -415,7 +421,6 @@ class ConstructionState:
             if free[uo] < 0 or free[vi] < 0:
                 raise ConstructionInvariantError("stub count went negative")
             current[pid] += 1
-            self.edges_added += 1
             if pool is not None:
                 _take(pool, uo * span + vi)
         return uo, vi

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import EdgeListFormatError, TargetStructureError
 from .graph import ID_LIMIT, DirectedGraph, from_id_arrays
 from .metrics import METRICS, CensusReport, MetricsConfig
-from .targets import (CellKey, D2KTargets, DdsTargets, SizeTargets,
-                      UmanTargets, MODE_DEGREE, MODE_PAIR, cell_from_json,
-                      cell_to_json, json_int)
+from .targets import (D2KTargets, DdsTargets, SizeTargets, UmanTargets,
+                      MODE_DEGREE, MODE_PAIR, cell_from_json, cell_to_json,
+                      json_int)
 
 SCHEMA_VERSION = 1
 _JSON_SLICE = 1 << 13          # JSON tokens joined per write by save_json
@@ -154,17 +154,9 @@ def targets_from_json_dict(obj: dict):
     try:
         if model in (MODE_DEGREE, MODE_PAIR):
             n = json_int(obj["n"], "n")
-            jdam: dict[tuple[CellKey, CellKey], int] = {}
-            for row in obj["jdam"]:
-                a = cell_from_json(row["a"])
-                b = cell_from_json(row["b"])
-                # Strict before comparing: 3 and 3.0 would compare equal.
-                count = json_int(row["count"], "jdam count")
-                known = jdam.setdefault((a, b), count)
-                if known != count:
-                    raise TargetStructureError(
-                        f"conflicting jdam entries for ({a},{b})")
-            t = D2KTargets(model, obj["dds"], jdam)
+            rows = [((cell_from_json(row["a"]), cell_from_json(row["b"])),
+                     row["count"]) for row in obj["jdam"]]
+            t = D2KTargets(model, obj["dds"], rows)
             if t.n != n:
                 raise TargetStructureError("n does not match dds length")
             return t
@@ -235,14 +227,11 @@ def report_from_json_dict(obj: dict) -> CensusReport:
     try:
         config, entries = obj["config"], obj["metrics"]
         notes = obj.get("notes", {})
-        if not all(isinstance(x, dict) for x in (config, entries, notes)) \
-                or not isinstance(config.get("metrics"), list):
-            raise TypeError("config, metrics, notes or config.metrics has "
-                            "the wrong JSON type")
+        if not all(isinstance(x, dict) for x in (config, entries, notes)):
+            raise TypeError("config, metrics or notes is not a JSON object")
         report = CensusReport(
             n=json_int(obj["n"], "n"), m=json_int(obj["m"], "m"), notes=notes,
-            config=MetricsConfig(**{**config,
-                                    "metrics": tuple(config["metrics"])}))
+            config=MetricsConfig(**config))
         for row in METRICS:
             value, meta = row.from_json(entries)
             if value is not None:

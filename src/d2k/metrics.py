@@ -838,10 +838,15 @@ class MetricsConfig:
     eigen_operator: str = "directed"
 
     def __post_init__(self):
+        if not isinstance(self.metrics, (list, tuple)):
+            raise ValueError(f"metrics must be a list or tuple of metric "
+                             f"names, got {self.metrics!r}")
+        object.__setattr__(self, "metrics", tuple(self.metrics))
         unknown = [m for m in self.metrics
                    if m != "all" and m not in METRIC_NAMES]
         if unknown:
-            raise ValueError(f"unknown metric name(s): {', '.join(unknown)}")
+            raise ValueError("unknown metric name(s): " + ", ".join(
+                m if isinstance(m, str) else repr(m) for m in unknown))
         for name in ("seed", "sample_sources", "path_exact_nodes",
                      "betweenness_exact_nodes", "eigen_k", "eigen_dense_nodes"):
             value = getattr(self, name)

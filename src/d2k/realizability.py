@@ -61,35 +61,33 @@ def check(t: D2KTargets) -> RealizabilityReport:
     """Decide whether t admits a simple directed realization.
 
     t's structure was validated by its constructor, so this decides
-    conditions I-III only; every violation is collected in the report.
+    conditions I-III only, in one pass over t's jdam entries (one per
+    unordered pair); every violation is collected in the report, those of
+    I first, then II, then III.
     """
-    violations: list[Violation] = []
-    entries = t.jdam_entries()
-
-    # I: no same-side counts.
-    for a, b, count in entries:
+    same_side: list[Violation] = []     # I: no same-side counts
+    overfull: list[Violation] = []      # II: edges + non-chords fit
+    row_sum: dict[CellKey, int] = {}    # III: edges incident to a cell
+    for a, b, count in t.jdam_entries():
+        row_sum[a] = row_sum.get(a, 0) + count
+        if b != a:
+            row_sum[b] = row_sum.get(b, 0) + count
         if a.side == b.side:
-            violations.append(Violation(
+            same_side.append(Violation(
                 "I", (a, b),
                 f"same-side cells {a} and {b} carry {count} edges"))
-
-    # II: per positive pair, edges + non-chords fit the cell product.
-    for a, b, count in entries:
-        if a.side == b.side:
             continue
         size_a = t.cell_sizes.get(a, 0)
         size_b = t.cell_sizes.get(b, 0)
         forbidden = t.f.get((a, b), 0)
         if count + forbidden > size_a * size_b:
-            violations.append(Violation(
+            overfull.append(Violation(
                 "II", (a, b),
                 f"{count} edges + {forbidden} non-chords exceed "
                 f"|{a}| * |{b}| = {size_a} * {size_b}"))
 
+    violations = same_side + overfull
     # III: row sums against the dds, exact integer arithmetic.
-    row_sum: dict[CellKey, int] = {}
-    for (a, _b), count in t.jdam.items():
-        row_sum[a] = row_sum.get(a, 0) + count
     for cell in t.cells():
         degree = cell.degree()
         total = row_sum.get(cell, 0)

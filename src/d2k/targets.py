@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import ClassVar, Mapping, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,16 +74,14 @@ def cell_to_json(c: CellKey) -> dict:
 
 
 def cell_from_json(obj: dict) -> CellKey:
-    """The cell a JSON object encodes, every label part a strict int;
-    D2KTargets checks its side and its label's shape."""
+    """The cell a JSON object {"side", "label"} encodes, a list label as a
+    tuple; D2KTargets checks its side and its label."""
     try:
         side = obj["side"]
         label = obj["label"]
     except (TypeError, KeyError):
         raise TargetStructureError(f"malformed cell {obj!r}") from None
-    if isinstance(label, list):
-        return CellKey(side, tuple(json_int(x, "cell label") for x in label))
-    return CellKey(side, json_int(label, "cell label"))
+    return CellKey(side, tuple(label) if isinstance(label, list) else label)
 
 
 def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
@@ -104,17 +102,20 @@ def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
     return in_cells, out_cells
 
 
-def _normalize_jdam(mode: str, jdam: Mapping[tuple[CellKey, CellKey], int]) \
+def _normalize_jdam(mode: str, jdam: Mapping | Iterable) \
         -> dict[tuple[CellKey, CellKey], int]:
-    """jdam with both orientations of every pair and zeros dropped.
+    """jdam, a mapping or ((a, b), count) rows, with both orientations of
+    every pair and zeros dropped.
 
     Accepts entries in either or both orientations.  A side other than in
     or out, a label that is not an int (d2k) or a pair of ints (d2km), a
-    count that is not a non-negative int, a zero-degree cell or two counts
-    for one pair raises TargetStructureError.
+    count that is not a non-negative int or a zero-degree cell with a
+    nonzero count raises TargetStructureError, each checked before the
+    row is hashed.  So does a pair given two different counts, in either
+    orientation, zero being a count too; zeros are dropped after that.
     """
     sym: dict[tuple[CellKey, CellKey], int] = {}
-    for (a, b), count in jdam.items():
+    for (a, b), count in jdam.items() if isinstance(jdam, Mapping) else jdam:
         for c in (a, b):
             if c.side not in ("in", "out"):
                 raise TargetStructureError(f"bad cell side {c.side!r}")
@@ -123,20 +124,17 @@ def _normalize_jdam(mode: str, jdam: Mapping[tuple[CellKey, CellKey], int]) \
                     and all(type(x) is int for x in c.label)):
                 raise TargetStructureError(
                     f"cell label {c.label!r} does not fit mode {mode!r}")
-        if json_int(count, "jdam count") == 0:
-            continue
-        if count < 0:
+        if json_int(count, "jdam count") < 0:
             raise TargetStructureError(f"negative jdam count at ({a},{b})")
-        if a.degree() == 0 or b.degree() == 0:
+        if count and (a.degree() == 0 or b.degree() == 0):
             raise TargetStructureError(
                 f"zero-degree cell used as jdam key: ({a},{b})")
-        known = sym.get((a, b))
-        if known is not None and known != count:
+        known = sym.setdefault((a, b), count)
+        if known != count:
             raise TargetStructureError(
-                f"asymmetric jdam: ({a},{b})={count} vs ({b},{a})={known}")
-        sym[(a, b)] = count
+                f"two counts for jdam pair ({a},{b}): {known} and {count}")
         sym[(b, a)] = count
-    return sym
+    return {key: count for key, count in sym.items() if count}
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +142,12 @@ class D2KTargets:
     """Degree-correlation target: dds + joint degree/side matrix.
 
     An immutable value.  The constructor validates structure (not
-    graphicality): every degree and count must be an int, dds becomes a
-    tuple of pairs, jdam is symmetrized, and n, f (non-chord counts per cell
-    pair, stored symmetrically) and cell_sizes are derived from dds; jdam, f
-    and cell_sizes are read-only mappings.  Equality compares mode, n, dds
-    as a multiset and the nonzero jdam entries.
+    graphicality): the mode must be d2k or d2km, every degree and count
+    must be an int, dds becomes a tuple of pairs, jdam (a mapping or
+    ((a, b), count) rows) is symmetrized, and n, f (non-chord counts per
+    cell pair, stored symmetrically) and cell_sizes are derived from dds;
+    jdam, f and cell_sizes are read-only mappings.  Equality compares
+    mode, n, dds as a multiset and the nonzero jdam entries.
     """
 
     mode: str
@@ -159,6 +158,8 @@ class D2KTargets:
     cell_sizes: Mapping[CellKey, int] = field(init=False)
 
     def __post_init__(self):
+        if self.mode not in (MODE_DEGREE, MODE_PAIR):
+            raise TargetStructureError(f"unknown mode {self.mode!r}")
         dds = _degree_pairs(self.dds)
         jdam = _normalize_jdam(self.mode, self.jdam)
         # Node v puts one member in each of its nonzero cells, and one
@@ -319,11 +320,11 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
         return [CellKey(side, x) for x in labels]
 
     out_keys, in_keys = cell_keys("out", out_cells), cell_keys("in", in_cells)
-    jdam = {(out_keys[a], in_keys[b]): c
+    rows = (((out_keys[a], in_keys[b]), c)
             for a, b, c in zip((codes // len(in_cells)).tolist(),
                                (codes % len(in_cells)).tolist(),
-                               counts.tolist())}
-    return D2KTargets(mode, list(zip(d_in.tolist(), d_out.tolist())), jdam)
+                               counts.tolist()))
+    return D2KTargets(mode, list(zip(d_in.tolist(), d_out.tolist())), rows)
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:

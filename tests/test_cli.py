@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import random_digraph
-from d2k import (extract_d2k, from_edge_list, load_targets, read_edge_list,
-                 write_edge_list)
+from d2k import (CellKey, D2KTargets, TargetStructureError, extract_d2k,
+                 from_edge_list, load_targets, read_edge_list, write_edge_list)
 from d2k.cli import main
 
 
@@ -231,6 +231,47 @@ def test_equal_duplicate_jdam_rows_load(tmp_path):
         tmp_path, [("out", "in", 3), ("out", "in", 3), ("in", "out", 3)])
     cycle = from_edge_list([(0, 1), (1, 2), (2, 0)])
     assert load_targets(target_path) == extract_d2k(cycle)
+
+
+OUT1, IN1 = CellKey("out", 1), CellKey("in", 1)
+
+
+@pytest.mark.parametrize("counts", [(3, 0), (0, 3), (3, 2), (3, 3)],
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+@pytest.mark.parametrize("form, orientation", [
+    (form, orientation) for form in ("load_targets", "main_check", "rows")
+    for orientation in ("same", "reversed")] + [("mapping", "reversed")])
+def test_one_count_per_cell_pair(tmp_path, capsys, form, orientation, counts):
+    # however a target lists the pair (out 1, in 1) twice, two different
+    # counts (zero among them) are refused, and equal ones are one count
+    # (a mapping cannot hold one key twice, so it only reverses the pair)
+    first, second = counts
+    a, b = (OUT1, IN1) if orientation == "same" else (IN1, OUT1)
+    cycle = extract_d2k(from_edge_list([(0, 1), (1, 2), (2, 0)]))
+    if form in ("load_targets", "main_check"):
+        path = write_three_cycle_target(
+            tmp_path, [("out", "in", first), (a.side, b.side, second)])
+        if form == "main_check":
+            code = main(["check", str(path)])
+            if first == second:
+                assert code == 0
+                assert capsys.readouterr().out == "realizable\n"
+            else:
+                assert code == 1
+                assert_one_error_line(capsys)
+            return
+        build = lambda: load_targets(path)
+    elif form == "mapping":
+        build = lambda: D2KTargets("d2k", [(1, 1)] * 3,
+                                   {(OUT1, IN1): first, (a, b): second})
+    else:
+        build = lambda: D2KTargets("d2k", [(1, 1)] * 3,
+                                   [((OUT1, IN1), first), ((a, b), second)])
+    if first == second:
+        assert build() == cycle
+    else:
+        with pytest.raises(TargetStructureError, match="two counts"):
+            build()
 
 
 def test_check_rejects_pair_labels_on_a_d2k_target(tmp_path, capsys):

@@ -132,7 +132,7 @@ def _pair(state: ConstructionState, out_label, in_label) -> tuple[int, int]:
 
 def _pid(state: ConstructionState, pair: tuple[int, int]) -> int:
     ko, ki = pair
-    return state.pair_id[ko * len(state.cells) + ki]
+    return state.pair_keys.index(ko * len(state.cells) + ki)
 
 
 def _count(state: ConstructionState, pair: tuple[int, int]) -> int:

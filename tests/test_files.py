@@ -227,6 +227,21 @@ def test_malformed_metrics_file_raises_one_value_error(tmp_path, fault):
         load_metrics_report(path)
 
 
+def test_metrics_file_string_metrics_is_named(tmp_path):
+    # the loader leaves the metrics field to MetricsConfig, which names it
+    report = structural_suite(random_digraph(random.Random(33), 10, 0.2),
+                              MetricsConfig(metrics=("degrees",)))
+    path = tmp_path / "metrics.json"
+    save_metrics_report(report, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["config"]["metrics"] = "degrees"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed metrics file: metrics "
+                                         "must be a list or tuple of metric "
+                                         "names, got 'degrees'"):
+        load_metrics_report(path)
+
+
 def test_compare_graph_with_itself_is_all_zero():
     # odd ensemble sizes catch float contamination in the exact averaging
     rng = random.Random(34)

@@ -709,6 +709,18 @@ def test_unknown_metric_name_rejected():
             MetricsConfig(**kwargs)
 
 
+@pytest.mark.parametrize("metrics, message", [
+    ("triad_census", "metrics must be a list or tuple of metric names, got "
+                     "'triad_census'"),
+    (("degrees", 5, None), "unknown metric name(s): 5, None")])
+def test_metrics_config_names_a_bad_metrics_field(metrics, message):
+    # a string is not split into letters, and a non-string name is named,
+    # not left to fail in str.join
+    with pytest.raises(ValueError) as info:
+        MetricsConfig(metrics=metrics)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", True), ("seed", 1.5), ("sample_sources", True),
     ("path_exact_nodes", 10.0), ("betweenness_exact_nodes", "5"),

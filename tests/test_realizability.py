@@ -51,6 +51,24 @@ def test_same_side_count_fails_condition_i():
     assert any(v.condition == "I" for v in report.violations)
 
 
+def test_report_lists_conditions_i_ii_iii_in_order():
+    # the same-side entry sorts after the others, yet I comes first; the
+    # same-cell entry counts once toward its cell's row total (3 + 1)
+    o1, o2, i1 = CellKey("out", 1), CellKey("out", 2), CellKey("in", 1)
+    t = D2KTargets("d2k", [(1, 1)] * 2,
+                   {(o1, i1): 3, (o1, o1): 1, (o2, i1): 1})
+    i1_, o1_, o2_ = (f"CellKey(side='{s}', label={d})"
+                     for s, d in (("in", 1), ("out", 1), ("out", 2)))
+    assert [(v.condition, v.message) for v in check(t).violations] == [
+        ("I", f"same-side cells {o1_} and {o1_} carry 1 edges"),
+        ("II", f"3 edges + 2 non-chords exceed |{i1_}| * |{o1_}| = 2 * 2"),
+        ("II", f"1 edges + 0 non-chords exceed |{i1_}| * |{o2_}| = 2 * 0"),
+        ("III", f"jdam implies 4 nodes in {i1_}, dds has 2"),
+        ("III", f"jdam implies 4 nodes in {o1_}, dds has 2"),
+        ("III", f"edges incident to {o2_} total 1, not divisible by "
+                f"degree 2")]
+
+
 def test_structural_malformation_raises_instead_of_reporting():
     # a built target cannot be corrupted: the assignment itself raises,
     # and check still decides the target as it was built

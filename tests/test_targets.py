@@ -207,6 +207,15 @@ def test_constructor_validates():
             D2KTargets(mode, [(1, 1)] * 3, {(bad, good): 3})
 
 
+@pytest.mark.parametrize("jdam", [
+    {}, {(CellKey("out", 1), CellKey("in", 1)): 3},
+    {(CellKey("out", (1, 1)), CellKey("in", (1, 1))): 3}],
+    ids=["empty", "int_labels", "pair_labels"])
+def test_unknown_mode_raises_first(jdam):
+    with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
+        D2KTargets("d2x", [(1, 1)] * 3, jdam)
+
+
 def test_edge_count_of_an_odd_stub_total_raises():
     b = CellKey("out", 1)
     t = D2KTargets("d2k", [(1, 1)] * 3, {(b, b): 3})
