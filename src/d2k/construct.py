@@ -177,13 +177,11 @@ class ConstructionState:
         self.in_roster = [x >= 0 for x in self.cell_of]
 
         target: dict[int, int] = {}         # ko * C + ki -> count
-        for a, b, count in t.jdam_entries():
+        for (a, b), count in t.jdam.items():    # a in-cell, b out-cell
             if a.side == b.side:
                 raise TargetStructureError(
                     f"same-side jdam entry ({a},{b}) cannot be constructed")
-            out_cell, in_cell = (a, b) if a.side == "out" else (b, a)
-            target[cell_index[out_cell] * len(cell_list)
-                   + cell_index[in_cell]] = count
+            target[cell_index[b] * len(cell_list) + cell_index[a]] = count
         self.pair_keys = sorted(target)
         self.target = [target[key] for key in self.pair_keys]
         self.current = [0] * len(self.pair_keys)

@@ -128,7 +128,7 @@ def targets_to_json_dict(t) -> dict:
     if isinstance(t, D2KTargets):
         body = {"dds": [list(p) for p in t.dds],
                 "jdam": [{"a": cell_to_json(a), "b": cell_to_json(b),
-                          "count": count} for a, b, count in t.jdam_entries()]}
+                          "count": count} for (a, b), count in t.jdam.items()]}
     elif isinstance(t, DdsTargets):
         body = {"dds": [list(p) for p in t.dds]}
     elif isinstance(t, UmanTargets):
@@ -191,12 +191,20 @@ def save_targets(t, path) -> None:
     save_json(targets_to_json_dict(t), path)
 
 
-def load_targets(path):
+def _load_json(path, error: type[ValueError]):
+    """The JSON value in the file at path.  Text that is not JSON, or that
+    nests deeper than the parser can recurse, raises error("not valid JSON:
+    ...")."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise TargetStructureError(f"not valid JSON: {exc}") from None
-    return targets_from_json_dict(obj)
+        raise error(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error("not valid JSON: nested too deeply") from None
+
+
+def load_targets(path):
+    return targets_from_json_dict(_load_json(path, TargetStructureError))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +256,7 @@ def save_metrics_report(r: CensusReport, path) -> None:
 
 
 def load_metrics_report(path) -> CensusReport:
-    return report_from_json_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")))
+    return report_from_json_dict(_load_json(path, ValueError))
 
 
 # ---------------------------------------------------------------------------

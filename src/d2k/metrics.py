@@ -792,7 +792,7 @@ METRICS = (
     Metric("degree_correlation", Counts(str, joint=True),
            "degree_correlation", None,
            lambda g, c: {f"{a.side}:{a.label}|{b.side}:{b.label}": count
-                         for a, b, count in extract_d2k(g).jdam_entries()}),
+                         for (a, b), count in extract_d2k(g).jdam.items()}),
     Metric("dyad_census", Counts(str, DYAD_ORDER), "dyads", "dyad_census",
            lambda g, c: dyad_census(g)),
     Metric("triad_census", Counts(str, TRIAD_NAMES), "triads", "triad_census",

@@ -61,14 +61,14 @@ def check(t: D2KTargets) -> RealizabilityReport:
     """Decide whether t admits a simple directed realization.
 
     t's structure was validated by its constructor, so this decides
-    conditions I-III only, in one pass over t's jdam entries (one per
+    conditions I-III only, in one pass over t's jdam (one entry per
     unordered pair); every violation is collected in the report, those of
     I first, then II, then III.
     """
     same_side: list[Violation] = []     # I: no same-side counts
     overfull: list[Violation] = []      # II: edges + non-chords fit
     row_sum: dict[CellKey, int] = {}    # III: edges incident to a cell
-    for a, b, count in t.jdam_entries():
+    for (a, b), count in t.jdam.items():
         row_sum[a] = row_sum.get(a, 0) + count
         if b != a:
             row_sum[b] = row_sum.get(b, 0) + count

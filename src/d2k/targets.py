@@ -84,11 +84,16 @@ def cell_from_json(obj: dict) -> CellKey:
     return CellKey(side, tuple(label) if isinstance(label, list) else label)
 
 
+def _check_mode(mode: str) -> None:
+    """Raise TargetStructureError unless mode is d2k or d2km."""
+    if mode not in (MODE_DEGREE, MODE_PAIR):
+        raise TargetStructureError(f"unknown mode {mode!r}")
+
+
 def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
         -> tuple[list[CellKey | None], list[CellKey | None]]:
     """Per-node (in-side cell, out-side cell); None on a zero-degree side."""
-    if mode not in (MODE_DEGREE, MODE_PAIR):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     in_cells: list[CellKey | None] = []
     out_cells: list[CellKey | None] = []
     for d_in, d_out in dds:
@@ -104,8 +109,8 @@ def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
 
 def _normalize_jdam(mode: str, jdam: Mapping | Iterable) \
         -> dict[tuple[CellKey, CellKey], int]:
-    """jdam, a mapping or ((a, b), count) rows, with both orientations of
-    every pair and zeros dropped.
+    """jdam, a mapping or ((a, b), count) rows, as one entry per nonzero
+    unordered pair under its sorted key (a <= b), in sorted order.
 
     Accepts entries in either or both orientations.  A side other than in
     or out, a label that is not an int (d2k) or a pair of ints (d2km), a
@@ -114,7 +119,7 @@ def _normalize_jdam(mode: str, jdam: Mapping | Iterable) \
     row is hashed.  So does a pair given two different counts, in either
     orientation, zero being a count too; zeros are dropped after that.
     """
-    sym: dict[tuple[CellKey, CellKey], int] = {}
+    pairs: dict[tuple[CellKey, CellKey], int] = {}
     for (a, b), count in jdam.items() if isinstance(jdam, Mapping) else jdam:
         for c in (a, b):
             if c.side not in ("in", "out"):
@@ -129,12 +134,11 @@ def _normalize_jdam(mode: str, jdam: Mapping | Iterable) \
         if count and (a.degree() == 0 or b.degree() == 0):
             raise TargetStructureError(
                 f"zero-degree cell used as jdam key: ({a},{b})")
-        known = sym.setdefault((a, b), count)
+        known = pairs.setdefault((a, b) if a <= b else (b, a), count)
         if known != count:
             raise TargetStructureError(
                 f"two counts for jdam pair ({a},{b}): {known} and {count}")
-        sym[(b, a)] = count
-    return {key: count for key, count in sym.items() if count}
+    return dict(sorted(item for item in pairs.items() if item[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +147,13 @@ class D2KTargets:
 
     An immutable value.  The constructor validates structure (not
     graphicality): the mode must be d2k or d2km, every degree and count
-    must be an int, dds becomes a tuple of pairs, jdam (a mapping or
-    ((a, b), count) rows) is symmetrized, and n, f (non-chord counts per
-    cell pair, stored symmetrically) and cell_sizes are derived from dds;
+    must be an int, and dds becomes a tuple of pairs.  jdam (a mapping or
+    ((a, b), count) rows, in either orientation) holds each nonzero
+    unordered cell pair once, under its sorted key (a <= b, so the in-cell
+    first on a cross-side pair), in sorted order.  n, f (non-chord counts
+    per (in-cell, out-cell) pair) and cell_sizes are derived from dds.
     jdam, f and cell_sizes are read-only mappings.  Equality compares
-    mode, n, dds as a multiset and the nonzero jdam entries.
+    mode, n, dds as a multiset and the jdam.
     """
 
     mode: str
@@ -158,8 +164,7 @@ class D2KTargets:
     cell_sizes: Mapping[CellKey, int] = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in (MODE_DEGREE, MODE_PAIR):
-            raise TargetStructureError(f"unknown mode {self.mode!r}")
+        _check_mode(self.mode)
         dds = _degree_pairs(self.dds)
         jdam = _normalize_jdam(self.mode, self.jdam)
         # Node v puts one member in each of its nonzero cells, and one
@@ -176,7 +181,6 @@ class D2KTargets:
                     sizes[cell] = sizes.get(cell, 0) + k
             if a is not None and b is not None:
                 f[(a, b)] = f.get((a, b), 0) + k
-                f[(b, a)] = f.get((b, a), 0) + k
         object.__setattr__(self, "dds", dds)
         object.__setattr__(self, "jdam", MappingProxyType(jdam))
         object.__setattr__(self, "n", len(dds))
@@ -194,24 +198,15 @@ class D2KTargets:
 
     @property
     def m(self) -> int:
-        total = sum(self.jdam.values())
+        # the stub total: an off-diagonal count twice, a diagonal one once
+        total = sum(c if a == b else 2 * c for (a, b), c in self.jdam.items())
         if total % 2:
             raise TargetStructureError("jdam totals to an odd stub count")
         return total // 2
 
     def cells(self) -> list[CellKey]:
         """All nonzero-degree cells, in canonical order."""
-        seen = set(self.cell_sizes)
-        for a, b in self.jdam:
-            seen.add(a)
-            seen.add(b)
-        return sorted(seen)
-
-    def jdam_entries(self) -> list[tuple[CellKey, CellKey, int]]:
-        """Nonzero entries, one per unordered pair, canonically ordered."""
-        rows = [(a, b, count) for (a, b), count in self.jdam.items() if a <= b]
-        rows.sort()
-        return rows
+        return sorted(set(self.cell_sizes).union(*self.jdam))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, D2KTargets):
@@ -288,13 +283,11 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
     jdam(k, l) counts bipartite edges between cells k and l, i.e. directed
     edges between the corresponding node groups; zero-degree cells never
-    appear as keys.  It is counted in the (out, in) orientation only, as
-    one np.unique over the edges' (out-cell, in-cell) codes, its entries
-    in order of first appearance along g.edges(); the constructor stores
-    both orientations.
+    appear as keys.  It is counted as one np.unique over the edges'
+    in-cell-major (in-cell, out-cell) codes, which yields the rows in the
+    sorted-key order the constructor keeps.
     """
-    if mode not in (MODE_DEGREE, MODE_PAIR):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     indptr, heads = g.csr()
     d_out = np.diff(indptr)
     d_in = np.bincount(heads, minlength=g.n)
@@ -307,10 +300,8 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
     out_cells, out_of = np.unique(out_label[_tails(indptr)],
                                   return_inverse=True)
     in_cells, in_of = np.unique(in_label[heads], return_inverse=True)
-    codes, first, counts = np.unique(out_of * len(in_cells) + in_of,
-                                     return_index=True, return_counts=True)
-    seen = np.argsort(first)
-    codes, counts = codes[seen], counts[seen]
+    codes, counts = np.unique(in_of * len(out_cells) + out_of,
+                              return_counts=True)
 
     def cell_keys(side: str, cells: np.ndarray) -> list[CellKey]:
         # one CellKey per cell, shared by every jdam key naming it
@@ -320,9 +311,9 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
         return [CellKey(side, x) for x in labels]
 
     out_keys, in_keys = cell_keys("out", out_cells), cell_keys("in", in_cells)
-    rows = (((out_keys[a], in_keys[b]), c)
-            for a, b, c in zip((codes // len(in_cells)).tolist(),
-                               (codes % len(in_cells)).tolist(),
+    rows = (((in_keys[a], out_keys[b]), c)
+            for a, b, c in zip((codes // len(out_cells)).tolist(),
+                               (codes % len(out_cells)).tolist(),
                                counts.tolist()))
     return D2KTargets(mode, list(zip(d_in.tolist(), d_out.tolist())), rows)
 

@@ -255,7 +255,8 @@ def extract_d2k_loop(g: DirectedGraph, mode: str) -> D2KTargets:
 
 
 def cell_counts_loop(dds, mode: str) -> tuple[dict, dict]:
-    """(cell_sizes, f) of a target, node by node in node order."""
+    """(cell_sizes, f) of a target, node by node in node order, f keyed by
+    (in-cell, out-cell)."""
     sizes: dict = {}
     f: dict = {}
     for a, b in zip(*node_cells(dds, mode)):
@@ -264,7 +265,6 @@ def cell_counts_loop(dds, mode: str) -> tuple[dict, dict]:
                 sizes[cell] = sizes.get(cell, 0) + 1
         if a is not None and b is not None:
             f[(a, b)] = f.get((a, b), 0) + 1
-            f[(b, a)] = f.get((b, a), 0) + 1
     return sizes, f
 
 

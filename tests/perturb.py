@@ -11,7 +11,7 @@ from d2k.targets import node_cells
 
 
 def canonical_target_key(t: D2KTargets):
-    return (t.mode, t.n, tuple(sorted(t.dds)), tuple(t.jdam_entries()))
+    return (t.mode, t.n, tuple(sorted(t.dds)), tuple(t.jdam.items()))
 
 
 def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
@@ -28,8 +28,7 @@ def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
     for _ in range(rounds):
         g = base_graphs[rng.randrange(len(base_graphs))]
         t = extract_d2k(g)
-        entries = {(a, b): c for a, b, c in t.jdam_entries()}
-        cells = sorted({c for pair in entries for c in pair})
+        entries = dict(t.jdam)
         for _edit in range(rng.randint(0, 3)):
             if not entries:
                 break
@@ -44,11 +43,7 @@ def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
                     pa, pb = partners[rng.randrange(len(partners))]
                     entries[(pa, pb)] = max(0, entries[(pa, pb)] - delta)
             entries = {k: v for k, v in entries.items() if v > 0}
-        jdam = {}
-        for (a, b), count in entries.items():
-            jdam[(a, b)] = count
-            jdam[(b, a)] = count
-        yield D2KTargets(t.mode, t.dds, jdam)
+        yield D2KTargets(t.mode, t.dds, entries)
 
 
 def row_preserving_targets(rng: random.Random, rounds: int):
@@ -68,7 +63,7 @@ def row_preserving_targets(rng: random.Random, rounds: int):
         ins = [c for c in t.cells() if c.side == "in"]
         if len(outs) < 2 or len(ins) < 2:
             continue
-        jdam = {(o, i): t.jdam.get((o, i), 0) for o in outs for i in ins}
+        jdam = {(o, i): t.jdam.get((i, o), 0) for o in outs for i in ins}
         moves = rng.randint(1, 3)
         for _draw in range(50):
             o1, o2 = rng.sample(outs, 2)

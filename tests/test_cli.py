@@ -95,6 +95,17 @@ def test_exit_1_on_malformed_input(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
 
 
+def test_deeply_nested_target_file_exit_1(tmp_path, capsys):
+    # json.loads raises RecursionError on deep nesting, not JSONDecodeError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["check", str(deep)],
+                 ["generate", str(deep), "-o", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: not valid JSON: nested too deeply\n"
+
+
 def test_negative_id_error_names_the_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# c\n\n1 2\n-1 3\n")

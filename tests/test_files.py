@@ -227,6 +227,13 @@ def test_malformed_metrics_file_raises_one_value_error(tmp_path, fault):
         load_metrics_report(path)
 
 
+def test_deeply_nested_metrics_file_raises_a_value_error(tmp_path):
+    path = tmp_path / "metrics.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError, match="not valid JSON: nested too deeply"):
+        load_metrics_report(path)
+
+
 def test_metrics_file_string_metrics_is_named(tmp_path):
     # the loader leaves the metrics field to MetricsConfig, which names it
     report = structural_suite(random_digraph(random.Random(33), 10, 0.2),

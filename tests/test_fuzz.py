@@ -10,6 +10,10 @@ count.  `check` and `generate --count 2` then run on it in-process.  Exit
 graph of each seed re-extracts to the loaded target (the written files
 drop isolated nodes, so the comparison is made in memory).  Edge-list
 bytes are mutated the same way through `extract`.
+
+Mutations that keep a d2k or d2km file valid are fuzzed apart from these:
+each must load to a target equal to the unmutated one, with the same jdam
+in the same order, and build and re-extract exactly.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from d2k import (D2KTargets, DdsTargets, SizeTargets, UmanTargets,
                  from_edge_list, gen_d0k, gen_d1k, gen_uman, generate,
                  load_targets, write_edge_list)
 from d2k.cli import _extract_target, main
-from d2k.files import targets_to_json_dict
+from d2k.files import save_targets, targets_to_json_dict
 from d2k.targets import MODELS
 
 CASES_PER_MODEL = 100
@@ -115,6 +119,55 @@ def test_mutated_target_files(tmp_path, capsys, monkeypatch, base_targets,
         gen, measure = REALIZE[type(t)]
         for seed in (1, 2):
             assert measure(gen(t, seed), t) == t, where
+
+
+def _repeat_reversed(obj, rng):
+    row = rng.choice(obj["jdam"])
+    obj["jdam"].insert(rng.randrange(len(obj["jdam"]) + 1),
+                       {"a": row["b"], "b": row["a"], "count": row["count"]})
+
+
+def _swap_ends(obj, rng):
+    obj["jdam"] = [{"a": row["b"], "b": row["a"], "count": row["count"]}
+                   for row in obj["jdam"]]
+
+
+# each keeps the file valid and its target the same
+VALID_MUTATIONS = {
+    "repeat_a_row_reversed": _repeat_reversed,
+    "swap_every_row_ends": _swap_ends,
+    "shuffle_rows": lambda obj, rng: rng.shuffle(obj["jdam"]),
+    "permute_dds": lambda obj, rng: rng.shuffle(obj["dds"]),
+}
+
+
+@pytest.mark.parametrize("name", VALID_MUTATIONS)
+@pytest.mark.parametrize("mode", ["d2k", "d2km"])
+def test_valid_mutations_keep_the_target(tmp_path, capsys, name, mode):
+    rng = random.Random(f"{name} {mode}")
+    graphs = [from_edge_list(EDGES)] + [
+        from_edge_list([(rng.randrange(30), rng.randrange(30))
+                        for _ in range(rng.randint(20, 120))])
+        for _ in range(9)]
+    path, again = tmp_path / "t.json", tmp_path / "again.json"
+    for case, g in enumerate(graphs):
+        want = extract_d2k(g, mode)
+        obj = targets_to_json_dict(want)
+        for _ in range(rng.randint(1, 3)):
+            VALID_MUTATIONS[name](obj, rng)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run_main(capsys, ["check", str(path)]) == 0, case
+        t = load_targets(path)
+        assert t == want, case
+        assert list(t.jdam.items()) == list(want.jdam.items()), case
+        assert (t.f, t.cell_sizes) == (want.f, want.cell_sizes), case
+        if name != "permute_dds":
+            # the file written again is the unmutated one, byte for byte
+            save_targets(t, path)
+            save_targets(want, again)
+            assert path.read_bytes() == again.read_bytes(), case
+        for seed in (1, 2):
+            assert extract_d2k(generate(t, seed), mode) == t, (case, seed)
 
 
 def test_mutated_edge_lists(tmp_path, capsys):

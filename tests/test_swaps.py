@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conftest import out_lists, random_digraph
-from d2k import (DirectedGraph, SwapError, SwapGraph, enumerate_jdam_swaps,
-                 extract_d2k, extract_dds, from_edge_list)
+from d2k import (DirectedGraph, SwapError, SwapGraph, TargetStructureError,
+                 enumerate_jdam_swaps, extract_d2k, extract_dds,
+                 from_edge_list)
 
 
 def engine(g: DirectedGraph) -> SwapGraph:
@@ -209,3 +210,9 @@ def test_random_moves_keep_degrees_and_simplicity():
         assert [set(nbrs) for nbrs in out_lists(out)] == \
             [set(heads) for heads in sg.out]
     assert crossed and reversed_
+
+
+def test_enumerating_under_an_unknown_mode_raises_the_target_error():
+    g = from_edge_list([(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
+        enumerate_jdam_swaps(g, "d2x")

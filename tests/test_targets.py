@@ -21,16 +21,16 @@ def test_three_cycle_d2k():
     t = extract_d2k(three_cycle())
     assert t.dds == ((1, 1),) * 3
     a, b = CellKey("in", 1), CellKey("out", 1)
-    assert t.jdam[(a, b)] == 3
-    assert t.jdam[(b, a)] == 3
-    assert t.f[(a, b)] == 3
+    # one entry per cell pair, under its sorted key: the in-cell first
+    assert t.jdam == {(a, b): 3}
+    assert t.f == {(a, b): 3}
     assert t.cell_sizes == {a: 3, b: 3}
     assert t.m == 3
 
 
 def test_one_orientation_constructor_derives_cell_data():
     # the constructor alone makes a complete target: f and the cell sizes
-    # come from dds, the jdam is symmetrized from one orientation
+    # come from dds, the jdam given as (out, in) is kept under (in, out)
     out1, in1 = CellKey("out", 1), CellKey("in", 1)
     t = D2KTargets("d2k", [(1, 1)] * 3, {(out1, in1): 3})
     assert t == extract_d2k(three_cycle())
@@ -94,10 +94,13 @@ def test_jdam_total_and_f_total():
         g = random_digraph(rng, rng.randint(2, 40), rng.uniform(0.05, 0.4))
         for mode in ("d2k", "d2km"):
             t = extract_d2k(g, mode)
-            assert sum(t.jdam.values()) == 2 * g.m
+            # each edge and each non-chord counted once, in-cell first
+            assert sum(t.jdam.values()) == t.m == g.m
+            assert all(a.side == "in" != b.side for a, b in t.jdam)
             both = sum(1 for d_in, d_out in g.degree_pairs()
                        if d_in > 0 and d_out > 0)
-            assert sum(t.f.values()) == 2 * both
+            assert sum(t.f.values()) == both
+            assert all(a.side == "in" != b.side for a, b in t.f)
 
 
 def test_marginal_consistency():
@@ -107,8 +110,9 @@ def test_marginal_consistency():
         for mode in ("d2k", "d2km"):
             t = extract_d2k(g, mode)
             rows: dict = {}
-            for (a, _b), count in t.jdam.items():
+            for (a, b), count in t.jdam.items():
                 rows[a] = rows.get(a, 0) + count
+                rows[b] = rows.get(b, 0) + count
             for cell, size in t.cell_sizes.items():
                 assert rows.get(cell, 0) == cell.degree() * size
 
@@ -121,7 +125,7 @@ def test_jdam_entries_canonical_order():
     rng = random.Random(6)
     g = random_digraph(rng, 30, 0.2)
     for mode in ("d2k", "d2km"):
-        keys = [(a, b) for a, b, _ in extract_d2k(g, mode).jdam_entries()]
+        keys = list(extract_d2k(g, mode).jdam)
         assert keys == sorted(keys)
         assert all(a <= b for a, b in keys)
         # one label type per mode, so the natural order is this one
@@ -214,6 +218,20 @@ def test_constructor_validates():
 def test_unknown_mode_raises_first(jdam):
     with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
         D2KTargets("d2x", [(1, 1)] * 3, jdam)
+
+
+def test_extracting_under_an_unknown_mode_raises_the_target_error():
+    with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
+        extract_d2k(three_cycle(), "d2x")
+
+
+def test_edge_count_counts_an_off_diagonal_pair_twice():
+    # the stub total counts an off-diagonal pair twice and a diagonal one
+    # once, whichever orientation it was given in
+    o1, o2 = CellKey("out", 1), CellKey("out", 2)
+    for jdam in ({(o2, o1): 3}, {(o1, o2): 3}, {(o1, o2): 3, (o2, o1): 3}):
+        assert D2KTargets("d2k", [(0, 1), (0, 2)], jdam).m == 3
+    assert D2KTargets("d2k", [(0, 1)] * 2, {(o1, o1): 4}).m == 2
 
 
 def test_edge_count_of_an_odd_stub_total_raises():
