@@ -357,7 +357,8 @@ def betweenness_stack_walk(g: DirectedGraph, sources, scale: float) \
 
 
 # ---------------------------------------------------------------------------
-# oracle: components by reachability closure, cores by definition
+# oracle: components by reachability closure, cores by peeling and by
+# definition
 
 def scc_bruteforce(g: DirectedGraph) -> dict[int, int]:
     n = g.n
@@ -386,6 +387,40 @@ def _reachable(g: DirectedGraph, s: int):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def core_numbers_peel(g: DirectedGraph) -> list[int]:
+    """Core numbers by Batagelj and Zaversnik's O(m) peel, one node at a
+    time: vert lists the nodes by current core, pos is each node's place
+    in it and bins[d] the start of core d there."""
+    n = g.n
+    nbrs = [set() for _ in range(n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    core = [len(s) for s in nbrs]
+    vert = sorted(range(n), key=core.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(vert):
+        pos[v] = i
+    bins = [0] * (max(core, default=0) + 2)
+    for d in core:
+        bins[d + 1] += 1
+    for d in range(1, len(bins)):
+        bins[d] += bins[d - 1]
+    for i in range(n):
+        v = vert[i]
+        for u in nbrs[v]:
+            if core[u] > core[v]:
+                du, pu = core[u], pos[u]
+                pw = bins[du]
+                w = vert[pw]
+                if u != w:
+                    pos[u], pos[w] = pw, pu
+                    vert[pu], vert[pw] = w, u
+                bins[du] += 1
+                core[u] -= 1
+    return core
 
 
 def core_numbers_bruteforce(g: DirectedGraph) -> list[int]:

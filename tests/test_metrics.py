@@ -9,16 +9,18 @@ import pytest
 
 from conftest import (avg_neighbor_degree_loop, betweenness_bruteforce,
                       betweenness_stack_walk, core_numbers_bruteforce,
-                      dsp_bruteforce, expansion_bruteforce, out_lists,
-                      random_digraph, scc_bruteforce, triad_census_bruteforce)
+                      core_numbers_peel, dsp_bruteforce, expansion_bruteforce,
+                      out_lists, random_digraph, scc_bruteforce,
+                      triad_census_bruteforce)
 from d2k import (D2KError, DirectedGraph, MetricsConfig, UmanTargets,
                  avg_neighbor_degree, dsp, dyad_census, expansion,
                  extract_uman, from_edge_list, metrics, structural_suite,
                  triad_census)
 from d2k.metrics import (EIGEN_OPERATORS, HISTOGRAM, TRIAD_NAMES, Counts,
                          Means, Values, betweenness_values,
-                         core_number_histogram, scc_size_histogram,
-                         shortest_path_histogram, top_eigenvalues)
+                         core_number_histogram, core_numbers,
+                         scc_size_histogram, shortest_path_histogram,
+                         top_eigenvalues)
 
 
 def three_cycle():
@@ -61,6 +63,31 @@ def hub_star():
                                    (12, 6)])
 
 
+def hub_digraph(rng, n, hubs):
+    """Hubs joined to most nodes by an out-arc, an in-arc or a mutual pair,
+    over random arcs that are mutual half the time; adjacency lists in
+    random order.  A hub's row reaches most nodes in one level, so one
+    frontier node has many tails, and most wedges read mutual dyads."""
+    adj = [set() for _ in range(n)]
+    for h in range(hubs):
+        for v in range(hubs, n):
+            if rng.random() < 0.8:
+                kind = rng.randrange(3)
+                if kind != 1:
+                    adj[h].add(v)
+                if kind != 0:
+                    adj[v].add(h)
+    for _ in range(n):
+        u, v = rng.sample(range(n), 2)
+        adj[u].add(v)
+        if rng.random() < 0.5:
+            adj[v].add(u)
+    adj = [list(nbrs) for nbrs in adj]
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return DirectedGraph(n, adj)
+
+
 def layered(layers, width):
     """Layers of `width` nodes, every arc between consecutive layers:
     width**(layers - 2) shortest paths from the first layer to the last."""
@@ -71,12 +98,13 @@ def layered(layers, width):
 
 def kernel_graphs(seed):
     """Shuffled random digraphs, the edge cases, one arc on two nodes, the
-    complete digraph and the hub star."""
+    complete digraph, the hub star and hub-heavy digraphs."""
     rng = random.Random(seed)
     graphs = [shuffled_digraph(rng, rng.randint(8, 20), rng.uniform(0.05, 0.6))
               for _ in range(6)]
     return graphs + edge_case_graphs() + [
-        from_edge_list([(0, 1)]), complete_digraph(5), hub_star()]
+        from_edge_list([(0, 1)]), complete_digraph(5), hub_star(),
+        hub_digraph(rng, 16, 1), hub_digraph(rng, 24, 3)]
 
 
 # -- censuses ----------------------------------------------------------------
@@ -238,13 +266,20 @@ def test_kcore_complete_graph():
 
 
 def test_kcore_matches_bruteforce():
+    # the path peels one node from each end per round
     rng = random.Random(22)
-    for _ in range(8):
-        g = random_digraph(rng, 25, rng.uniform(0.05, 0.3))
+    graphs = [random_digraph(rng, 25, rng.uniform(0.05, 0.3))
+              for _ in range(8)]
+    path = from_edge_list([(v, v + 1) if v % 3 else (v + 1, v)
+                           for v in range(40)])
+    for g in graphs + kernel_graphs(35) + [path]:
+        want = core_numbers_bruteforce(g)
+        assert core_numbers(g) == core_numbers_peel(g) == want
         hist: dict[int, int] = {}
-        for c in core_numbers_bruteforce(g):
+        for c in want:
             hist[c] = hist.get(c, 0) + 1
         assert core_number_histogram(g) == hist
+    assert core_numbers(path) == [1] * 41
 
 
 def test_paths_three_cycle():
@@ -374,6 +409,19 @@ def test_betweenness_in_source_blocks_matches_stack_walk(monkeypatch,
             sample = random.Random(g.n).sample(range(g.n), 5)
             assert not meta["exact"] and meta["sources"] == 5
             assert values == betweenness_stack_walk(g, sample, g.n / 5)
+
+
+def test_betweenness_at_the_default_block_matches_stack_walk():
+    # hub-heavy digraphs with more nodes than fit one block of sources, so
+    # the default block holds a part of them and the last block is short
+    rng = random.Random(34)
+    for n in (300, 700):
+        g = hub_digraph(rng, n, 4)
+        step = metrics._BETWEENNESS_BLOCK // n
+        assert 1 < step < n and n % step
+        values, meta = betweenness_values(g, exact_nodes=n)
+        assert meta["exact"]
+        assert values == betweenness_stack_walk(g, range(n), 1.0)
 
 
 def test_betweenness_path_count_overflow_is_a_typed_error():
@@ -838,12 +886,19 @@ def test_count_distances_match_fraction_reference():
 
 
 def test_value_distances_match_fraction_reference():
+    # random samples, then repeated values, values shared by the two sides,
+    # empty instances and empty sides
     rng = random.Random(29)
     pool = (0.0, 0.25, 1 / 3, 0.5, 2.0, 7.5)
-    for _ in range(400):
-        orig = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
-        insts = [[rng.choice(pool) for _ in range(rng.randint(0, 12))]
-                 for _ in range(rng.randint(1, 4))]
+    cases = [([rng.choice(pool) for _ in range(rng.randint(0, 12))],
+              [[rng.choice(pool) for _ in range(rng.randint(0, 12))]
+               for _ in range(rng.randint(1, 4))]) for _ in range(400)]
+    cases += [([], [[], []]), ([], [[0.5], []]), ([0.5, 0.5], [[], []]),
+              ([1.0] * 4, [[1.0] * 3, [1.0]]),
+              ([0.0, 0.5, 0.5, 2.0], [[0.5, 0.5, 0.5], [2.0, 0.0]]),
+              ([2.0, 0.25], [[0.25], [0.25, 2.0, 2.0], []]),
+              (list(range(9)), [[4.0, 4.0, 9.0], [0.0]])]
+    for orig, insts in cases:
         pooled = [x for values in insts for x in values]
         assert Values().ensemble(orig, insts) == _ref_ks_distance(orig, pooled)
         assert Values().distance(orig, insts[0]) == \
