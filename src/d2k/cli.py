@@ -73,10 +73,10 @@ def _generate_one(target_path: str, seed: int, out_path: str,
     return out_path
 
 
-def _checked_model(args) -> str | None:
-    """The target's model, or None once the report of an unrealizable
-    d2k/d2km target is on stderr.  Each job loads the target again, so
-    this copy is freed before the first job runs."""
+def _checked_model(args) -> str:
+    """The target's model; NotRealizableError for an unrealizable d2k/d2km
+    target.  Each job loads the target again, so this copy is freed before
+    the first job runs."""
     t = files.load_targets(args.target)
     if args.swap_rounds is not None and t.model != "d1k":
         raise ValueError(f"--swap-rounds applies to d1k targets only, "
@@ -84,8 +84,7 @@ def _checked_model(args) -> str | None:
     if isinstance(t, targets.D2KTargets):
         report = check(t)
         if not report.realizable:
-            print(report.to_text(), file=sys.stderr)
-            return None
+            raise NotRealizableError(report)
     return t.model
 
 
@@ -94,8 +93,6 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     workers = _worker_count()
     model = _checked_model(args)
-    if model is None:
-        return EXIT_UNREALIZABLE
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(args.target), args.seed + i,

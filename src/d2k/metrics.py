@@ -11,8 +11,8 @@ spectrum run on one sparse adjacency matrix, built once per graph (scipy,
 imported inside those functions only, so loading the package for
 extraction or generation does not pay for it).  The directed spectrum is
 solved on the cube of that matrix, whose crowded top magnitudes lie three
-times further apart, and the matrix's own eigenvalues are recovered from
-the Ritz vectors.
+times further apart, and the matrix's own eigenvalues are recovered by one
+Rayleigh-Ritz step on the span of each Ritz vector x, A x and A^2 x.
 Expansion counts the second hop on the same matrix's square.  Betweenness,
 the triad census, core numbers, neighbour degrees and degree histograms
 are numpy kernels over the graph's CSR arrays; the triad census and the
@@ -410,40 +410,8 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
 
 EIGEN_OPERATORS = ("directed", "symmetrized")
 _COINCIDE = 1e-10       # relative distance of Ritz values taken as one
-_RANK_CUT = 1e-8        # share of its terms' norms a projection must keep
-_RESIDUAL = 1e-10       # ||b q - theta q|| allowed, relative to max(|theta|, 1)
-
-# The recovery uses numpy ufuncs and b's real product only: LAPACK, the
-# BLAS or the complex sparse product paged in 0.3-1.6 MiB more library
-# code, which stays in census-compare's peak RSS.
-
-
-def _norm(y: np.ndarray):
-    """Euclidean norm of a complex y, per row when y is a matrix."""
-    y = y.view(np.float64)
-    return np.sqrt((y * y).sum(axis=-1))
-
-
-def _orthonormal(vectors: np.ndarray, images: np.ndarray, floors) \
-        -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gram-Schmidt over the rows of vectors, dropping each one whose
-    remainder's norm is at most its floor; each basis vector comes with the
-    same combination of the rows of images."""
-    basis: list[tuple[np.ndarray, np.ndarray]] = []
-    for y, image, floor in zip(vectors, images, floors):
-        for q, bq in basis:
-            c = (q.conj() * y).sum()
-            y, image = y - c * q, image - c * bq
-        norm = _norm(y)
-        if norm > floor:
-            basis.append((y / norm, image / norm))
-    return basis
-
-
-def _cube_roots(mu: complex) -> list[complex]:
-    r, phi = abs(mu) ** (1 / 3), math.atan2(mu.imag, mu.real)
-    return [r * complex(math.cos(a), math.sin(a))
-            for a in ((phi + 2 * math.pi * j) / 3 for j in range(3))]
+_RANK_CUT = 1e-8        # singular values kept, relative to the largest
+_RESIDUAL = 1e-10       # ||b z - theta z|| allowed, relative to max(|theta|, 1)
 
 
 def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
@@ -453,25 +421,24 @@ def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
     roots, and a strong component whose period is divisible by 3 has a
     spectrum invariant under rotation by a cube root of 1: then mu's Ritz
     vectors mix the eigenvectors of the rotated values.  Since b**3 x = mu x,
-    the columns of x, b x and b**2 x span a b-invariant subspace, and
-    lam**2 x + lam b x + b**2 x is 3 lam**2 times x's part in the
-    eigenspace of the root lam; its image under b is lam**2 b x +
-    lam b**2 x + b**3 x, so x, b x, b**2 x and b**3 x, taken once, give
-    every projection and its image.  The Ritz vectors of coinciding values
-    are projected together; each vector q of an orthonormal basis of a
-    projection (a vector is dropped at _RANK_CUT of its terms' norms) gives
-    theta = q^H b q, kept when ||b q - theta q|| is at most _RESIDUAL.
-    b is real, so each conjugate pair is solved from its member with
-    Im mu > 0 and gives the conjugate values too (a lone Im mu < 0, which
-    eigs leaves at the bottom when it splits the last pair, is dropped).
+    the columns of x, b x and b**2 x span a b-invariant subspace, and one
+    Rayleigh-Ritz step on it gives the eigenvalues b has there.  The Ritz
+    vectors of coinciding values are taken together: q is an orthonormal
+    basis of their span (singular values at most _RANK_CUT of the largest
+    dropped), b q is read off the columns of b x, b**2 x and b**3 x, and
+    each eigenpair (theta, w) of q^H b q is kept when z = q w has
+    ||b z - theta z|| at most _RESIDUAL.  b is real, so each conjugate pair
+    is solved from its member with Im mu > 0 and gives the conjugate values
+    too (a lone Im mu < 0, which eigs leaves at the bottom when it splits
+    the last pair, is dropped).
     """
+    from scipy.linalg import eig, svd
     upper = mu.imag >= 0
     mu, y = mu[upper], x[:, upper]
-    powers = [y.T.copy()]              # row i: b**p times mu[i]'s vector
+    powers = [y]                       # b**p times the vectors, p = 0..3
     for _ in range(3):
         y = b @ y.real + 1j * (b @ y.imag)
-        powers.append(y.T.copy())
-    norms = [_norm(z) for z in powers[:3]]
+        powers.append(y)
     thetas: list[complex] = []
     left = np.ones(len(mu), dtype=bool)
     for i in range(len(mu)):
@@ -479,16 +446,18 @@ def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
             continue
         group = left & (abs(mu - mu[i]) <= _COINCIDE * abs(mu[i]))
         left &= ~group
-        x0, x1, x2, x3 = (z[group] for z in powers)
-        n0, n1, n2 = (z[group] for z in norms)
-        for lam in _cube_roots(complex(mu[i])):
-            floors = _RANK_CUT * (abs(lam) ** 2 * n0 + abs(lam) * n1 + n2)
-            for q, bq in _orthonormal((lam * x0 + x1) * lam + x2,
-                                      (lam * x1 + x2) * lam + x3, floors):
-                theta = (q.conj() * bq).sum()
-                if _norm(bq - theta * q) <= _RESIDUAL * max(abs(theta), 1):
-                    thetas += [theta, theta.conjugate()] if mu[i].imag \
-                        else [theta]
+        span, image = (np.hstack([z[:, group] for z in part])
+                       for part in (powers[:3], powers[1:]))
+        u, s, vh = svd(span, full_matrices=False)
+        keep = s > _RANK_CUT * s[0]
+        # the full product, then the kept columns: a one-column complex
+        # product is a zgemv, which OpenBLAS splits over its threads (8 ms
+        # a call on a 2-core host, against 0.03 ms for the full product)
+        q, bq = u[:, keep], (image @ vh.conj().T)[:, keep] / s[keep]
+        theta, w = eig(q.conj().T @ bq)
+        residual = np.linalg.norm(bq @ w - q @ w * theta, axis=0)
+        for t in theta[residual <= _RESIDUAL * np.maximum(abs(theta), 1)]:
+            thetas += [t, t.conjugate()] if mu[i].imag else [t]
     return thetas
 
 

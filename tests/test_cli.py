@@ -6,8 +6,9 @@ import random
 import pytest
 
 from conftest import random_digraph
-from d2k import (CellKey, D2KTargets, TargetStructureError, extract_d2k,
-                 from_edge_list, load_targets, read_edge_list, write_edge_list)
+from d2k import (CellKey, D2KTargets, TargetStructureError, check, extract_d2k,
+                 from_edge_list, load_metrics_report, load_targets,
+                 read_edge_list, write_edge_list)
 from d2k.cli import main
 
 
@@ -64,14 +65,23 @@ def test_check_exit_2_on_broken_target(tmp_path, capsys):
         json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
-def test_generate_exit_2_on_unrealizable(tmp_path):
+def test_generate_exit_2_on_unrealizable(tmp_path, capsys):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "t.json"
     main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
     obj = json.loads(target_path.read_text())
     obj["jdam"][0]["count"] += 1
     target_path.write_text(json.dumps(obj))
+    capsys.readouterr()
     assert main(["generate", str(target_path), "-o", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    violations = check(load_targets(target_path)).violations
+    assert out == "" and violations
+    assert err.startswith("target is not realizable:\n")
+    for v in violations:
+        assert f"  [{v.condition}] {v.message}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_exit_2_on_non_graphical_d1k_target(tmp_path, capsys):
@@ -323,6 +333,22 @@ def test_measure_and_compare(tmp_path, capsys):
     # exactness: degree and degree-correlation distances are exactly zero
     assert report["metrics"]["degrees"]["ensemble_distance"] == 0.0
     assert report["metrics"]["degree_correlation"]["ensemble_distance"] == 0.0
+
+
+def test_measure_and_compare_eigen_k_0(tmp_path):
+    graph_path, _ = write_graph(tmp_path)
+    metrics_path = tmp_path / "metrics.json"
+    assert main(["measure", str(graph_path), "--metrics", "eigenvalues",
+                 "--eigen-k", "0", "-o", str(metrics_path)]) == 0
+    report = load_metrics_report(metrics_path)
+    assert report.values == {"eigenvalues": []}
+    assert report.meta["eigenvalues"]["method"] == "none"
+    compare_path = tmp_path / "compare.json"
+    assert main(["compare", str(graph_path), str(graph_path), "--metrics",
+                 "eigenvalues", "--eigen-k", "0", "-o", str(compare_path)]) == 0
+    row = json.loads(compare_path.read_text())["metrics"]["eigenvalues"]
+    assert row == {"ensemble_distance": 0.0, "instance_distance_mean": 0.0,
+                   "instance_distance_std": 0.0}
 
 
 def test_unknown_metric_name_exit_1(tmp_path):

@@ -273,6 +273,13 @@ def test_compare_detects_differences():
     assert out["metrics"]["degrees"]["ensemble_distance"] > 0
 
 
+def test_compare_needs_an_instance():
+    g = random_digraph(random.Random(36), 5, 0.5)
+    r = structural_suite(g, MetricsConfig(metrics=("degrees",)))
+    with pytest.raises(ValueError, match="at least one generated instance"):
+        build_compare_report(r, [])
+
+
 def test_metric_csvs(tmp_path):
     rng = random.Random(36)
     g = random_digraph(rng, 15, 0.2)

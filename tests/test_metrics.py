@@ -214,6 +214,11 @@ def test_expansion_matches_bruteforce():
                 expansion_bruteforce(g, direction)
 
 
+def test_expansion_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction 'both'"):
+        expansion(three_cycle(), "both")
+
+
 # -- average neighbor degree -------------------------------------------------
 
 def test_avg_neighbor_degree_three_cycle():
@@ -231,6 +236,12 @@ def test_avg_neighbor_degree_mixed():
     assert avg_neighbor_degree(g, "in", "out")[2] == Fraction(1)
     # out-side grouping with out-degree 1 sources: targets' in-degrees 2,2,1
     assert avg_neighbor_degree(g, "out", "in") == {1: Fraction(5, 3)}
+
+
+@pytest.mark.parametrize("sides", [("out", "both"), ("up", "in")])
+def test_avg_neighbor_degree_unknown_side(sides):
+    with pytest.raises(ValueError, match="sides must be 'in' or 'out'"):
+        avg_neighbor_degree(three_cycle(), *sides)
 
 
 def test_avg_neighbor_degree_matches_edge_walk_in_key_order():
@@ -450,6 +461,13 @@ def test_eigenvalue_operator_checked_before_the_empty_answer():
     for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
         with pytest.raises(ValueError):
             top_eigenvalues(g, k=k, operator="bogus")
+
+
+@pytest.mark.parametrize("operator", EIGEN_OPERATORS)
+def test_eigenvalues_of_no_nodes_or_k_0_are_empty(operator):
+    for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
+        assert top_eigenvalues(g, k=k, operator=operator) == \
+            ([], {"method": "none", "operator": operator, "k": 0})
 
 
 def _dense_magnitudes(g, k: int, operator: str = "directed") -> list[float]:
@@ -705,6 +723,46 @@ def test_recovery_takes_close_copies_of_a_cube_as_one():
         got = metrics._roots_of_cube(csr_matrix(a), mu, np.array(x).T)
         assert sorted(got, key=lambda z: z.imag) == \
             pytest.approx(want, rel=1e-12)
+
+
+def test_recovery_of_a_conjugate_pair():
+    # a real matrix's complex eigenvalue lam: the member of (lam**3,
+    # conj(lam**3)) with Im > 0 gives lam and conj(lam), once each; the
+    # member with Im < 0 alone gives nothing
+    from scipy.sparse import csr_matrix
+    size, edges = _strong(random.Random(45), 20, 0.12)
+    a = np.zeros((size, size))
+    for u, v in edges:
+        a[u, v] = 1.0
+    vals, vecs = np.linalg.eig(a)
+    i = max(np.flatnonzero(vals.imag > 1e-6), key=lambda j: abs(vals[j]))
+    lam, v = vals[i], vecs[:, i]
+    mu = np.array([lam ** 3, np.conj(lam ** 3)])
+    x = np.array([v, v.conj()]).T
+    got = metrics._roots_of_cube(csr_matrix(a), mu, x)
+    assert sorted(got, key=lambda z: z.imag) == \
+        pytest.approx([lam.conjugate(), lam], rel=1e-12)
+    lower = int(np.argmin(mu.imag))
+    assert metrics._roots_of_cube(csr_matrix(a), mu[[lower]],
+                                  x[:, [lower]]) == []
+
+
+def test_recovery_splits_a_real_vector_that_mixes_three_rotations():
+    from scipy.sparse import csr_matrix
+    size, edges = _layered(random.Random(44), 3, 10, 0.2)
+    a = np.zeros((size, size))
+    for u, v in edges:
+        a[u, v] = 1.0
+    vals, vecs = np.linalg.eig(a)
+    rho = vals[np.argmax(vals.real)].real                  # the Perron root
+    omega = complex(-0.5, math.sqrt(3) / 2)
+    mixed = sum(vecs[:, np.argmin(abs(vals - rho * w))]
+                for w in (1, omega, omega.conjugate()))
+    assert not mixed.imag.any()
+    got = metrics._roots_of_cube(csr_matrix(a), np.array([rho ** 3 + 0j]),
+                                 (mixed / np.linalg.norm(mixed))[:, None])
+    assert sorted(got, key=lambda z: z.imag) == pytest.approx(
+        [rho * omega.conjugate(), rho, rho * omega], rel=1e-12)
 
 
 def test_eigenvalue_solve_that_does_not_converge_is_a_typed_error(monkeypatch):
