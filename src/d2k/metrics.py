@@ -6,17 +6,19 @@ betweenness, eigenvalues) switch to seeded sampling or iterative solvers
 above configurable size thresholds, with the switch recorded in the
 report metadata.
 
-Shared partners, shortest paths, strongly connected components and the
-spectrum run on one sparse adjacency matrix, built once per graph (scipy,
-imported inside those functions only, so loading the package for
-extraction or generation does not pay for it).  The directed spectrum is
-solved on the cube of that matrix, whose crowded top magnitudes lie three
-times further apart, and the matrix's own eigenvalues are recovered by one
-Rayleigh-Ritz step on the span of each Ritz vector x, A x and A^2 x.
-Expansion counts the second hop on the same matrix's square.  Betweenness,
-the triad census, core numbers, neighbour degrees and degree histograms
-are numpy kernels over the graph's CSR arrays; the triad census and the
-core numbers read the symmetrized graph built from those arrays.
+Shared partners, strongly connected components and the spectrum run on
+one sparse adjacency matrix, built once per graph (scipy, imported inside
+those functions only, so loading the package for extraction or generation
+does not pay for it).  The directed spectrum is solved on the cube of that
+matrix, whose crowded top magnitudes lie three times further apart, and
+the matrix's own eigenvalues are recovered by one Rayleigh-Ritz step on
+the span of each Ritz vector x, A x and A^2 x.  Expansion counts the
+second hop on the same matrix's square.  The triad census, the core
+numbers and the symmetrized spectrum read one symmetrized matrix, a + 2 a^T
+of that matrix a, whose entries hold their dyads' arc bits.  Shortest
+paths and betweenness share one level-synchronous breadth-first search of
+blocks of sources, a numpy kernel over the graph's CSR arrays, as are
+neighbour degrees and degree histograms.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import D2KError
-from .graph import DirectedGraph, _contains, _tails
+from .graph import DirectedGraph, _tails
 from .targets import extract_d2k, extract_uman
 
 
@@ -60,13 +62,15 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) \
         np.repeat(starts - ends + counts, counts), counts
 
 
-def _undirected(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(arcs, und): the sorted keys u * n + v of g's arcs, and those of the
-    symmetrized simple graph, both orientations of each connected pair."""
-    indptr, heads = g.csr()
-    tails = _tails(indptr)
-    arcs = np.sort(tails * g.n + heads)
-    return arcs, np.unique(np.concatenate([arcs, heads * g.n + tails]))
+def _symmetrized(g: DirectedGraph):
+    """The symmetrized simple graph of g as the CSR matrix a + 2 a^T of its
+    adjacency matrix a, with sorted column indices: the entry (u, v) holds
+    its dyad's arc bits, 1 for u -> v and 2 for v -> u, so the pattern is
+    symmetric."""
+    a = _adjacency(g)
+    s = a + 2 * a.T
+    s.sort_indices()
+    return s
 
 
 def _histogram(values) -> dict[int, int]:
@@ -114,11 +118,10 @@ def triad_census(g: DirectedGraph) -> dict[str, int]:
     counted from the closed wedges, and "003" is what is left.
     """
     n = g.n
-    arcs, und = _undirected(g)
-    owner, nbr = und // n, und % n
-    deg = np.bincount(owner, minlength=n)
-    dyad = (_contains(arcs, und).astype(np.uint8)
-            | _contains(arcs, nbr * n + owner).astype(np.uint8) << 1)
+    s = _symmetrized(g)
+    owner, nbr = _tails(s.indptr), s.indices.astype(np.int64)
+    deg, dyad = np.diff(s.indptr), s.data
+    und = owner * n + nbr               # the entries' keys, sorted
     # entry e of row c makes a wedge with each later entry of row c
     later = deg.cumsum()[owner] - np.arange(und.size) - 1
     wedge_end = later.cumsum()
@@ -239,19 +242,63 @@ def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # paths, components, cores, betweenness, spectrum
 
-_PATH_BLOCK = 1 << 18          # distances per shortest_path call (2 MiB)
-# source x node entries per betweenness block: at n = 2.3k, 2**16 entries
-# (28 sources) took 0.76 of the time of 2**14 and peaked at 3.9 MiB of
-# traced memory against 1.1 MiB
+# source x node entries per block of the paths and betweenness searches:
+# at n = 2.3k, 2**16 entries (28 sources) took 0.76 of the betweenness time
+# of 2**14 and peaked at 3.9 MiB of traced memory against 1.1 MiB
 _BETWEENNESS_BLOCK = 1 << 16
 
 
 def _sources(n: int, exact_nodes: int, count: int, seed: int) -> list[int]:
     """Every node when n <= exact_nodes, otherwise a seeded sample of
-    count of them."""
+    count of them; count must be at least 1 either way."""
+    if count < 1:
+        raise ValueError(f"the source count must be at least 1, got {count}")
     if n <= exact_nodes:
         return list(range(n))
     return random.Random(seed).sample(range(n), min(count, n))
+
+
+def _source_blocks(n: int, sources: list[int]):
+    """sources in blocks of at most _BETWEENNESS_BLOCK source x node
+    entries (one source at least), as int64 arrays."""
+    step = max(1, _BETWEENNESS_BLOCK // max(n, 1))
+    for i in range(0, len(sources), step):
+        yield np.array(sources[i:i + step], dtype=np.int64)
+
+
+def _levels(g: DirectedGraph, block: np.ndarray):
+    """One level-synchronous breadth-first search from every source of
+    block, over flat keys b * n + v.  For d = 1, 2, ... while the frontier
+    is not empty, yields (frontier, tail, head, below): the nodes at
+    distance d - 1, the shortest-path DAG arcs into distance d as
+    positions in frontier and in below, and the nodes first reached at
+    distance d.  A frontier is in stack order per source: its out-arcs are
+    gathered in adjacency-list order and a new node is claimed by the
+    least position that reaches it.
+    """
+    n = g.n
+    indptr, indices = g.csr()
+    seen = np.zeros(len(block) * n, dtype=bool)
+    # position in its level; before a node is reached, the least position
+    # among its level's arcs that reach it
+    rank = np.full(seen.size, np.iinfo(np.int64).max)
+    frontier = np.arange(len(block), dtype=np.int64) * n + block
+    seen[frontier] = True
+    rank[frontier] = np.arange(frontier.size)
+    while frontier.size:
+        v = frontier % n
+        pos, counts = _row_entries(indptr, v)
+        tail = np.repeat(np.arange(frontier.size), counts)
+        head = np.repeat(frontier - v, counts) + indices[pos]
+        dag = ~seen[head]
+        fresh = head[dag]
+        at = np.arange(fresh.size)
+        np.minimum.at(rank, fresh, at)
+        below = fresh[rank[fresh] == at]
+        seen[below] = True
+        rank[below] = np.arange(below.size)
+        yield frontier, tail[dag], rank[fresh], below
+        frontier = below
 
 
 def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
@@ -260,22 +307,15 @@ def shortest_path_histogram(g: DirectedGraph, sample_sources: int = 100,
     """Histogram of finite shortest-path lengths over ordered pairs.
 
     All sources when n <= exact_nodes, otherwise a seeded source sample.
-    The breadth-first searches run in blocks of sources, each block's
-    sources x n distance array at most _PATH_BLOCK entries; its rows are
-    binned one at a time, unreachable pairs moved into the dropped d = 0
-    bin in place.
+    The searches are betweenness_values's, in the same source blocks: the
+    pairs at distance d are the nodes first reached at level d.
     """
-    from scipy.sparse.csgraph import shortest_path
     n = g.n
     sources = _sources(n, exact_nodes, sample_sources, seed)
-    a = _adjacency(g)
-    step = max(1, _PATH_BLOCK // max(n, 1))
-    counts = np.zeros(n, dtype=np.int64)          # counts[d]: pairs at d
-    for i in range(0, len(sources), step):
-        for row in shortest_path(a, unweighted=True,
-                                 indices=sources[i:i + step]):
-            row[row == np.inf] = 0
-            counts += np.bincount(row.astype(np.int64), minlength=n)
+    counts = np.zeros(n + 1, dtype=np.int64)      # counts[d]: pairs at d <= n
+    for block in _source_blocks(n, sources):
+        for d, (*_, below) in enumerate(_levels(g, block), 1):
+            counts[d] += below.size
     hist = {d: c for d, c in enumerate(counts.tolist()) if d and c}
     meta = {"sampled": n > exact_nodes, "sources": len(sources), "seed": seed}
     return hist, meta
@@ -293,10 +333,8 @@ def core_numbers(g: DirectedGraph) -> list[int]:
     k-core is not uniquely defined; symmetrization is the conventional
     reading and is recorded in report metadata)."""
     n = g.n
-    und = _undirected(g)[1]
-    nbr = und % n
-    deg = np.bincount(und // n, minlength=n)
-    indptr = np.concatenate([[0], deg.cumsum()])
+    s = _symmetrized(g)
+    nbr, deg = s.indices, np.diff(s.indptr)
     # peeling rounds: level k starts at the least degree left, each round
     # removes every node left with at most k neighbours left, and only the
     # removed nodes' neighbours can join the next round
@@ -309,7 +347,7 @@ def core_numbers(g: DirectedGraph) -> list[int]:
         while peel.size:
             core[peel] = k
             alive[peel] = False
-            touched = nbr[_row_entries(indptr, peel)[0]]
+            touched = nbr[_row_entries(s.indptr, peel)[0]]
             touched = touched[alive[touched]]
             np.subtract.at(deg, touched, 1)
             peel = np.unique(touched[deg[touched] <= k])
@@ -321,61 +359,6 @@ def core_number_histogram(g: DirectedGraph) -> dict[int, int]:
     return _histogram(core_numbers(g))
 
 
-def _dependencies(indptr: np.ndarray, indices: np.ndarray, n: int,
-                  block: np.ndarray) -> np.ndarray:
-    """Brandes's dependencies delta[b, v] of the sources of block on every
-    node: one level-synchronous breadth-first search of all of them.
-
-    The entries are flat keys b * n + v.  A level's frontier is in stack
-    order per source: its out-arcs are gathered in adjacency-list order and
-    the new nodes kept in order of first occurrence, each node claimed by
-    the least position that reaches it.  The dependencies are summed level
-    by level from the deepest, each delta[v] over the arcs v -> w in
-    decreasing stack position of w, as a per-source stack walk sums them.
-    Path counts are float64, exact below 2**53.
-    """
-    size = len(block) * n
-    dist = np.full(size, -1, dtype=np.int64)
-    # position in its level; before a node is reached, the least position
-    # among its level's arcs that reach it
-    rank = np.full(size, np.iinfo(np.int64).max)
-    sigma = np.zeros(size)
-    frontier = np.arange(len(block), dtype=np.int64) * n + block
-    dist[frontier] = 0
-    rank[frontier] = np.arange(frontier.size)
-    sigma[frontier] = 1.0
-    levels = []
-    d = 0
-    while frontier.size:
-        d += 1
-        v = frontier % n
-        pos, counts = _row_entries(indptr, v)
-        tail = np.repeat(frontier, counts)
-        head = np.repeat(frontier - v, counts) + indices[pos]
-        fresh = head[dist[head] < 0]
-        at = np.arange(fresh.size)
-        np.minimum.at(rank, fresh, at)
-        below = fresh[rank[fresh] == at]
-        dist[below] = d
-        rank[below] = np.arange(below.size)
-        dag = dist[head] == d
-        tail, head = tail[dag], head[dag]
-        sigma[below] = np.bincount(rank[head], weights=sigma[tail],
-                                   minlength=below.size)
-        if not np.isfinite(sigma[below]).all():
-            raise D2KError("betweenness: a shortest-path count exceeds the "
-                           "float64 range")
-        order = np.argsort(-rank[head], kind="stable")
-        levels.append((frontier, tail[order], head[order]))
-        frontier = below
-    delta = np.zeros(size)
-    for above, tail, head in reversed(levels):
-        coeff = (1.0 + delta[head]) / sigma[head]
-        delta[above] = np.bincount(rank[tail], weights=sigma[tail] * coeff,
-                                   minlength=above.size)
-    return delta.reshape(len(block), n)
-
-
 def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
                        pivots: int = 100, seed: int = 1) \
         -> tuple[list[float], dict]:
@@ -383,24 +366,41 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     normalized by (n-1)(n-2) when n > 2.
 
     Exact below the node threshold, otherwise estimated from a seeded
-    pivot sample scaled by n / #pivots.  The sources run in blocks of at
-    most _BETWEENNESS_BLOCK source x node entries.  Shortest-path counts
-    are float64, as in networkx: exact below 2**53, and in the last bits
-    of the values above it.  A count beyond the float64 range raises
-    D2KError.
+    pivot sample scaled by n / #pivots.  Each block of sources runs one
+    _levels search.  Its path counts are summed level by level over the
+    DAG arcs, and its dependencies level by level from the deepest, each
+    delta[v] over the arcs v -> w in decreasing stack position of w, as a
+    per-source stack walk sums them.  Shortest-path counts are float64, as
+    in networkx: exact below 2**53, and in the last bits of the values
+    above it.  A count beyond the float64 range raises D2KError.
     """
     n = g.n
     sources = _sources(n, exact_nodes, pivots, seed)
     exact = n <= exact_nodes
     scale = 1.0 if exact else n / len(sources)
-    indptr, indices = g.csr()
     bc = np.zeros(n)
-    step = max(1, _BETWEENNESS_BLOCK // max(n, 1))
-    for i in range(0, len(sources), step):
-        block = np.array(sources[i:i + step], dtype=np.int64)
-        for s, delta in zip(block, _dependencies(indptr, indices, n, block)):
-            delta[s] = 0.0
-            bc += delta * scale
+    for block in _source_blocks(n, sources):
+        sigma = np.ones(len(block))     # path counts of the frontier
+        levels = []
+        for frontier, tail, head, below in _levels(g, block):
+            reached = np.bincount(head, weights=sigma[tail],
+                                  minlength=below.size)
+            if not np.isfinite(reached).all():
+                raise D2KError("betweenness: a shortest-path count exceeds "
+                               "the float64 range")
+            order = np.argsort(-head, kind="stable")
+            levels.append((frontier, sigma, reached, tail[order], head[order]))
+            sigma = reached
+        delta = np.zeros(len(block) * n)
+        deeper = np.zeros(0)            # dependencies of the level below
+        for frontier, sigma, reached, tail, head in reversed(levels):
+            coeff = (1.0 + deeper[head]) / reached[head]
+            deeper = np.bincount(tail, weights=sigma[tail] * coeff,
+                                 minlength=frontier.size)
+            delta[frontier] = deeper
+        for s, row in zip(block, delta.reshape(len(block), n)):
+            row[s] = 0.0
+            bc += row * scale
     if n > 2:
         bc /= (n - 1) * (n - 2)
     meta = {"exact": exact, "sources": len(sources),
@@ -488,14 +488,16 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     """
     if operator not in EIGEN_OPERATORS:
         raise ValueError(f"unknown eigenvalue operator {operator!r}")
+    if k < 0:
+        raise ValueError(f"k must not be negative, got {k}")
     n = g.n
     k = min(k, n)
     if n == 0 or k == 0:
         return [], {"method": "none", "operator": operator, "k": 0}
     from scipy.sparse.csgraph import connected_components
     symmetrize = operator == "symmetrized"
-    a = _adjacency(g)
-    a = ((a + a.T) > 0 if symmetrize else a).astype(np.float64)
+    a = _symmetrized(g) > 0 if symmetrize else _adjacency(g)
+    a = a.astype(np.float64)
     _, labels = connected_components(a, directed=True, connection="strong")
     keep = np.flatnonzero(np.bincount(labels)[labels] >= 2)
     b = a[keep][:, keep]

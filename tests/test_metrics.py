@@ -165,6 +165,26 @@ def test_triad_census_in_wedge_chunks_matches_bruteforce(monkeypatch, chunk):
         assert triad_census(g) == triad_census_bruteforce(g)
 
 
+def test_symmetrized_matrix_holds_each_dyads_arc_bits():
+    # the one matrix the triad census, the core numbers and the symmetrized
+    # spectrum read: entry (u, v) is 1 * [u -> v] + 2 * [v -> u], on the
+    # symmetric pattern of the connected pairs, each row sorted
+    rng = random.Random(36)
+    hubs = [hub_digraph(rng, n, k) for n, k in ((16, 1), (40, 3), (90, 4))]
+    for g in edge_case_graphs() + hubs:
+        arcs = set(g.edges())
+        s = metrics._symmetrized(g)
+        assert s.shape == (g.n, g.n)
+        entries = {}
+        for u in range(g.n):
+            row = s.indices[s.indptr[u]:s.indptr[u + 1]].tolist()
+            assert row == sorted(set(row))
+            entries.update(((u, v), x) for v, x in
+                           zip(row, s.data[s.indptr[u]:s.indptr[u + 1]]))
+        assert entries == {(u, v): ((u, v) in arcs) + 2 * ((v, u) in arcs)
+                           for a, b in arcs for u, v in ((a, b), (b, a))}
+
+
 # -- shared partners ---------------------------------------------------------
 
 def test_dsp_two_path_example():
@@ -368,7 +388,7 @@ def _bfs_histogram(g, sources) -> dict[int, int]:
 def test_paths_in_source_blocks_match_bfs(monkeypatch, block):
     # on 30 nodes: one source per block, three per block (the 7-source
     # sample ends in a shorter block), and every source in one block
-    monkeypatch.setattr(metrics, "_PATH_BLOCK", block)
+    monkeypatch.setattr(metrics, "_BETWEENNESS_BLOCK", block)
     rng = random.Random(28)
     for _ in range(4):
         g = random_digraph(rng, 30, rng.uniform(0.03, 0.2))
@@ -379,6 +399,34 @@ def test_paths_in_source_blocks_match_bfs(monkeypatch, block):
         assert meta["sampled"] and meta["sources"] == 7
         sample = random.Random(5).sample(range(g.n), 7)
         assert hist == _bfs_histogram(g, sample)
+
+
+def test_paths_at_the_default_block_match_bfs():
+    # hub-heavy digraphs with more nodes than fit one block of sources, so
+    # the default block holds a part of them and the last block is short,
+    # from every node and from a 250-source sample
+    rng = random.Random(35)
+    for n in (300, 700):
+        g = hub_digraph(rng, n, 4)
+        step = metrics._BETWEENNESS_BLOCK // n
+        assert 1 < step < 250 and n % step and 250 % step
+        hist, meta = shortest_path_histogram(g, exact_nodes=n)
+        assert not meta["sampled"]
+        assert hist == _bfs_histogram(g, range(n))
+        hist, meta = shortest_path_histogram(g, sample_sources=250,
+                                             exact_nodes=n - 1, seed=n)
+        assert meta["sampled"] and meta["sources"] == 250
+        assert hist == _bfs_histogram(g, random.Random(n).sample(range(n),
+                                                                 250))
+
+
+@pytest.mark.parametrize("exact_nodes", [1, 10])
+def test_paths_need_a_source(exact_nodes):
+    # sampled (exact_nodes = 1) or exact, a count below 1 is refused as
+    # MetricsConfig refuses sample_sources = 0
+    g = from_edge_list([(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        shortest_path_histogram(g, sample_sources=0, exact_nodes=exact_nodes)
 
 
 def test_betweenness_directed_path():
@@ -435,6 +483,13 @@ def test_betweenness_at_the_default_block_matches_stack_walk():
         assert values == betweenness_stack_walk(g, range(n), 1.0)
 
 
+@pytest.mark.parametrize("exact_nodes", [1, 10])
+def test_betweenness_needs_a_pivot(exact_nodes):
+    g = from_edge_list([(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        betweenness_values(g, exact_nodes=exact_nodes, pivots=0)
+
+
 def test_betweenness_path_count_overflow_is_a_typed_error():
     # 4**518 shortest paths from a first-layer node to a last-layer node
     with pytest.raises(D2KError, match="float64 range"):
@@ -461,6 +516,13 @@ def test_eigenvalue_operator_checked_before_the_empty_answer():
     for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
         with pytest.raises(ValueError):
             top_eigenvalues(g, k=k, operator="bogus")
+
+
+def test_negative_k_raised_before_the_empty_answer():
+    for g in (from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)]),
+              DirectedGraph.from_edges(0, [])):
+        with pytest.raises(ValueError, match="k must not be negative"):
+            top_eigenvalues(g, k=-1)
 
 
 @pytest.mark.parametrize("operator", EIGEN_OPERATORS)
