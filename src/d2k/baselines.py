@@ -3,6 +3,7 @@ and directed degree-sequence realizations.
 
 All three are deterministic per seed, always emit simple digraphs, and hit
 their target quantity exactly (edge count, dyad census, degree sequence).
+A negative seed raises ValueError.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import random
 from .errors import NotGraphicalError
 from .graph import DirectedGraph
 from .swaps import SwapGraph
-from .targets import DdsTargets, SizeTargets, UmanTargets
+from .targets import DdsTargets, SizeTargets, UmanTargets, check_seed
 
 # Most nodes a d0k or uman graph is built with.  Their targets do not list
 # the nodes, yet the graph holds every one, and building it peaks at about
@@ -34,7 +35,7 @@ def gen_d0k(t: SizeTargets, seed: int = 1) -> DirectedGraph:
     by _sample_pairs.  Raises ValueError when t.n > NODE_LIMIT."""
     _bound_nodes(t.n)
     return DirectedGraph.from_edges(
-        t.n, _sample_pairs(t.n, t.m, random.Random(seed)))
+        t.n, _sample_pairs(t.n, t.m, random.Random(check_seed(seed))))
 
 
 def _sample_pairs(n: int, count: int, rng: random.Random,
@@ -69,7 +70,7 @@ def gen_uman(t: UmanTargets, seed: int = 1) -> DirectedGraph:
     uniformly random orientation.  Raises ValueError when t.n > NODE_LIMIT.
     """
     _bound_nodes(t.n)
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     sample = _sample_pairs(t.n, t.mutual + t.asymmetric, rng, ordered=False)
     rng.shuffle(sample)
     edges: list[tuple[int, int]] = []
@@ -95,6 +96,7 @@ def gen_d1k(t: DdsTargets, seed: int = 1,
     otherwise it crosses two edges drawn uniformly by inlined getrandbits
     rejection, the draws of randrange(m).
     """
+    check_seed(seed)
     if randomize_swaps is not None and randomize_swaps < 0:
         raise ValueError(f"swap attempts must be >= 0, got {randomize_swaps}")
     edges = _greedy_directed_realization(t, seed)
@@ -144,7 +146,7 @@ def _greedy_directed_realization(t: DdsTargets, seed: int) -> list[tuple[int, in
     in_rem = [d_in for d_in, _ in dds]
     out_rem = [d_out for _, d_out in dds]
     # Max-heap over (in-remainder, out-remainder, tie rank); entries go
-    # stale when a node's in-remainder changes and are skipped on pop.
+    # stale when either remainder of a node changes and are skipped on pop.
     heap = [(-in_rem[v], -out_rem[v], rank[v], v) for v in range(n)]
     heapq.heapify(heap)
 
@@ -154,16 +156,14 @@ def _greedy_directed_realization(t: DdsTargets, seed: int) -> list[tuple[int, in
         need = out_rem[source]
         if need == 0:
             continue
+        # Zeroed first, so the source's own entries are stale on pop.
+        out_rem[source] = 0
         taken: list[int] = []
-        skipped: list[tuple[int, int, int, int]] = []
         while need and heap:
             entry = heapq.heappop(heap)
             neg_in, neg_out, _, v = entry
             if -neg_in != in_rem[v] or -neg_out != out_rem[v]:
                 continue  # stale
-            if v == source:
-                skipped.append(entry)
-                continue
             if in_rem[v] == 0:
                 heapq.heappush(heap, entry)
                 break
@@ -176,9 +176,6 @@ def _greedy_directed_realization(t: DdsTargets, seed: int) -> list[tuple[int, in
         if need:
             raise NotGraphicalError(
                 "degree sequence is not realizable as a simple digraph")
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        out_rem[source] = 0
         for v in taken:
             edges.append((source, v))
             heapq.heappush(heap, (-in_rem[v], -out_rem[v], rank[v], v))

@@ -1,9 +1,9 @@
 """Command-line surface: extract, check, generate, measure, compare.
 
 Exit codes: 0 success, 2 unrealizable target, 1 any other failure.
-Generation ensembles use a seed ladder (seed, seed+1, ...) so instances
-are reproducible piecewise; D2K_THREADS caps worker parallelism for
-multi-file generation and measurement.
+Generation ensembles use a seed ladder (seed, seed+1, ...) from a seed
+>= 0, so instances are reproducible piecewise; D2K_THREADS caps worker
+parallelism for multi-file generation and measurement.
 """
 from __future__ import annotations
 
@@ -91,6 +91,7 @@ def _checked_model(args) -> str:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    targets.check_seed(args.seed)
     workers = _worker_count()
     model = _checked_model(args)
     out_dir = Path(args.output)

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ConstructionInvariantError, NotRealizableError, TargetStructureError
 from .graph import DirectedGraph
 from .realizability import check
-from .targets import D2KTargets, node_cells
+from .targets import D2KTargets, check_seed, node_cells
 
 # Rejected draw pairs (edge or non-chord) before an edge takes the pool path.
 DRAW_RETRIES = 8
@@ -136,7 +136,7 @@ class ConstructionState:
     def __init__(self, t: D2KTargets, seed: int = 1):
         self.t = t
         self.n = t.n
-        self.rng = random.Random(seed)
+        self.rng = random.Random(check_seed(seed))
         n = t.n
         self.span = 2 * n            # pair code = out_id * span + in_id
 
@@ -313,8 +313,9 @@ class ConstructionState:
         ko, ki = pair
         key = ko * len(self.cells) + ki
         pid = bisect_left(self.pair_keys, key)
-        if pid == len(self.pair_keys) or self.pair_keys[pid] != key \
-                or self.current[pid] >= self.target[pid]:
+        if pid == len(self.pair_keys) or self.pair_keys[pid] != key:
+            raise ValueError(f"cell pair {pair} has no jdam entry")
+        if self.current[pid] >= self.target[pid]:
             raise ValueError("cell pair already at its target count")
         if pick is not None and (self.cell_of[pick[0]] != ko
                                  or self.cell_of[pick[1]] != ki):
@@ -405,7 +406,13 @@ class ConstructionState:
                 else:
                     if pool is None:
                         pool = self._init_pool(pid)
-                    uo, vi = self._fallback(pid, pool)
+                    self.fallback_count += 1
+                    items = pool[0]
+                    if not items:
+                        raise ConstructionInvariantError(
+                            f"candidate pool of pair {(ko, ki)} is empty")
+                    code = items[self.rng.randrange(len(items))]
+                    uo, vi = self._repair(pid, pool, *divmod(code, span))
             else:
                 uo, vi = self._repair(pid, pool, *pick)
             u_adj = adj[uo]
@@ -422,18 +429,6 @@ class ConstructionState:
             if pool is not None:
                 _take(pool, uo * span + vi)
         return uo, vi
-
-    def _fallback(self, pid: int, pool: Pool) -> tuple[int, int]:
-        """The endpoints of an edge of pair pid from a random pick of its
-        fill's candidate pool, repaired."""
-        self.fallback_count += 1
-        items = pool[0]
-        if not items:
-            ko, ki = divmod(self.pair_keys[pid], len(self.cells))
-            raise ConstructionInvariantError(
-                f"candidate pool of pair {(ko, ki)} is empty")
-        code = items[self.rng.randrange(len(items))]
-        return self._repair(pid, pool, *divmod(code, self.span))
 
     def _repair(self, pid: int, pool: Pool | None,
                 uo: int, vi: int) -> tuple[int, int]:

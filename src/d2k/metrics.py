@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import D2KError
 from .graph import DirectedGraph, _tails
-from .targets import extract_d2k, extract_uman
+from .targets import check_seed, extract_d2k, extract_uman
 
 
 def _adjacency(g: DirectedGraph):
@@ -194,17 +194,19 @@ def expansion(g: DirectedGraph, direction: str) -> list[float]:
     if direction not in ("out", "in"):
         raise ValueError(f"unknown direction {direction!r}")
     a = _adjacency(g)
-    if direction == "in":
-        a = a.T.tocsr()
     # reach: pairs joined by a two-step walk, less the first hop and the
-    # origin
+    # origin; a node's out-hops are its row, its in-hops its column
     reach = a @ a
     reach -= reach.multiply(a)
     reach.setdiag(0)
     reach.eliminate_zeros()
-    first = np.diff(a.indptr)
+    if direction == "out":
+        first, second = np.diff(a.indptr), np.diff(reach.indptr)
+    else:
+        first = np.bincount(a.indices, minlength=g.n)
+        second = np.bincount(reach.indices, minlength=g.n)
     has = first > 0
-    return (np.diff(reach.indptr)[has] / first[has]).tolist()
+    return (second[has] / first[has]).tolist()
 
 
 def avg_neighbor_degree(g: DirectedGraph, node_side: str,
@@ -829,8 +831,7 @@ class MetricsConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must not be negative, got {self.seed}")
+        check_seed(self.seed)
         if self.sample_sources < 1:
             raise ValueError(
                 f"sample_sources must be at least 1, got {self.sample_sources}")

@@ -55,6 +55,14 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def check_seed(seed: int) -> int:
+    """seed itself when it is not negative.  CPython seeds Random(s) from
+    |s|, so a negative seed would repeat the draws of its absolute value."""
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
+    return seed
+
+
 def _degree_pairs(dds) -> tuple[tuple[int, int], ...]:
     """dds as a tuple of int pairs; the first non-int or negative degree
     raises."""
@@ -98,12 +106,11 @@ def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
     out_cells: list[CellKey | None] = []
     for d_in, d_out in dds:
         if mode == MODE_DEGREE:
-            in_cells.append(CellKey("in", d_in) if d_in > 0 else None)
-            out_cells.append(CellKey("out", d_out) if d_out > 0 else None)
+            in_label, out_label = d_in, d_out
         else:
-            pair = (d_in, d_out)
-            in_cells.append(CellKey("in", pair) if d_in > 0 else None)
-            out_cells.append(CellKey("out", pair) if d_out > 0 else None)
+            in_label = out_label = (d_in, d_out)
+        in_cells.append(CellKey("in", in_label) if d_in > 0 else None)
+        out_cells.append(CellKey("out", out_label) if d_out > 0 else None)
     return in_cells, out_cells
 
 

@@ -446,3 +446,35 @@ def core_numbers_bruteforce(g: DirectedGraph) -> list[int]:
                     if u in alive:
                         deg[u] -= 1
     return core
+
+
+# ---------------------------------------------------------------------------
+# oracle: the d1k greedy by sorting, without a heap
+
+def greedy_realization_sorted(dds, seed: int) -> list[tuple[int, int]] | None:
+    """The edges of the Kleitman-Wang greedy of `baselines.gen_d1k`, in the
+    order it adds them, or None where it runs out of targets.
+
+    It draws the same seeded rank shuffle and takes the sources in the same
+    order (out-degree descending, then rank).  Each source takes the first
+    `need` of the other nodes with in-remainder > 0, sorted by
+    (-in-remainder, -out-remainder, rank).
+    """
+    n = len(dds)
+    rank = list(range(n))
+    random.Random(seed).shuffle(rank)
+    in_rem = [d_in for d_in, _ in dds]
+    out_rem = [d_out for _, d_out in dds]
+    edges = []
+    for source in sorted(range(n), key=lambda v: (-out_rem[v], rank[v])):
+        need = out_rem[source]
+        targets = sorted((v for v in range(n)
+                          if v != source and in_rem[v] > 0),
+                         key=lambda v: (-in_rem[v], -out_rem[v], rank[v]))
+        if len(targets) < need:
+            return None
+        for v in targets[:need]:
+            in_rem[v] -= 1
+            edges.append((source, v))
+        out_rem[source] = 0
+    return edges

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_digraph
+from conftest import greedy_realization_sorted, random_digraph
 import d2k.baselines
 from d2k import (DdsTargets, NotGraphicalError, SizeTargets, UmanTargets,
                  extract_dds, extract_size, extract_uman, gen_d0k, gen_d1k,
@@ -190,6 +190,53 @@ def test_d1k_swap_phase_preserves_degrees_and_randomizes():
     shuffled = gen_d1k(t, seed=3)
     assert frozen.degree_pairs() == shuffled.degree_pairs() == list(t.dds)
     assert frozen != shuffled     # 10*m attempts virtually always move edges
+
+
+def test_d1k_greedy_matches_the_sorting_oracle():
+    # small sequences with equal totals and degrees up to n: many nodes tie,
+    # some first sources hold the top target key, and some sequences are
+    # not graphical
+    greedy = d2k.baselines._greedy_directed_realization
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        outs = [rng.randint(0, n - 1) for _ in range(n)]
+        if rng.random() < 0.1:
+            outs[rng.randrange(n)] = n
+        ins = [0] * n
+        for _ in range(sum(outs)):
+            ins[rng.randrange(n)] += 1
+        dds = list(zip(ins, outs))
+        seed = rng.randrange(1000)
+        t = DdsTargets(n, dds)
+        want = greedy_realization_sorted(dds, seed)
+        if want is None:
+            with pytest.raises(NotGraphicalError):
+                greedy(t, seed)
+        else:
+            assert greedy(t, seed) == want
+        rank = list(range(n))
+        random.Random(seed).shuffle(rank)
+        first = min(range(n), key=lambda v: (-outs[v], rank[v]))
+        top = min(range(n), key=lambda v: (-ins[v], -outs[v], rank[v]))
+        seen["graphical" if want is not None else "not graphical"] += 1
+        seen["ties"] += len(set(dds)) < n
+        seen["source holds the top key"] += first == top and min(dds[top]) > 0
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: gen_d0k(SizeTargets(4, 5), seed),
+    lambda seed: gen_uman(UmanTargets(4, 1, 2, 3), seed),
+    lambda seed: gen_d1k(DdsTargets(3, [(1, 1)] * 3), seed),
+], ids=["d0k", "uman", "d1k"])
+def test_negative_seed_raises(build):
+    # Random(-s) draws as Random(s) would, so -s would repeat seed s
+    assert build(0) == build(0)
+    with pytest.raises(ValueError,
+                       match="^seed must not be negative, got -2$"):
+        build(-2)
 
 
 def test_d1k_determinism():

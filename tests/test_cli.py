@@ -207,6 +207,25 @@ def test_generate_count_below_one_exit_1(tmp_path, capsys, count):
     assert not out_dir.exists()
 
 
+def test_generate_negative_seed_exit_1(tmp_path, capsys):
+    # Random(-s) draws as Random(s) would, so seeds -2..2 held repeats
+    graph_path, _ = write_graph(tmp_path)
+    target_path = tmp_path / "t.json"
+    main(["extract", str(graph_path), "--model", "d2k", "-o", str(target_path)])
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(target_path), "--seed", "-2", "--count", "5",
+                 "-o", str(out_dir)]) == 1
+    assert capsys.readouterr().err == \
+        "error: seed must not be negative, got -2\n"
+    assert not out_dir.exists()
+    assert main(["generate", str(target_path), "--seed", "0", "--count", "3",
+                 "-o", str(out_dir)]) == 0
+    outputs = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    assert sorted(outputs) == ["d2k_s0.txt", "d2k_s1.txt", "d2k_s2.txt"]
+    assert len(set(outputs.values())) == 3
+
+
 def test_check_rejects_non_d2k_target(tmp_path, capsys):
     graph_path, _ = write_graph(tmp_path)
     target_path = tmp_path / "uman.json"

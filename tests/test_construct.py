@@ -276,8 +276,20 @@ def test_add_next_edge_rejects_bad_pair_and_pick():
         state.add_next_edge(pair, pick=(n + 0, 2))     # sides swapped
     for uo, vi in ((2, n + 0), (3, n + 0), (2, n + 1), (3, n + 1)):
         _add(state, pair, uo, vi)
-    with pytest.raises(ValueError):
-        state.add_next_edge(pair)                      # already at target
+    with pytest.raises(ValueError, match="already at its target count"):
+        state.add_next_edge(pair)
+    # (0, 0) is the (in 2, in 2) pair, which has no jdam entry
+    with pytest.raises(ValueError, match=r"cell pair \(0, 0\) has no jdam"):
+        ConstructionState(state.t).add_next_edge((0, 0))
+
+
+def test_negative_seed_raises():
+    t = three_cycle_targets()
+    assert ConstructionState(t, 0).run() == ConstructionState(t, 0).run()
+    for build in (ConstructionState, generate):
+        with pytest.raises(ValueError,
+                           match="^seed must not be negative, got -1$"):
+            build(t, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ histograms are independent samples.  Every realization must be reached
 seed histogram from uniform, less the distance that independent uniform
 draws would show on average at this budget (the sampling noise), so an
 unbiased constructor scores about zero whatever its seed -> graph
-mapping.  Its median and maximum over the targets are pinned as upper
-bounds: a constructor change may lower them, and then the pins move down
-with it.
+mapping.  Its mean and 90th percentile over the targets are bounded by
+their mean over 40 other disjoint seed sets plus 4 standard deviations
+(`law_seed_sets.py`, BENCH_realization_law.json), so a new seed -> graph
+mapping of the same law passes but for a stated false-alarm rate, and a
+rise beyond that margin fails.  The maximum is printed only, since it
+moves by about 0.02 between seed sets.
 
 The same grouping pins which moves join every realization of a target:
 double swaps leave 94 d2k and 286 d2km targets in more than one class,
@@ -22,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import statistics
 
 import numpy as np
 import pytest
@@ -36,10 +38,10 @@ N = 4
 PAIRS = [(u, v) for u in range(N) for v in range(N) if u != v]
 SEEDS = 100
 
-# mode -> (targets with >= 2 realizations, median bias, max bias) at SEEDS
-# seeds, biases to four places
-PINNED = {MODE_DEGREE: (782, 0.0002, 0.1502),
-          MODE_PAIR: (614, -0.0093, 0.1202)}
+# mode -> (targets with >= 2 realizations, bound on the mean bias, bound
+# on its 90th percentile) at SEEDS seeds
+BOUNDS = {MODE_DEGREE: (782, 0.0144, 0.0695),
+          MODE_PAIR: (614, 0.0046, 0.0562)}
 
 
 def realization_groups(mode: str) -> list[np.ndarray]:
@@ -91,8 +93,10 @@ def test_noise_tv_matches_closed_forms():
     assert noise_tv(3, 1) == pytest.approx(2 / 3)
 
 
-@pytest.mark.parametrize("mode", [MODE_DEGREE, MODE_PAIR])
-def test_every_realization_reached_with_pinned_bias(mode):
+def target_biases(mode: str, base: int = 0) -> list[float]:
+    """The bias of each target with two or more realizations, target i
+    built from seeds base + SEEDS * i + (0..SEEDS-1); asserts that every
+    realization is reached."""
     groups = realization_groups(mode)
     noise = {k: noise_tv(k, SEEDS) for k in set(map(len, groups))}
     biases = []
@@ -103,18 +107,26 @@ def test_every_realization_reached_with_pinned_bias(mode):
         t = extract_d2k(g, mode)
         index = {int(mask): i for i, mask in enumerate(members)}
         hits = np.zeros(len(members))
-        for seed in range(g_index * SEEDS, (g_index + 1) * SEEDS):
+        start = base + g_index * SEEDS
+        for seed in range(start, start + SEEDS):
             hits[index[built_mask(ConstructionState(t, seed).run())]] += 1
         assert hits.all(), f"target of {g.edge_set()} not covered: {hits}"
         tv = 0.5 * np.abs(hits / SEEDS - 1 / len(members)).sum()
         biases.append(tv - noise[len(members)])
-    median, worst = statistics.median(biases), max(biases)
+    return biases
+
+
+@pytest.mark.parametrize("mode", [MODE_DEGREE, MODE_PAIR])
+def test_every_realization_reached_with_pinned_bias(mode):
+    biases = target_biases(mode)
+    mean, p90 = np.mean(biases), np.percentile(biases, 90)
     print(f"\n  [{mode} n=4 law] {len(biases)} targets, {SEEDS} seeds each: "
-          f"bias (TV less noise) median {median:.4f}, max {worst:.4f}")
-    count, pinned_median, pinned_max = PINNED[mode]
+          f"bias (TV less noise) mean {mean:.4f}, 90th percentile "
+          f"{p90:.4f}, max {max(biases):.4f}")
+    count, bound_mean, bound_p90 = BOUNDS[mode]
     assert len(biases) == count
-    assert round(median, 4) <= pinned_median
-    assert round(worst, 4) <= pinned_max
+    assert mean <= bound_mean
+    assert p90 <= bound_p90
 
 
 # -- the moves that join a target's realizations -----------------------------
