@@ -31,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import D2KError
-from .graph import DirectedGraph, _tails
+from .graph import DirectedGraph, _first_copies, _tails
 from .targets import check_seed, extract_d2k, extract_uman
 
 
@@ -230,9 +230,8 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
     key = degree[node_side][node]
     sums = np.bincount(key, weights=degree[neighbor_side][nb]).tolist()
     cnts = np.bincount(key).tolist()
-    keys, first = np.unique(key, return_index=True)
     return {k: Fraction(int(sums[k]), cnts[k])
-            for k in keys[np.argsort(first)].tolist()}
+            for k in key[np.sort(_first_copies(key)[0])].tolist()}
 
 
 def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:

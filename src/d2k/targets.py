@@ -290,39 +290,31 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
     jdam(k, l) counts bipartite edges between cells k and l, i.e. directed
     edges between the corresponding node groups; zero-degree cells never
-    appear as keys.  It is counted as one np.unique over the edges'
-    in-cell-major (in-cell, out-cell) codes, which yields the rows in the
-    sorted-key order the constructor keeps.
+    appear as keys.  `node_cells` labels each distinct degree pair once,
+    and the jdam is counted as one np.unique over the edges' in-cell-major
+    (in-cell, out-cell) codes, which yields the rows in the sorted-key
+    order the constructor keeps.
     """
-    _check_mode(mode)
     indptr, heads = g.csr()
     d_out = np.diff(indptr)
     d_in = np.bincount(heads, minlength=g.n)
-    if mode == MODE_DEGREE:
-        out_label, in_label = d_out, d_in
-    else:
-        span = int(max(d_in.max(initial=0), d_out.max(initial=0))) + 1
-        out_label = in_label = d_in * span + d_out
-    # each edge's cell labels, as indices into the sorted distinct labels
-    out_cells, out_of = np.unique(out_label[_tails(indptr)],
+    dds = list(zip(d_in.tolist(), d_out.tolist()))
+    span = int(d_out.max(initial=0)) + 1
+    _, first, pair_of = np.unique(d_in * span + d_out, return_index=True,
                                   return_inverse=True)
-    in_cells, in_of = np.unique(in_label[heads], return_inverse=True)
-    codes, counts = np.unique(in_of * len(out_cells) + out_of,
-                              return_counts=True)
-
-    def cell_keys(side: str, cells: np.ndarray) -> list[CellKey]:
-        # one CellKey per cell, shared by every jdam key naming it
-        labels = cells.tolist()
-        if mode == MODE_PAIR:
-            labels = [divmod(x, span) for x in labels]
-        return [CellKey(side, x) for x in labels]
-
-    out_keys, in_keys = cell_keys("out", out_cells), cell_keys("in", in_cells)
-    rows = (((in_keys[a], out_keys[b]), c)
-            for a, b, c in zip((codes // len(out_cells)).tolist(),
-                               (codes % len(out_cells)).tolist(),
+    sides = node_cells([dds[v] for v in first.tolist()], mode)
+    cells = sorted(set(chain(*sides)) - {None})
+    index = {c: i for i, c in enumerate(cells)}
+    # each node's in-cell and out-cell index, -1 on a zero-degree side
+    in_of, out_of = (np.array([index.get(c, -1) for c in side],
+                              dtype=np.int64)[pair_of] for side in sides)
+    codes, counts = np.unique(in_of[heads] * len(cells)
+                              + out_of[_tails(indptr)], return_counts=True)
+    rows = (((cells[a], cells[b]), c)
+            for a, b, c in zip((codes // len(cells)).tolist(),
+                               (codes % len(cells)).tolist(),
                                counts.tolist()))
-    return D2KTargets(mode, list(zip(d_in.tolist(), d_out.tolist())), rows)
+    return D2KTargets(mode, dds, rows)
 
 
 def extract_uman(g: DirectedGraph) -> UmanTargets:

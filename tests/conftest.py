@@ -13,8 +13,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from d2k import D2KTargets, DirectedGraph, EdgeListFormatError
-from d2k.targets import node_cells
+from d2k import CellKey, D2KTargets, DirectedGraph, EdgeListFormatError
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DirectedGraph:
@@ -242,14 +241,25 @@ def from_pairs_loop(pairs, stats: dict | None = None) -> DirectedGraph:
     return DirectedGraph(len(out_adj), out_adj, list(remap) or None)
 
 
+def cells_by_rule(d_in: int, d_out: int, mode: str):
+    """(in-cell, out-cell) of a node, stated apart from `node_cells`: in
+    d2k the in-cell is ("in", d_in) and the out-cell ("out", d_out), in
+    d2km both carry the label (d_in, d_out), and a side of degree 0 has no
+    cell (None)."""
+    in_label, out_label = (d_in, d_out) if mode == "d2k" \
+        else ((d_in, d_out), (d_in, d_out))
+    return (CellKey("in", in_label) if d_in else None,
+            CellKey("out", out_label) if d_out else None)
+
+
 def extract_d2k_loop(g: DirectedGraph, mode: str) -> D2KTargets:
     """dds from the adjacency lists, the jdam counted in a dict edge by
     edge in g.edges() order."""
     dds = g.degree_pairs()
-    in_cells, out_cells = node_cells(dds, mode)
+    cells = [cells_by_rule(d_in, d_out, mode) for d_in, d_out in dds]
     jdam: dict = {}
     for u, v in g.edges():
-        key = (out_cells[u], in_cells[v])
+        key = (cells[u][1], cells[v][0])
         jdam[key] = jdam.get(key, 0) + 1
     return D2KTargets(mode, dds, jdam)
 
@@ -259,7 +269,7 @@ def cell_counts_loop(dds, mode: str) -> tuple[dict, dict]:
     (in-cell, out-cell)."""
     sizes: dict = {}
     f: dict = {}
-    for a, b in zip(*node_cells(dds, mode)):
+    for a, b in (cells_by_rule(d_in, d_out, mode) for d_in, d_out in dds):
         for cell in (a, b):
             if cell is not None:
                 sizes[cell] = sizes.get(cell, 0) + 1

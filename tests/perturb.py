@@ -15,19 +15,19 @@ def canonical_target_key(t: D2KTargets):
 
 
 def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
-                      base_graphs=None):
+                      base_graphs=None, mode: str = "d2k"):
     """Yield structurally well-formed targets, a mix of realizable and not.
 
-    Starts from targets extracted from random digraphs on n nodes and
-    applies 0..3 random +-1 edits to jdam entries; half the edits are
-    rebalanced against another entry of the same row so some perturbations
-    keep marginals intact.
+    Starts from the mode's targets extracted from random digraphs on n
+    nodes (or from base_graphs) and applies 0..3 random +-1 edits to jdam
+    entries; half the edits are rebalanced against another entry of the
+    same row so some perturbations keep marginals intact.
     """
     if base_graphs is None:
         base_graphs = list(all_digraphs(n))
     for _ in range(rounds):
         g = base_graphs[rng.randrange(len(base_graphs))]
-        t = extract_d2k(g)
+        t = extract_d2k(g, mode)
         entries = dict(t.jdam)
         for _edit in range(rng.randint(0, 3)):
             if not entries:
@@ -46,19 +46,23 @@ def perturbed_targets(rng: random.Random, rounds: int, n: int = 3,
         yield D2KTargets(t.mode, t.dds, entries)
 
 
-def row_preserving_targets(rng: random.Random, rounds: int):
+def row_preserving_targets(rng: random.Random, rounds: int,
+                           nodes: tuple[int, int] = (3, 30),
+                           density: tuple[float, float] = (0.05, 0.5),
+                           modes: tuple[str, ...] = ("d2k", "d2km")):
     """Yield targets that differ from every extracted one they start from.
 
-    Each starts from the target of a random digraph on 3..30 nodes, in
-    either mode, and applies 1..3 moves, each on two out-cells o1, o2 and
-    two in-cells i1, i2: +d on (o1,i1) and (o2,i2), -d on (o1,i2) and
-    (o2,i1), drawn again (up to 50 draws in all) while a count would go
-    negative.  A move keeps every row sum, so condition III holds and
-    condition II decides.  The jdam is passed in one orientation.
+    Each starts from the target of a random digraph, in one of modes, on
+    nodes[0]..nodes[1] nodes with an arc probability drawn from density,
+    and applies 1..3 moves, each on two out-cells o1, o2 and two in-cells
+    i1, i2: +d on (o1,i1) and (o2,i2), -d on (o1,i2) and (o2,i1), drawn
+    again (up to 50 draws in all) while a count would go negative.  A move
+    keeps every row sum, so condition III holds and condition II decides.
+    The jdam is passed in one orientation.
     """
     for _ in range(rounds):
-        g = random_digraph(rng, rng.randint(3, 30), rng.uniform(0.05, 0.5))
-        t = extract_d2k(g, rng.choice(("d2k", "d2km")))
+        g = random_digraph(rng, rng.randint(*nodes), rng.uniform(*density))
+        t = extract_d2k(g, rng.choice(modes))
         outs = [c for c in t.cells() if c.side == "out"]
         ins = [c for c in t.cells() if c.side == "in"]
         if len(outs) < 2 or len(ins) < 2:

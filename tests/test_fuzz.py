@@ -13,23 +13,29 @@ bytes are mutated the same way through `extract`.
 
 Mutations that keep a d2k or d2km file valid are fuzzed apart from these:
 each must load to a target equal to the unmutated one, with the same jdam
-in the same order, and build and re-extract exactly.
+in the same order, and build and re-extract exactly.  So are valid files
+that may not be realizable: row-preserving perturbations of extracted
+targets, some of a few hundred nodes, which either build exactly or exit
+2 with a violation report.
 """
 from __future__ import annotations
 
 import copy
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from d2k import (D2KTargets, DdsTargets, SizeTargets, UmanTargets,
-                 extract_d2k, extract_dds, extract_size, extract_uman,
-                 from_edge_list, gen_d0k, gen_d1k, gen_uman, generate,
-                 load_targets, write_edge_list)
+from d2k import (D2KTargets, DdsTargets, DirectedGraph, SizeTargets,
+                 UmanTargets, extract_d2k, extract_dds, extract_size,
+                 extract_uman, from_edge_list, gen_d0k, gen_d1k, gen_uman,
+                 generate, load_targets, write_edge_list)
 from d2k.cli import _extract_target, main
+from d2k.construct import ConstructionState
 from d2k.files import save_targets, targets_to_json_dict
 from d2k.targets import MODELS
+from perturb import row_preserving_targets
 
 CASES_PER_MODEL = 100
 EDGE_LIST_CASES = 100
@@ -168,6 +174,41 @@ def test_valid_mutations_keep_the_target(tmp_path, capsys, name, mode):
             assert path.read_bytes() == again.read_bytes(), case
         for seed in (1, 2):
             assert extract_d2k(generate(t, seed), mode) == t, (case, seed)
+
+
+def test_row_preserving_files_build_or_report(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.delenv("D2K_THREADS", raising=False)
+    rng = random.Random(101)
+    cases = [*row_preserving_targets(rng, 40)]
+    for mode in ("d2k", "d2km"):
+        cases += row_preserving_targets(rng, 3, nodes=(150, 300),
+                                        density=(0.02, 0.06), modes=(mode,))
+    path, out = tmp_path / "t.json", tmp_path / "out"
+    codes, moves = Counter(), Counter()
+    for case, t in enumerate(cases):
+        save_targets(t, path)
+        checked = main(["check", str(path)])
+        report = capsys.readouterr().out
+        code = run_main(capsys, ["generate", str(path), "--count", "2",
+                                 "-o", str(out)])
+        assert checked == code, case
+        codes[code] += 1
+        if code == 2:
+            assert report.startswith("not realizable (") and "\n  [" in report
+            continue
+        assert code == 0 and report == "realizable\n", (case, report)
+        t = load_targets(path)
+        for seed in (1, 2):
+            state = ConstructionState(t, seed)
+            g = DirectedGraph(t.n, state.run())
+            assert extract_d2k(g, t.mode) == t, (case, seed)
+            moves.update(switches=state.switch_count,
+                         fallbacks=state.fallback_count)
+    print(f"\n  row-preserving files: {len(cases)} cases, exit codes "
+          f"{dict(codes)}, {dict(moves)} over the builds")
+    assert codes[0] >= 10 and codes[2] >= 10
+    assert moves["switches"] and moves["fallbacks"]
 
 
 def test_mutated_edge_lists(tmp_path, capsys):

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from conftest import all_digraphs, random_digraph
+from conftest import all_digraphs, cells_by_rule, random_digraph
 from d2k import (CellKey, D2KTargets, DdsTargets, SizeTargets,
                  TargetStructureError, UmanTargets, check, extract_d2k,
                  extract_dds, extract_size, extract_uman, from_edge_list,
                  generate)
+from d2k.targets import node_cells
 
 
 def three_cycle():
@@ -223,6 +224,23 @@ def test_unknown_mode_raises_first(jdam):
 def test_extracting_under_an_unknown_mode_raises_the_target_error():
     with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
         extract_d2k(three_cycle(), "d2x")
+
+
+def test_node_cells_follows_the_stated_rule():
+    # seeded random dds, zero sides and all-zero nodes included, against
+    # the rule as the oracles state it
+    rng = random.Random(31)
+    zeros = 0
+    for _ in range(200):
+        dds = [tuple(rng.choice((0, rng.randint(1, 9))) for _side in (0, 1))
+               for _ in range(rng.randint(0, 12))]
+        zeros += sum(0 in pair for pair in dds)
+        for mode in ("d2k", "d2km"):
+            want = [cells_by_rule(d_in, d_out, mode) for d_in, d_out in dds]
+            assert list(zip(*node_cells(dds, mode))) == want, (dds, mode)
+    assert zeros > 100
+    with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
+        node_cells([], "d2x")
 
 
 def test_edge_count_counts_an_off_diagonal_pair_twice():
