@@ -228,8 +228,8 @@ def report_to_json_dict(r: CensusReport) -> dict:
 def report_from_json_dict(obj: dict) -> CensusReport:
     """The report a metrics file holds.  A file that is not one raises
     ValueError("not a metrics file"), and one whose n, m, config, metrics
-    or notes is missing or malformed ValueError("malformed metrics file:
-    ...")."""
+    or notes is missing or malformed, or that lacks the value of a metric
+    its config selects, ValueError("malformed metrics file: ...")."""
     if not _is_schema_version(obj) or obj.get("kind") != "metrics":
         raise ValueError("not a metrics file")
     try:
@@ -240,10 +240,13 @@ def report_from_json_dict(obj: dict) -> CensusReport:
         report = CensusReport(
             n=json_int(obj["n"], "n"), m=json_int(obj["m"], "m"), notes=notes,
             config=MetricsConfig(**config))
+        selected = report.config.selected()
         for row in METRICS:
             value, meta = row.from_json(entries)
             if value is not None:
                 report.values[row.name] = value
+            elif row.name in selected:
+                raise ValueError(f"selected metric {row.name} has no value")
             if meta is not None:
                 report.meta[row.name] = meta
     except (KeyError, TypeError, ValueError) as exc:

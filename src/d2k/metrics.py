@@ -13,12 +13,12 @@ does not pay for it).  The directed spectrum is solved on the cube of that
 matrix, whose crowded top magnitudes lie three times further apart, and
 the matrix's own eigenvalues are recovered by one Rayleigh-Ritz step on
 the span of each Ritz vector x, A x and A^2 x.  Expansion counts the
-second hop on the same matrix's square.  The triad census, the core
-numbers and the symmetrized spectrum read one symmetrized matrix, a + 2 a^T
-of that matrix a, whose entries hold their dyads' arc bits.  Shortest
-paths and betweenness share one level-synchronous breadth-first search of
-blocks of sources, a numpy kernel over the graph's CSR arrays, as are
-neighbour degrees and degree histograms.
+second hop on the same matrix's square.  The triad census and the core
+numbers read one symmetrized matrix, a + 2 a^T of that matrix a, whose
+entries hold their dyads' arc bits.  Shortest paths and betweenness share
+one level-synchronous breadth-first search of blocks of sources, a numpy
+kernel over the graph's CSR arrays, as are neighbour degrees and degree
+histograms.
 """
 from __future__ import annotations
 
@@ -409,7 +409,6 @@ def betweenness_values(g: DirectedGraph, exact_nodes: int = 500,
     return bc.tolist(), meta
 
 
-EIGEN_OPERATORS = ("directed", "symmetrized")
 _COINCIDE = 1e-10       # relative distance of Ritz values taken as one
 _RANK_CUT = 1e-8        # singular values kept, relative to the largest
 _RESIDUAL = 1e-10       # ||b z - theta z|| allowed, relative to max(|theta|, 1)
@@ -462,8 +461,7 @@ def _roots_of_cube(b, mu: np.ndarray, x: np.ndarray) -> list[complex]:
     return thetas
 
 
-def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
-                    dense_nodes: int = 2000,
+def top_eigenvalues(g: DirectedGraph, k: int = 20, dense_nodes: int = 2000,
                     seed: int = 1) -> tuple[list[float], dict]:
     """Magnitudes of the k largest-magnitude adjacency eigenvalues.
 
@@ -476,60 +474,50 @@ def top_eigenvalues(g: DirectedGraph, k: int = 20, operator: str = "directed",
     the top k are kept, since the magnitudes near the k-th lie close
     together in a sparse digraph's bulk.
 
-    Under the directed operator the Arnoldi solve runs on b**3 (power 3):
-    cubing maps |lambda| to |lambda|**3, which triples every relative gap
-    between the crowded magnitudes and cut the Arnoldi steps 2- to
-    3.5-fold on the census-compare strong cores.  _roots_of_cube then
-    recovers b's own eigenvalues from the Ritz vectors; recovering fewer
-    than k of them is a solve that did not converge.  The symmetrized
-    operator keeps its solve on b (power 1): its top values lie further
-    apart, and on the census-compare graphs the cube solve with Ritz
-    vectors and recovery took about 8% longer.  meta records what ran:
-    method, solved_k, ncv, tol, power and nodes (= m).
+    The Arnoldi solve runs on b**3 (power 3): cubing maps |lambda| to
+    |lambda|**3, which triples every relative gap between the crowded
+    magnitudes and cut the Arnoldi steps 2- to 3.5-fold on the
+    census-compare strong cores.  _roots_of_cube then recovers b's own
+    eigenvalues from the Ritz vectors; recovering fewer than k of them is
+    a solve that did not converge.  meta records what ran: method,
+    solved_k, ncv, tol, power and nodes (= m).
     """
-    if operator not in EIGEN_OPERATORS:
-        raise ValueError(f"unknown eigenvalue operator {operator!r}")
     if k < 0:
         raise ValueError(f"k must not be negative, got {k}")
     n = g.n
     k = min(k, n)
     if n == 0 or k == 0:
-        return [], {"method": "none", "operator": operator, "k": 0}
+        return [], {"method": "none", "k": 0}
     from scipy.sparse.csgraph import connected_components
-    symmetrize = operator == "symmetrized"
-    a = _symmetrized(g) > 0 if symmetrize else _adjacency(g)
-    a = a.astype(np.float64)
+    a = _adjacency(g).astype(np.float64)
     _, labels = connected_components(a, directed=True, connection="strong")
     keep = np.flatnonzero(np.bincount(labels)[labels] >= 2)
     b = a[keep][:, keep]
     m = len(keep)
     solved = min(k + 10, m)
     ncv = min(3 * solved, m - 1)
-    meta = {"method": "dense", "operator": operator, "k": k,
-            "solved_k": m, "ncv": None, "tol": None, "power": None,
-            "nodes": m}
+    meta = {"method": "dense", "k": k, "solved_k": m, "ncv": None,
+            "tol": None, "power": None, "nodes": m}
     if n <= dense_nodes or solved + 2 > ncv:       # eigs needs k + 1 < ncv
         b = b.toarray()
-        vals = np.linalg.eigvalsh(b) if symmetrize else np.linalg.eigvals(b)
+        vals = np.linalg.eigvals(b)
     else:
         import scipy.sparse.linalg
-        power = 1 if symmetrize else 3
         v0 = np.random.default_rng(seed).standard_normal(m)
         failure = f"eigenvalue solve did not converge on {m} of {n} nodes " \
-                  f"(k = {solved}, ncv = {ncv}, power = {power})"
+                  f"(k = {solved}, ncv = {ncv}, power = 3)"
         try:
-            op = b if power == 1 else scipy.sparse.linalg.LinearOperator(
+            cube = scipy.sparse.linalg.LinearOperator(
                 b.shape, matvec=lambda x: b @ (b @ (b @ x)), dtype=b.dtype)
             found = scipy.sparse.linalg.eigs(
-                op, k=solved, ncv=ncv, tol=0, which="LM", v0=v0,
-                return_eigenvectors=power > 1)
+                cube, k=solved, ncv=ncv, tol=0, which="LM", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise D2KError(f"{failure}: {exc}") from exc
-        vals = _roots_of_cube(b, *found) if power > 1 else found
+        vals = _roots_of_cube(b, *found)
         if len(vals) < k:
             raise D2KError(f"{failure}: {len(vals)} eigenvalues recovered")
         meta.update(method="arpack", solved_k=solved, ncv=ncv, tol=0,
-                    power=power)
+                    power=3)
     mags = sorted((float(abs(x)) for x in vals), reverse=True)[:k]
     return mags + [0.0] * (k - len(mags)), meta
 
@@ -790,7 +778,7 @@ METRICS = (
            meta_key="betweenness_meta"),
     Metric("eigenvalues", Vector(), "eigenvalues", "eigenvalues",
            lambda g, c: top_eigenvalues(
-               g, c.eigen_k, c.eigen_operator, c.eigen_dense_nodes, c.seed),
+               g, c.eigen_k, c.eigen_dense_nodes, c.seed),
            meta_key="eigen_meta"),
     Metric("dsp", Family(Counts(nonzero_csv=True), DSP_VARIANTS), "dsp", "dsp",
            lambda g, c, variant: dsp(g, variant)),
@@ -813,7 +801,6 @@ class MetricsConfig:
     betweenness_exact_nodes: int = 500
     eigen_k: int = 20
     eigen_dense_nodes: int = 2000
-    eigen_operator: str = "directed"
 
     def __post_init__(self):
         if not isinstance(self.metrics, (list, tuple)):
@@ -836,9 +823,6 @@ class MetricsConfig:
                 f"sample_sources must be at least 1, got {self.sample_sources}")
         if self.eigen_k < 0:
             raise ValueError(f"eigen_k must not be negative, got {self.eigen_k}")
-        if self.eigen_operator not in EIGEN_OPERATORS:
-            raise ValueError(
-                f"unknown eigenvalue operator {self.eigen_operator!r}")
 
     def selected(self) -> tuple[str, ...]:
         if "all" in self.metrics:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,30 @@ def test_malformed_metrics_file_raises_one_value_error(tmp_path, fault):
     fault(obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match="malformed metrics file"):
+        load_metrics_report(path)
+
+
+GOLDEN_SUBSET = Path(__file__).resolve().parent / "golden" / "subset.json"
+
+
+@pytest.mark.parametrize("fault, named", [
+    (lambda obj: obj["metrics"].pop("path_hist"), "metric paths"),
+    (lambda obj: obj["metrics"].update(path_hist=None), "metric paths"),
+    (lambda obj: obj["metrics"].pop("degree_hist_out"), "metric degrees"),
+    # files written when the spectrum had a choice of operator name it
+    (lambda obj: obj["config"].update(eigen_operator="directed"),
+     "eigen_operator")],
+    ids=["no_selected_value", "null_selected_value", "no_selected_member",
+         "eigen_operator"])
+def test_metrics_file_fault_is_named(tmp_path, fault, named):
+    # a selected metric without a value would reach the compare report as a
+    # bare KeyError
+    obj = json.loads(GOLDEN_SUBSET.read_text(encoding="utf-8"))
+    fault(obj)
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^malformed metrics file: .*{named}"):
         load_metrics_report(path)
 
 

@@ -16,11 +16,10 @@ from d2k import (D2KError, DirectedGraph, MetricsConfig, UmanTargets,
                  avg_neighbor_degree, dsp, dyad_census, expansion,
                  extract_uman, from_edge_list, metrics, structural_suite,
                  triad_census)
-from d2k.metrics import (EIGEN_OPERATORS, HISTOGRAM, TRIAD_NAMES, Counts,
-                         Means, Values, betweenness_values,
-                         core_number_histogram, core_numbers,
-                         scc_size_histogram, shortest_path_histogram,
-                         top_eigenvalues)
+from d2k.metrics import (HISTOGRAM, TRIAD_NAMES, Counts, Means, Values,
+                         betweenness_values, core_number_histogram,
+                         core_numbers, scc_size_histogram,
+                         shortest_path_histogram, top_eigenvalues)
 
 
 def three_cycle():
@@ -166,9 +165,9 @@ def test_triad_census_in_wedge_chunks_matches_bruteforce(monkeypatch, chunk):
 
 
 def test_symmetrized_matrix_holds_each_dyads_arc_bits():
-    # the one matrix the triad census, the core numbers and the symmetrized
-    # spectrum read: entry (u, v) is 1 * [u -> v] + 2 * [v -> u], on the
-    # symmetric pattern of the connected pairs, each row sorted
+    # the one matrix the triad census and the core numbers read: entry
+    # (u, v) is 1 * [u -> v] + 2 * [v -> u], on the symmetric pattern of the
+    # connected pairs, each row sorted
     rng = random.Random(36)
     hubs = [hub_digraph(rng, n, k) for n, k in ((16, 1), (40, 3), (90, 4))]
     for g in edge_case_graphs() + hubs:
@@ -512,12 +511,6 @@ def test_eigenvalues_arpack_agrees_with_dense():
     assert sparse == pytest.approx(dense, rel=1e-8, abs=1e-8)
 
 
-def test_eigenvalue_operator_checked_before_the_empty_answer():
-    for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
-        with pytest.raises(ValueError):
-            top_eigenvalues(g, k=k, operator="bogus")
-
-
 def test_negative_k_raised_before_the_empty_answer():
     for g in (from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)]),
               DirectedGraph.from_edges(0, [])):
@@ -525,20 +518,16 @@ def test_negative_k_raised_before_the_empty_answer():
             top_eigenvalues(g, k=-1)
 
 
-@pytest.mark.parametrize("operator", EIGEN_OPERATORS)
-def test_eigenvalues_of_no_nodes_or_k_0_are_empty(operator):
+def test_eigenvalues_of_no_nodes_or_k_0_are_empty():
     for g, k in ((DirectedGraph.from_edges(0, []), 20), (three_cycle(), 0)):
-        assert top_eigenvalues(g, k=k, operator=operator) == \
-            ([], {"method": "none", "operator": operator, "k": 0})
+        assert top_eigenvalues(g, k=k) == ([], {"method": "none", "k": 0})
 
 
-def _dense_magnitudes(g, k: int, operator: str = "directed") -> list[float]:
+def _dense_magnitudes(g, k: int) -> list[float]:
     """Top k eigenvalue magnitudes of g's full adjacency matrix, by LAPACK."""
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = 1.0
-    if operator == "symmetrized":
-        a = np.maximum(a, a.T)
     return sorted((float(abs(x)) for x in np.linalg.eigvals(a)),
                   reverse=True)[:k]
 
@@ -586,20 +575,17 @@ def _blocks_digraph(rng: random.Random, sizes, isolated: int):
                                     [(ids[u], ids[v]) for u, v in edges])
 
 
-@pytest.mark.parametrize("operator", ["directed", "symmetrized"])
-def test_spectrum_is_the_union_of_the_strong_components(operator):
+def test_spectrum_is_the_union_of_the_strong_components():
     rng = random.Random(29)
     for _ in range(4):
         sizes = [rng.randint(15, 40), rng.randint(10, 30), rng.randint(2, 25),
                  rng.randint(2, 6)]
         g = _blocks_digraph(rng, sizes, rng.randint(0, 12))
-        nodes = sum(sizes) if operator == "directed" else g.n
-        dense = _dense_magnitudes(g, 8, operator)
+        dense = _dense_magnitudes(g, 8)
         for dense_nodes, method in ((1000, "dense"), (10, "arpack")):
-            values, meta = top_eigenvalues(g, 8, operator, dense_nodes)
-            assert (meta["method"], meta["nodes"]) == (method, nodes)
-            power = {"directed": 3, "symmetrized": 1}[operator]
-            assert meta["power"] == (power if method == "arpack" else None)
+            values, meta = top_eigenvalues(g, 8, dense_nodes)
+            assert (meta["method"], meta["nodes"]) == (method, sum(sizes))
+            assert meta["power"] == (3 if method == "arpack" else None)
             assert values == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
@@ -625,23 +611,21 @@ def test_eigenvalues_pad_the_components_with_zeros():
 
 def test_eigenvalues_repeat_on_nearly_empty_spectra():
     rng = random.Random(30)
-    for trial in range(60):
+    for _ in range(60):
         n, m = rng.randint(15, 25), rng.randint(3, 6)
         edges: set[tuple[int, int]] = set()
         while len(edges) < m:
             u, v = rng.sample(range(n), 2)
             edges.add((u, v))
         g = DirectedGraph.from_edges(n, sorted(edges))
-        operator = EIGEN_OPERATORS[trial % 2]
-        first, _ = top_eigenvalues(g, 6, operator, dense_nodes=10)
-        assert top_eigenvalues(g, 6, operator, dense_nodes=10)[0] == first
-        assert first == pytest.approx(_dense_magnitudes(g, 6, operator),
+        first, _ = top_eigenvalues(g, 6, dense_nodes=10)
+        assert top_eigenvalues(g, 6, dense_nodes=10)[0] == first
+        assert first == pytest.approx(_dense_magnitudes(g, 6),
                                       rel=0, abs=1e-12)
         dag = DirectedGraph.from_edges(n, sorted({(min(e), max(e))
                                                   for e in edges}))
-        if operator == "directed":
-            values, meta = top_eigenvalues(dag, 6, operator, dense_nodes=10)
-            assert values == [0.0] * 6 and meta["nodes"] == 0
+        values, meta = top_eigenvalues(dag, 6, dense_nodes=10)
+        assert values == [0.0] * 6 and meta["nodes"] == 0
 
 
 def _strong(rng: random.Random, size: int, p: float):
@@ -871,8 +855,7 @@ def test_unknown_metric_name_rejected():
     for kwargs in ({"metrics": ("degrees", "nope")},
                    {"metrics": ("all", "bogus")},
                    {"sample_sources": 0},
-                   {"eigen_k": -2},
-                   {"eigen_operator": "bogus"}):
+                   {"eigen_k": -2}):
         with pytest.raises(ValueError):
             MetricsConfig(**kwargs)
 
