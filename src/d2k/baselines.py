@@ -91,14 +91,16 @@ def gen_d1k(t: DdsTargets, seed: int = 1,
 
     A greedy pass certifies graphicality by constructing one realization;
     a randomization pass then makes randomize_swaps attempts (default
-    10*m, negative raises ValueError) on a SwapGraph.  Each attempt draws
-    rng.random(): below 0.1 it tries SwapGraph.reverse_random_cycle,
-    otherwise it crosses two edges drawn uniformly by inlined getrandbits
-    rejection, the draws of randrange(m).
+    10*m; one below 0 or not an int raises ValueError) on a SwapGraph.
+    Each attempt draws rng.random(): below 0.1 it tries
+    SwapGraph.reverse_random_cycle, otherwise it crosses two edges drawn
+    uniformly by inlined getrandbits rejection, the draws of randrange(m).
     """
     check_seed(seed)
-    if randomize_swaps is not None and randomize_swaps < 0:
-        raise ValueError(f"swap attempts must be >= 0, got {randomize_swaps}")
+    if randomize_swaps is not None and (type(randomize_swaps) is not int
+                                        or randomize_swaps < 0):
+        raise ValueError(
+            f"swap attempts must be an int >= 0, got {randomize_swaps!r}")
     edges = _greedy_directed_realization(t, seed)
     rng = random.Random(seed ^ 0x5EED)
     m = len(edges)

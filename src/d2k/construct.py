@@ -1,9 +1,9 @@
 """Edge-by-edge construction of a bipartite realization of a D2K target.
 
 The builder works on the bipartite split: node v of the eventual digraph
-appears as out-side stub holder v and in-side stub holder n+v.  The cell
-pairs with a joint-matrix entry are filled one after another, and every
-iteration adds exactly one edge to the pair being filled.
+appears as out-side stub holder v and in-side stub holder n+v, each in
+its cell of the target's `cell_table`.  The cell pairs with a jdam entry
+are filled one after another, each iteration adding one edge to the pair.
 
 Each edge first comes from free-stub draws, a configuration model inside
 the cell pair: one endpoint is drawn uniformly from the nodes of the out
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ConstructionInvariantError, NotRealizableError, TargetStructureError
 from .graph import DirectedGraph, _first_copies, _stable_order
 from .realizability import check
-from .targets import D2KTargets, check_seed, node_cells
+from .targets import D2KTargets, check_seed
 
 # Rejected draw pairs (edge or non-chord) before an edge takes the pool path.
 DRAW_RETRIES = 8
@@ -108,12 +108,13 @@ class ConstructionState:
     """Mutable state of one construction run.
 
     Out-side stub holder of node v is bipartite id v, in-side is n + v, so
-    x and y are non-chord partners exactly when they differ by n.  The cell
-    pairs with a joint-matrix entry are numbered 0..P-1 in (out cell, in
-    cell) order: the key ko * C + ki (C cells) of pair p is `pair_keys[p]`,
-    a sorted list, and `target` and `current` are lists indexed by p, so
-    memory grows with P and not with C * C; `current` counts every edge as
-    it is added, and `edges_added` is its sum.  The candidate pool of the
+    x and y are non-chord partners exactly when they differ by n; `cells`
+    and `cell_of` come from the target's `table`.  The cell pairs with a
+    jdam entry are numbered 0..P-1 in (out cell, in cell) order: the key
+    ko * C + ki (C cells) of pair p is `pair_keys[p]`, a sorted list, and
+    `target` and `current` are lists indexed by p, so memory grows with P
+    and not with C * C; `current` counts every edge as it is added, and
+    `edges_added` is its sum.  The candidate pool of the
     pair being filled belongs to its fill: a list of pair codes
     (out-id * span + in-id) and a dict from code to list position, for
     O(1) add, discard and random pick.
@@ -133,31 +134,16 @@ class ConstructionState:
         self.t = t
         self.n = t.n
         self.rng = random.Random(check_seed(seed))
-        n = t.n
-        self.span = 2 * n            # pair code = out_id * span + in_id
+        self.span = 2 * t.n          # pair code = out_id * span + in_id
 
-        in_cells, out_cells = node_cells(t.dds, t.mode)
-
-        # Dense cell indexing over both sides.
-        cell_list = sorted(t.cell_sizes)
-        self.cells = cell_list
-        cell_index = {c: i for i, c in enumerate(cell_list)}
-
-        self.cell_of = [-1] * (2 * n)       # bipartite id -> cell index
-        self.free = array("i", [0]) * (2 * n)   # unconnected stubs
-        self.members: list[list[int]] = [[] for _ in cell_list]
-
-        for v, (d_in, d_out) in enumerate(t.dds):
-            if d_out > 0:
-                ci = cell_index[out_cells[v]]
-                self.cell_of[v] = ci
-                self.free[v] = d_out
-                self.members[ci].append(v)
-            if d_in > 0:
-                ci = cell_index[in_cells[v]]
-                self.cell_of[n + v] = ci
-                self.free[n + v] = d_in
-                self.members[ci].append(n + v)
+        self.cells, in_of, out_of = t.table
+        self.cell_of = out_of.tolist() + in_of.tolist()  # bipartite id -> cell
+        # each id's unconnected stubs
+        self.free = array("i", [d for _, d in t.dds] + [d for d, _ in t.dds])
+        self.members: list[list[int]] = [[] for _ in self.cells]
+        for x, ci in enumerate(self.cell_of):
+            if ci >= 0:
+                self.members[ci].append(x)
 
         # Shuffled member order decorrelates the pool scan from node ids.
         for mem in self.members:
@@ -172,12 +158,17 @@ class ConstructionState:
         self.rosters = [array("i", mem) for mem in self.members]
         self.in_roster = [x >= 0 for x in self.cell_of]
 
+        cell_index = {c: i for i, c in enumerate(self.cells)}
         target: dict[int, int] = {}         # ko * C + ki -> count
         for (a, b), count in t.jdam.items():    # a in-cell, b out-cell
             if a.side == b.side:
                 raise TargetStructureError(
                     f"same-side jdam entry ({a},{b}) cannot be constructed")
-            target[cell_index[b] * len(cell_list) + cell_index[a]] = count
+            for c in (a, b):
+                if c not in cell_index:
+                    raise TargetStructureError(
+                        f"jdam cell {c} has no node in the dds")
+            target[cell_index[b] * len(self.cells) + cell_index[a]] = count
         self.pair_keys = sorted(target)
         self.target = [target[key] for key in self.pair_keys]
         self.current = [0] * len(self.pair_keys)

@@ -172,6 +172,14 @@ def _first_copies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, group
 
 
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts): the distinct values in order of their first copy,
+    and how many copies each has."""
+    first, group = _first_copies(values)
+    order = np.argsort(first)
+    return values[first[order]], np.bincount(group)[order]
+
+
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """The positions of keys, non-negative ints below 2**63 / len(keys),
     sorted by key, ties in position order: one sort of key * len +

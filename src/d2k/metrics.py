@@ -31,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import D2KError
-from .graph import DirectedGraph, _first_copies, _tails
+from .graph import DirectedGraph, _tails, _tally
 from .targets import check_seed, extract_d2k, extract_uman
 
 
@@ -229,9 +229,9 @@ def avg_neighbor_degree(g: DirectedGraph, node_side: str,
     node, nb = (tails, heads) if node_side == "out" else (heads, tails)
     key = degree[node_side][node]
     sums = np.bincount(key, weights=degree[neighbor_side][nb]).tolist()
-    cnts = np.bincount(key).tolist()
-    return {k: Fraction(int(sums[k]), cnts[k])
-            for k in key[np.sort(_first_copies(key)[0])].tolist()}
+    keys, counts = _tally(key)
+    return {k: Fraction(int(sums[k]), c)
+            for k, c in zip(keys.tolist(), counts.tolist())}
 
 
 def degree_histogram(g: DirectedGraph, side: str) -> dict[int, int]:

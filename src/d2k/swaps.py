@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from .errors import SwapError
 from .graph import DirectedGraph
-from .targets import MODE_DEGREE, node_cells
+from .targets import MODE_DEGREE, cell_table
 
 
 class SwapGraph:
@@ -138,7 +138,8 @@ def enumerate_jdam_swaps(g: DirectedGraph,
     """
     sg = SwapGraph(g.n, sorted(g.edges()))
     src, dst = sg.src, sg.dst
-    in_cell, out_cell = node_cells(g.degree_pairs(), mode)
+    _, in_of, out_of = cell_table(g.degree_pairs(), mode)
+    in_cell, out_cell = in_of.tolist(), out_of.tolist()
     neighbors: list[DirectedGraph] = []
     seen: set[frozenset[tuple[int, int]]] = set()
     for i in range(len(src)):

@@ -10,12 +10,11 @@ Five models, in increasing order of what they pin down:
 * full-pair targets ("d2km"): the same machinery with cells keyed by the
   whole (in-degree, out-degree) pair, a strictly finer partition.
 
-The last two share one data model, D2KTargets; the mode only changes the
-cell labelling, not the code path.
+The last two share one data model, D2KTargets, and one cell numbering,
+`cell_table`; the mode only changes the cell labels, not the code path.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -24,7 +23,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import TargetStructureError
-from .graph import DirectedGraph, _contains, _tails
+from .graph import DirectedGraph, _contains, _tails, _tally
 
 MODE_DEGREE = "d2k"
 MODE_PAIR = "d2km"
@@ -98,20 +97,27 @@ def _check_mode(mode: str) -> None:
         raise TargetStructureError(f"unknown mode {mode!r}")
 
 
-def node_cells(dds: Sequence[tuple[int, int]], mode: str) \
-        -> tuple[list[CellKey | None], list[CellKey | None]]:
-    """Per-node (in-side cell, out-side cell); None on a zero-degree side."""
+def cell_table(dds: Sequence[tuple[int, int]], mode: str) \
+        -> tuple[list[CellKey], np.ndarray, np.ndarray]:
+    """(cells, in_of, out_of): the sorted nonzero-degree cells of dds, and
+    each node's in-cell and out-cell index into them, -1 on a zero side.
+    A d2k cell is labelled by its side's degree, a d2km cell by the pair.
+    Each distinct pair, numbered in a dict (exact at any size), is
+    labelled once."""
     _check_mode(mode)
-    in_cells: list[CellKey | None] = []
-    out_cells: list[CellKey | None] = []
-    for d_in, d_out in dds:
-        if mode == MODE_DEGREE:
-            in_label, out_label = d_in, d_out
-        else:
-            in_label = out_label = (d_in, d_out)
-        in_cells.append(CellKey("in", in_label) if d_in > 0 else None)
-        out_cells.append(CellKey("out", out_label) if d_out > 0 else None)
-    return in_cells, out_cells
+    number = {pair: i for i, pair in enumerate(dict.fromkeys(dds))}
+    labels = []
+    for pair in number:         # (d_in, d_out)
+        in_label, out_label = pair if mode == MODE_DEGREE else (pair, pair)
+        labels.append((CellKey("in", in_label) if pair[0] else None,
+                       CellKey("out", out_label) if pair[1] else None))
+    cells = sorted(set(chain(*labels)) - {None})
+    index = {c: i for i, c in enumerate(cells)}
+    sides = np.array([(index.get(a, -1), index.get(b, -1))
+                      for a, b in labels], dtype=np.int64).reshape(-1, 2)
+    pair_of = np.fromiter(map(number.get, dds), np.int64, len(dds))
+    in_of, out_of = sides[pair_of].T
+    return cells, in_of, out_of
 
 
 def _normalize_jdam(mode: str, jdam: Mapping | Iterable) \
@@ -158,9 +164,9 @@ class D2KTargets:
     ((a, b), count) rows, in either orientation) holds each nonzero
     unordered cell pair once, under its sorted key (a <= b, so the in-cell
     first on a cross-side pair), in sorted order.  n, f (non-chord counts
-    per (in-cell, out-cell) pair) and cell_sizes are derived from dds.
-    jdam, f and cell_sizes are read-only mappings.  Equality compares
-    mode, n, dds as a multiset and the jdam.
+    per (in-cell, out-cell) pair), cell_sizes and table (`cell_table`)
+    derive from dds; jdam, f and cell_sizes are read-only mappings.
+    Equality compares mode, n, dds as a multiset and the jdam.
     """
 
     mode: str
@@ -169,30 +175,31 @@ class D2KTargets:
     n: int = field(init=False)
     f: Mapping[tuple[CellKey, CellKey], int] = field(init=False)
     cell_sizes: Mapping[CellKey, int] = field(init=False)
+    table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
         dds = _degree_pairs(self.dds)
         jdam = _normalize_jdam(self.mode, self.jdam)
+        cells, in_of, out_of = table = cell_table(dds, self.mode)
+        in_of.flags.writeable = out_of.flags.writeable = False
         # Node v puts one member in each of its nonzero cells, and one
-        # non-chord (v_in, v_out) between them when both degrees are positive.
-        # Nodes are taken a degree pair at a time, pairs in order of their
-        # first node, so the cells enter both mappings in node order.
-        f: dict[tuple[CellKey, CellKey], int] = {}
-        sizes: dict[CellKey, int] = {}
-        nodes = Counter(dds)
-        for (a, b), k in zip(zip(*node_cells(list(nodes), self.mode)),
-                             nodes.values()):
-            for cell in (a, b):
-                if cell is not None:
-                    sizes[cell] = sizes.get(cell, 0) + k
-            if a is not None and b is not None:
-                f[(a, b)] = f.get((a, b), 0) + k
+        # non-chord (v_in, v_out) between them when both degrees are
+        # positive.  Both are tallied in node order, in-cell before
+        # out-cell, so the cells enter both mappings in node order.
+        sides = np.column_stack((in_of, out_of)).ravel()
+        keys, counts = _tally(sides[sides >= 0])
+        sizes = {cells[k]: c for k, c in zip(keys.tolist(), counts.tolist())}
+        both = (in_of >= 0) & (out_of >= 0)
+        keys, counts = _tally(in_of[both] * len(cells) + out_of[both])
+        f = {(cells[k // len(cells)], cells[k % len(cells)]): c
+             for k, c in zip(keys.tolist(), counts.tolist())}
         object.__setattr__(self, "dds", dds)
         object.__setattr__(self, "jdam", MappingProxyType(jdam))
         object.__setattr__(self, "n", len(dds))
         object.__setattr__(self, "f", MappingProxyType(f))
         object.__setattr__(self, "cell_sizes", MappingProxyType(sizes))
+        object.__setattr__(self, "table", table)
 
     def __reduce__(self):
         # A mapping proxy does not pickle: rebuild through the constructor.
@@ -290,24 +297,14 @@ def extract_d2k(g: DirectedGraph, mode: str = MODE_DEGREE) -> D2KTargets:
 
     jdam(k, l) counts bipartite edges between cells k and l, i.e. directed
     edges between the corresponding node groups; zero-degree cells never
-    appear as keys.  `node_cells` labels each distinct degree pair once,
-    and the jdam is counted as one np.unique over the edges' in-cell-major
-    (in-cell, out-cell) codes, which yields the rows in the sorted-key
-    order the constructor keeps.
+    appear as keys.  `cell_table` numbers each node's cells, and the jdam
+    is counted as one np.unique over the edges' in-cell-major (in-cell,
+    out-cell) codes, which yields the rows in the sorted-key order the
+    constructor keeps.
     """
     indptr, heads = g.csr()
-    d_out = np.diff(indptr)
-    d_in = np.bincount(heads, minlength=g.n)
-    dds = list(zip(d_in.tolist(), d_out.tolist()))
-    span = int(d_out.max(initial=0)) + 1
-    _, first, pair_of = np.unique(d_in * span + d_out, return_index=True,
-                                  return_inverse=True)
-    sides = node_cells([dds[v] for v in first.tolist()], mode)
-    cells = sorted(set(chain(*sides)) - {None})
-    index = {c: i for i, c in enumerate(cells)}
-    # each node's in-cell and out-cell index, -1 on a zero-degree side
-    in_of, out_of = (np.array([index.get(c, -1) for c in side],
-                              dtype=np.int64)[pair_of] for side in sides)
+    dds = g.degree_pairs()
+    cells, in_of, out_of = cell_table(dds, mode)
     codes, counts = np.unique(in_of[heads] * len(cells)
                               + out_of[_tails(indptr)], return_counts=True)
     rows = (((cells[a], cells[b]), c)

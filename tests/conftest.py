@@ -242,7 +242,7 @@ def from_pairs_loop(pairs, stats: dict | None = None) -> DirectedGraph:
 
 
 def cells_by_rule(d_in: int, d_out: int, mode: str):
-    """(in-cell, out-cell) of a node, stated apart from `node_cells`: in
+    """(in-cell, out-cell) of a node, stated apart from `cell_table`: in
     d2k the in-cell is ("in", d_in) and the out-cell ("out", d_out), in
     d2km both carry the label (d_in, d_out), and a side of degree 0 has no
     cell (None)."""

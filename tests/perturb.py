@@ -7,7 +7,7 @@ import random
 
 from conftest import all_digraphs, random_digraph
 from d2k import D2KTargets, extract_d2k
-from d2k.targets import node_cells
+from d2k.targets import cell_table
 
 
 def canonical_target_key(t: D2KTargets):
@@ -105,9 +105,10 @@ def dds_level_targets(rng: random.Random, rounds: int):
             ins[v] += 1
         dds = list(zip(ins, outs))
         mode = rng.choice(("d2k", "d2km"))
-        in_cells, out_cells = node_cells(dds, mode)
-        out_stubs = [out_cells[v] for v in range(n) for _ in range(outs[v])]
-        in_stubs = [in_cells[v] for v in range(n) for _ in range(ins[v])]
+        cells, in_of, out_of = cell_table(dds, mode)
+        out_stubs = [cells[out_of[v]] for v in range(n)
+                     for _ in range(outs[v])]
+        in_stubs = [cells[in_of[v]] for v in range(n) for _ in range(ins[v])]
         rng.shuffle(in_stubs)
         jdam: dict = {}
         for pair in zip(out_stubs, in_stubs):

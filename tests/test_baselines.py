@@ -158,8 +158,12 @@ def test_d1k_rejects_unbalanced_sums():
 
 
 def test_d1k_rejects_negative_swap_attempts():
-    with pytest.raises(ValueError):
-        gen_d1k(DdsTargets(3, [(1, 1)] * 3), seed=1, randomize_swaps=-5)
+    # and a budget that is not an int: True would run one attempt, 2.5 and
+    # "3" would fail inside the loop with a TypeError
+    for budget in (-5, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="swap attempts"):
+            gen_d1k(DdsTargets(3, [(1, 1)] * 3), seed=1,
+                    randomize_swaps=budget)
 
 
 def test_d1k_tie_break_regression():

@@ -85,11 +85,18 @@ def test_unrealizable_rejected_up_front():
 
 
 def test_same_side_jdam_entry_cannot_be_constructed():
-    # the constructor only builds out-cell -> in-cell edges
+    # the constructor only builds out-cell -> in-cell edges, and only
+    # between cells that hold nodes of the dds
     a = CellKey("in", 1)
-    t = D2KTargets("d2k", [(1, 1), (1, 1)], {(a, a): 2})
+    same_side = D2KTargets("d2k", [(1, 1), (1, 1)], {(a, a): 2})
     with pytest.raises(TargetStructureError, match="same-side jdam entry"):
-        ConstructionState(t)
+        ConstructionState(same_side)
+    no_node = D2KTargets("d2k", [(0, 1), (1, 0)],
+                         {(a, CellKey("out", 2)): 1})
+    with pytest.raises(TargetStructureError,
+                       match=r"jdam cell CellKey\(side='out', label=2\) has "
+                             r"no node in the dds"):
+        ConstructionState(no_node)
 
 
 def test_progress_and_switch_budget():

@@ -3,15 +3,17 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import chain
 
 import pytest
 
-from conftest import all_digraphs, cells_by_rule, random_digraph
+from conftest import (all_digraphs, cell_counts_loop, cells_by_rule,
+                      random_digraph)
 from d2k import (CellKey, D2KTargets, DdsTargets, SizeTargets,
                  TargetStructureError, UmanTargets, check, extract_d2k,
                  extract_dds, extract_size, extract_uman, from_edge_list,
                  generate)
-from d2k.targets import node_cells
+from d2k.targets import cell_table, cell_to_json
 
 
 def three_cycle():
@@ -226,7 +228,7 @@ def test_extracting_under_an_unknown_mode_raises_the_target_error():
         extract_d2k(three_cycle(), "d2x")
 
 
-def test_node_cells_follows_the_stated_rule():
+def test_cell_table_follows_the_stated_rule():
     # seeded random dds, zero sides and all-zero nodes included, against
     # the rule as the oracles state it
     rng = random.Random(31)
@@ -237,10 +239,49 @@ def test_node_cells_follows_the_stated_rule():
         zeros += sum(0 in pair for pair in dds)
         for mode in ("d2k", "d2km"):
             want = [cells_by_rule(d_in, d_out, mode) for d_in, d_out in dds]
-            assert list(zip(*node_cells(dds, mode))) == want, (dds, mode)
+            cells, in_of, out_of = cell_table(dds, mode)
+            assert cells == sorted(set(chain(*want)) - {None}), (dds, mode)
+            got = [tuple(cells[i] if i >= 0 else None for i in pair)
+                   for pair in zip(in_of.tolist(), out_of.tolist())]
+            assert got == want, (dds, mode)
     assert zeros > 100
     with pytest.raises(TargetStructureError, match="unknown mode 'd2x'"):
-        node_cells([], "d2x")
+        cell_table([], "d2x")
+
+
+@pytest.mark.parametrize("degree", [2**31, 2**32, 2**40, 10**30])
+def test_huge_degrees_are_counted_exactly(degree):
+    # degrees past every fixed-width int: the cells, their sizes, the
+    # non-chords and the report are exact
+    dds = [(degree, degree), (degree, 0), (0, degree)]
+    for mode in ("d2k", "d2km"):
+        (in0, out0), (in1, _), (_, out2) = (cells_by_rule(*pair, mode)
+                                            for pair in dds)
+        count = 2 * degree if mode == "d2k" else degree
+        t = D2KTargets(mode, dds, {(in1, out2): count})
+        sizes, f = cell_counts_loop(dds, mode)
+        assert list(t.cell_sizes.items()) == list(sizes.items())
+        assert list(t.f.items()) == list(f.items())
+        if mode == "d2k":
+            # one in-cell and one out-cell, of two nodes each
+            assert sizes == {in0: 2, out0: 2} and f == {(in0, out0): 1}
+            want = [("II", (in0, out0),
+                     f"{count} edges + 1 non-chords exceed "
+                     f"|{in0}| * |{out0}| = 2 * 2")]
+        else:
+            assert sizes == dict.fromkeys((in0, out0, in1, out2), 1)
+            assert f == {(in0, out0): 1}
+            want = [("II", (in1, out2),
+                     f"{count} edges + 0 non-chords exceed "
+                     f"|{in1}| * |{out2}| = 1 * 1")]
+            want += [("III", (c,), f"jdam implies 0 nodes in {c}, dds has 1")
+                     for c in (in0, out0)]
+        assert check(t).to_json_dict() == {
+            "realizable": False,
+            "violations": [{"condition": cond,
+                            "cells": [cell_to_json(c) for c in cells],
+                            "message": message}
+                           for cond, cells, message in want]}
 
 
 def test_edge_count_counts_an_off_diagonal_pair_twice():
